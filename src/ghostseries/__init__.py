@@ -55,6 +55,7 @@ from .polygon import (
 from .series import (
     DeltaDivisor,
     GhostCoefficient,
+    GhostSeries,
     coefficient_divisor,
     delta_divisor,
     lam_deltas,

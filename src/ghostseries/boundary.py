@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .dims import gamma0_invariants
 from .errors import GhostError
-from .polygon import DEFAULT_CAP, NewtonPolygon, SlopeList, StandardFamily, certified_slopes, ghost_slopes
+from .polygon import DEFAULT_CAP, NewtonPolygon, SlopeList, certified_slopes, ghost_slopes
+from .series import GhostSeries
 from .weightspace import Annulus, ComponentLabel, PrimeContext
 
 
@@ -29,21 +30,6 @@ class BoundaryPolygon:
     slopes: SlopeList
 
 
-def _certified_degree_slopes(family, n: int, cap: int):
-    lam_cache: list[int] = []
-
-    def lam_upto(upto: int) -> Sequence[int]:
-        nonlocal lam_cache
-        if upto >= len(lam_cache):
-            lam_cache = family.lam_upto(upto)
-        return lam_cache
-
-    def point_value(i: int) -> Fraction:
-        return Fraction(lam_cache[i])
-
-    return certified_slopes(point_value, lam_upto, Fraction(1), n, cap)
-
-
 def boundary_polygon(
     ctx: PrimeContext,
     eps: ComponentLabel,
@@ -52,20 +38,15 @@ def boundary_polygon(
     seed=None,
     cap: int | None = None,
 ) -> BoundaryPolygon:
-    """Hull of (i, lam(g_i)) with the first n slopes certified."""
-    if seed is not None:
-        from .modified import ModifiedFamily
+    """Hull of (i, lam(g_i)) with the first n slopes certified.
 
-        family = ModifiedFamily(ctx, seed)
-    else:
-        family = StandardFamily(ctx, eps)
-    slopes, poly, points = _certified_degree_slopes(family, n, cap or DEFAULT_CAP)
-    return BoundaryPolygon(
-        eps,
-        tuple((i, int(v)) for i, v in points),
-        poly,
-        slopes,
+    Passing a weight-2 seed switches to the modified p = 2 series.
+    """
+    series = GhostSeries(ctx, eps, seed)
+    slopes, poly, points = certified_slopes(
+        series.lam_upto, series.lam_upto, Fraction(1), n, DEFAULT_CAP if cap is None else cap
     )
+    return BoundaryPolygon(eps, tuple(points), poly, slopes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ from pathlib import Path
 from .boundary import ap_check, boundary_polygon, halo_profile, scan_burn_in, ap_parameters
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ComponentMismatch, ExternalDataError, GhostError, PrecisionError
-from .modified import Weight2SeedSlopes, bundled_seed, load_seed, modified_coefficient
+from .modified import Weight2SeedSlopes, bundled_seed, load_seed
+from .modified import modified_coefficient  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
-from .series import coefficient_divisor
+from .series import GhostSeries
+from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .weightspace import (
     Annulus,
     CharClassical,
@@ -76,7 +78,6 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
                 t += 1
             if cond != 1:
                 raise UsageError(f"conductor in {spec!r} is not a power of p = {ctx.p}")
-            base, cond = ctx.p, base ** 0
         if base != ctx.p:
             raise UsageError(f"conductor base {base} differs from p = {ctx.p}")
         return CharClassical(k, t)
@@ -96,9 +97,15 @@ def _context(args) -> PrimeContext:
 
 def _cap(args) -> int:
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("GHOST_CAP")
-    return int(env) if env else DEFAULT_CAP
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("GHOST_CAP")
+        if not env:
+            return DEFAULT_CAP
+        cap, source = int(env), "GHOST_CAP"
+    if cap < 1:
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _seed(args, ctx: PrimeContext) -> Weight2SeedSlopes | None:
@@ -117,18 +124,21 @@ def _seed(args, ctx: PrimeContext) -> Weight2SeedSlopes | None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_slopes(args) -> int:
-    ctx = _context(args)
-    seed = _seed(args, ctx)
-    weight = parse_weight(args.weight, ctx)
+def _mode_slopes(args, ctx: PrimeContext, seed, weight: WeightPoint) -> SlopeList:
+    """The slopes a ``slopes`` or ``compare`` request asks for in its --mode."""
     if args.mode == "overconvergent":
         if args.count is None:
             raise UsageError("--count is required in overconvergent mode")
-        slopes = ghost_slopes(ctx, weight, args.count, seed=seed, cap=_cap(args))
-    else:
-        if not isinstance(weight, Classical):
-            raise UsageError(f"mode {args.mode!r} needs a classical weight k=<int>")
-        slopes = classical_ghost_slopes(ctx, weight.k, args.mode, seed=seed, cap=_cap(args))
+        return ghost_slopes(ctx, weight, args.count, seed=seed, cap=_cap(args))
+    if not isinstance(weight, Classical):
+        raise UsageError(f"mode {args.mode!r} needs a classical weight k=<int>")
+    return classical_ghost_slopes(ctx, weight.k, args.mode, seed=seed, cap=_cap(args))
+
+
+def _cmd_slopes(args) -> int:
+    ctx = _context(args)
+    seed = _seed(args, ctx)
+    slopes = _mode_slopes(args, ctx, seed, parse_weight(args.weight, ctx))
     if args.format == "csv":
         print("index,slope,certified")
         for j, s in enumerate(slopes.slopes, start=1):
@@ -141,17 +151,13 @@ def _cmd_slopes(args) -> int:
 def _cmd_series(args) -> int:
     ctx = _context(args)
     seed = _seed(args, ctx)
-    eps = ComponentLabel(args.component, ctx.p)
-    for i in range(1, args.up_to + 1):
-        if seed is not None:
-            coef = modified_coefficient(ctx, i, seed)
-        else:
-            coef = coefficient_divisor(ctx, eps, i)
-        zeros = []
-        for z, mult in coef.zeros.items():
-            kind = "eta8" if isinstance(z, EtaEight) else "classical"
-            zeros.append({"type": kind, "k": z.k, "mult": mult})
-        print(json.dumps({"i": i, "lambda": coef.lam, "zeros": zeros}))
+    series = GhostSeries(ctx, ComponentLabel(args.component, ctx.p), seed)
+    for i, row in enumerate(series.rows(args.up_to), start=1):
+        zeros = [
+            {"type": "eta8" if isinstance(z, EtaEight) else "classical", "k": z.k, "mult": mult}
+            for z, mult in row.items()
+        ]
+        print(json.dumps({"i": i, "lambda": sum(row.values()), "zeros": zeros}))
     return 0
 
 
@@ -301,14 +307,7 @@ def _cmd_compare(args) -> int:
     weight = parse_weight(args.weight, ctx)
     with open(args.fixture, "r", encoding="utf-8") as handle:
         fixture = json.load(handle)
-    if args.mode == "overconvergent":
-        if args.count is None:
-            raise UsageError("--count is required in overconvergent mode")
-        computed = ghost_slopes(ctx, weight, args.count, seed=seed, cap=_cap(args))
-    else:
-        if not isinstance(weight, Classical):
-            raise UsageError(f"mode {args.mode!r} needs a classical weight k=<int>")
-        computed = classical_ghost_slopes(ctx, weight.k, args.mode, seed=seed, cap=_cap(args))
+    computed = _mode_slopes(args, ctx, seed, weight)
     report = compare(fixture, computed, args.fixture)
     doc = {
         "command": "compare",

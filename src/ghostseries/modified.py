@@ -25,10 +25,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, Mapping
 
+from .boundary import boundary_polygon
 from .dims import dim_cusp_eta8, dim_cusp_gamma0
 from .errors import ExternalDataError
-from .polygon import DEFAULT_CAP, SlopeList, certified_slopes
-from .series import GhostCoefficient, coefficient_divisor, lam_values, updown_padded
+from .polygon import SlopeList
+from .polygon import certified_slopes  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
+from .series import GhostCoefficient, coefficient_divisor, updown_padded
 from .weightspace import ComponentLabel, EtaEight, PrimeContext, WeightPoint
 
 
@@ -196,58 +198,23 @@ def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> 
     return ModifiedCoefficient(base, extra)
 
 
-# ---------------------------------------------------------------------------
-# the modified coefficient family
+def eta8_points(seed: Weight2SeedSlopes, upto: int):
+    """(EtaEight(k), i, m) for every eta_8 zero of g_1..g_upto, by increasing k.
 
-class ModifiedFamily:
-    """Modified coefficients on the unique p = 2 component, with caching."""
-
-    def __init__(self, ctx: PrimeContext, seed: Weight2SeedSlopes):
-        if ctx.p != 2:
-            raise ValueError("the modified series exists only for p = 2")
-        if ctx.N != seed.N:
-            raise ValueError(f"seed belongs to N = {seed.N}, not N = {ctx.N}")
-        self.ctx = ctx
-        self.seed = seed
-        self.eps = ComponentLabel(0, 2)
-        # eta_8 zeros sit at v_2(w) = 1, so the valuation floor drops to 1
-        self.floor_cap = Fraction(1) if seed.dimension else Fraction(3)
-        self._divisors: dict[int, ModifiedCoefficient] = {}
-        self._lams: list[int] = [0]
-
-    def divisor(self, i: int) -> ModifiedCoefficient:
-        got = self._divisors.get(i)
-        if got is None:
-            got = self._divisors[i] = modified_coefficient(self.ctx, i, self.seed)
-        return got
-
-    def extra_degrees(self, upto: int) -> list[int]:
-        """Total extra eta_8 multiplicity per coefficient index, 0..upto."""
-        extra = [0] * (upto + 1)
-        mults = seed_multiplicities(self.seed)
-        d2 = len(mults)
-        if d2 == 0:
-            return extra
+    The weight-2 zero sits at i = j and each higher weight at i = d_k - j,
+    with multiplicity m_j(2) for j = 1..d_2.
+    """
+    mults = seed_multiplicities(seed)
+    d2 = len(mults)
+    if d2 == 0:
+        return
+    for k, dk in _eta8_dims(seed.N):
+        if k > 2 and dk - d2 > upto:
+            return
         for j, m in enumerate(mults, start=1):
-            if m and j <= upto:
-                extra[j] += m  # the weight-2 zero itself
-        for k, dk in _eta8_dims(self.seed.N):
-            if k == 2:
-                continue
-            if dk - 1 > upto + d2:
-                break
-            for j, m in enumerate(mults, start=1):
-                i = dk - j
-                if m and 1 <= i <= upto:
-                    extra[i] += m
-        return extra
-
-    def lam_upto(self, upto: int) -> list[int]:
-        if upto >= len(self._lams):
-            base = lam_values(self.ctx, self.eps, upto)
-            extra = self.extra_degrees(upto)
-            self._lams = [b + e for b, e in zip(base, extra)]
-        return self._lams
+            i = j if k == 2 else dk - j
+            if m and 1 <= i <= upto:
+                yield EtaEight(k), i, m
 
 
 def modified_boundary_slopes(
@@ -258,19 +225,7 @@ def modified_boundary_slopes(
     cap: int | None = None,
 ) -> SlopeList:
     """First n w-adic slopes of the modified boundary polygon."""
-    family = ModifiedFamily(PrimeContext(2, N), seed)
-    lam_cache: list[int] = []
-
-    def lam_upto(upto: int):
-        nonlocal lam_cache
-        if upto >= len(lam_cache):
-            lam_cache = family.lam_upto(upto)
-        return lam_cache
-
-    slopes, _, _ = certified_slopes(
-        lambda i: Fraction(lam_cache[i]), lam_upto, Fraction(1), n, cap or DEFAULT_CAP
-    )
-    return slopes
+    return boundary_polygon(PrimeContext(2, N), ComponentLabel(0, 2), n, seed=seed, cap=cap).slopes
 
 
 # ---------------------------------------------------------------------------

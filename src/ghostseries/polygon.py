@@ -24,11 +24,11 @@ from typing import Callable, NamedTuple, Sequence
 
 from .dims import dim_cusp_gamma0
 from .errors import CertificationError, PrecisionError
-from .series import GhostCoefficient, coefficient_divisor, lam_values
+from .series import GhostSeries
+from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .weightspace import (
     INFINITY,
     Classical,
-    ComponentLabel,
     ExplicitW,
     ExtendedRational,
     PrimeContext,
@@ -137,56 +137,7 @@ def lower_hull(points: Sequence[tuple[int, ExtendedRational]]) -> NewtonPolygon:
 
 
 # ---------------------------------------------------------------------------
-# coefficient families and evaluation
-
-class StandardFamily:
-    """Coefficients of the plain series on one component, with caching."""
-
-    def __init__(self, ctx: PrimeContext, eps: ComponentLabel):
-        self.ctx = ctx
-        self.eps = eps
-        self.floor_cap = Fraction(3) if ctx.p == 2 else Fraction(1)
-        self._divisors: dict[int, GhostCoefficient] = {}
-        self._lams: list[int] = [0]
-
-    def divisor(self, i: int) -> GhostCoefficient:
-        got = self._divisors.get(i)
-        if got is None:
-            got = self._divisors[i] = coefficient_divisor(self.ctx, self.eps, i)
-        return got
-
-    def lam_upto(self, upto: int) -> list[int]:
-        if upto >= len(self._lams):
-            self._lams = lam_values(self.ctx, self.eps, upto)
-        return self._lams
-
-
-class _WeightEvaluator:
-    """Valuation of coefficients at one fixed weight, caching per-zero legs."""
-
-    def __init__(self, family, kappa: WeightPoint):
-        self.family = family
-        self.ctx = family.ctx
-        self.kappa = kappa
-        self._legs: dict[WeightPoint, ExtendedRational] = {}
-
-    def leg(self, zero: WeightPoint) -> ExtendedRational:
-        got = self._legs.get(zero)
-        if got is None:
-            got = self._legs[zero] = pair_valuation(self.kappa, zero, self.ctx)
-        return got
-
-    def __call__(self, i: int) -> ExtendedRational:
-        if i == 0:
-            return Fraction(0)
-        total = Fraction(0)
-        for zero, mult in self.family.divisor(i).zeros.items():
-            v = self.leg(zero)
-            if not is_finite(v):
-                return INFINITY
-            total += mult * v
-        return total
-
+# evaluation
 
 def coefficient_valuation(coef, kappa: WeightPoint) -> ExtendedRational:
     """v_p of one coefficient at the weight kappa; +Infinity at its zeros."""
@@ -241,7 +192,7 @@ def _tail_clears(
 
 
 def certified_slopes(
-    point_value: Callable[[int], ExtendedRational],
+    values: Callable[[int], Sequence[ExtendedRational]],
     lam_upto: Callable[[int], Sequence[int]],
     c: Fraction,
     n: int,
@@ -249,19 +200,23 @@ def certified_slopes(
 ) -> tuple[SlopeList, NewtonPolygon, list[tuple[int, ExtendedRational]]]:
     """First n hull slopes with a truncation certificate.
 
-    Grows the truncation degree D (doubling, up to ``cap``) until the hull
-    over indices 0..D has n slopes and every coefficient on the window
-    (D, 2D + 32] provably clears the supporting line at the n-th slope.
+    ``values(D)`` gives the point values for indices 0..D (at least), in one
+    call per round.  Grows the truncation degree D (doubling, up to ``cap``)
+    until the hull over indices 0..D has n slopes and every coefficient on
+    the window (D, 2D + 32] provably clears the supporting line at the n-th
+    slope.
     """
     if n < 1:
         raise ValueError("at least one slope must be requested")
+    if cap < 1:
+        raise ValueError(f"the degree cap must be at least 1, got {cap}")
     if c <= 0:
         raise ValueError("the valuation floor c must be positive")
     D = min(max(2 * n, 16), cap)
     while True:
         window_end = 2 * D + 32
         lam = lam_upto(window_end)
-        points = [(i, point_value(i)) for i in range(D + 1)]
+        points = list(enumerate(values(D)[: D + 1]))
         poly = lower_hull(points)
         flat = poly.slopes(n)
         if len(flat) >= n:
@@ -290,12 +245,33 @@ def _valuation_floor(ctx: PrimeContext, kappa: WeightPoint, cap_val: Fraction) -
     return min(Fraction(v), cap_val)
 
 
-def _resolve_family(ctx: PrimeContext, kappa: WeightPoint, seed):
-    if seed is not None:
-        from .modified import ModifiedFamily  # local import avoids a cycle
+def ghost_polygon(
+    ctx: PrimeContext,
+    kappa: WeightPoint,
+    n: int,
+    *,
+    seed=None,
+    cap: int | None = None,
+) -> tuple[SlopeList, NewtonPolygon]:
+    """First n certified slopes of the Newton polygon of the series at the
+    weight kappa, with the hull they come from.
 
-        return ModifiedFamily(ctx, seed)
-    return StandardFamily(ctx, weight_component(kappa, ctx))
+    Passing a weight-2 seed switches to the modified p = 2 series.
+    """
+    series = GhostSeries(ctx, weight_component(kappa, ctx), seed)
+    c = _valuation_floor(ctx, kappa, series.floor_cap)
+    legs: dict[WeightPoint, ExtendedRational] = {}
+
+    def leg(zero: WeightPoint) -> ExtendedRational:
+        got = legs.get(zero)
+        if got is None:
+            got = legs[zero] = pair_valuation(kappa, zero, ctx)
+        return got
+
+    slopes, poly, _ = certified_slopes(
+        lambda D: series.values(D, leg), series.lam_upto, c, n, DEFAULT_CAP if cap is None else cap
+    )
+    return slopes, poly
 
 
 def ghost_slopes(
@@ -306,32 +282,8 @@ def ghost_slopes(
     seed=None,
     cap: int | None = None,
 ) -> SlopeList:
-    """First n slopes of the Newton polygon of the series at the weight kappa.
-
-    Passing a weight-2 seed switches to the modified p = 2 series.
-    """
-    family = _resolve_family(ctx, kappa, seed)
-    weight_component(kappa, ctx)  # validates the weight for this prime
-    c = _valuation_floor(ctx, kappa, family.floor_cap)
-    evaluator = _WeightEvaluator(family, kappa)
-    slopes, _, _ = certified_slopes(evaluator, family.lam_upto, c, n, cap or DEFAULT_CAP)
-    return slopes
-
-
-def ghost_polygon(
-    ctx: PrimeContext,
-    kappa: WeightPoint,
-    n: int,
-    *,
-    seed=None,
-    cap: int | None = None,
-) -> tuple[SlopeList, NewtonPolygon]:
-    """Like :func:`ghost_slopes` but also returns the certified hull."""
-    family = _resolve_family(ctx, kappa, seed)
-    c = _valuation_floor(ctx, kappa, family.floor_cap)
-    evaluator = _WeightEvaluator(family, kappa)
-    slopes, poly, _ = certified_slopes(evaluator, family.lam_upto, c, n, cap or DEFAULT_CAP)
-    return slopes, poly
+    """First n slopes of the Newton polygon of the series at the weight kappa."""
+    return ghost_polygon(ctx, kappa, n, seed=seed, cap=cap)[0]
 
 
 def classical_ghost_slopes(

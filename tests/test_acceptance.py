@@ -21,7 +21,6 @@ from ghostseries.modified import (
     seed_multiplicities,
 )
 from ghostseries.polygon import (
-    StandardFamily,
     classical_ghost_slopes,
     coefficient_valuation,
     ghost_slopes,
@@ -86,11 +85,10 @@ def _factorial_increment(k: int, i: int) -> int:
 
 def test_criterion_3_factorial_formula_slopes():
     started = time.time()
-    family = StandardFamily(CTX21, EPS2)
     for k in (0, -2, -14):
         closed = [Fraction(_factorial_increment(k, i)) for i in range(1, 31)]
         kappa = Classical(k)
-        values = [coefficient_valuation(family.divisor(i), kappa) for i in range(1, 31)]
+        values = [coefficient_valuation(coefficient_divisor(CTX21, EPS2, i), kappa) for i in range(1, 31)]
         increments = [values[0]] + [values[i] - values[i - 1] for i in range(1, 30)]
         assert [Fraction(v) for v in increments] == closed, k
         assert all(b >= a for a, b in zip(closed, closed[1:])), k

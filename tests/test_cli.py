@@ -211,11 +211,25 @@ def test_exit_codes(capsys):
     assert main(["slopes", "--p", "2"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+    # a degree cap below 1 is a usage error that names the flag
+    for cap in ("0", "-1"):
+        argv = ["slopes", "--p", "2", "--weight", "k=0", "--count", "3", "--cap", cap]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --cap must be at least 1")
 
 
 def test_cap_env_override(monkeypatch, capsys):
     monkeypatch.setenv("GHOST_CAP", "12")
     assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "40"]) == 3
+    capsys.readouterr()
+    for bad in ("0", "-5"):
+        monkeypatch.setenv("GHOST_CAP", bad)
+        assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3"]) == 2
+        assert capsys.readouterr().err.startswith("usage error: GHOST_CAP must be at least 1")
+    # the flag wins over the environment
+    assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3", "--cap", "100"]) == 0
     monkeypatch.delenv("GHOST_CAP")
     capsys.readouterr()
 

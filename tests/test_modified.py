@@ -5,7 +5,6 @@ import pytest
 
 from ghostseries.errors import ExternalDataError
 from ghostseries.modified import (
-    ModifiedFamily,
     Weight2SeedSlopes,
     bundled_seed,
     load_seed,
@@ -16,10 +15,12 @@ from ghostseries.modified import (
     seed_multiplicities,
 )
 from ghostseries.polygon import ghost_slopes
-from ghostseries.weightspace import Annulus, Classical, EtaEight, PrimeContext
+from ghostseries.series import GhostSeries, lam_values
+from ghostseries.weightspace import Annulus, Classical, ComponentLabel, EtaEight, PrimeContext
 
 HALF = Fraction(1, 2)
 CTX23 = PrimeContext(2, 3)
+EPS2 = ComponentLabel(0, 2)
 
 
 def seed3():
@@ -120,18 +121,17 @@ def test_level_one_extra_is_empty():
 
 
 def test_extra_degree_growth():
-    family = ModifiedFamily(CTX23, seed3())
-    extra = family.extra_degrees(200)
+    modified = GhostSeries(CTX23, EPS2, seed3()).lam_upto(200)
+    extra = [m - b for m, b in zip(modified, lam_values(CTX23, EPS2, 200))]
     # one extra zero per weight: indices d_k - 1 = 4k - 7, k = 2, 3, 4, ...
     assert sum(extra) == 50
     assert all((extra[i] == 1) == (i % 4 == 1) for i in range(1, 201))
 
 
 def test_degree_array_matches_divisors():
-    family = ModifiedFamily(CTX23, seed3())
-    lams = family.lam_upto(40)
+    lams = GhostSeries(CTX23, EPS2, seed3()).lam_upto(40)
     for i in range(1, 41):
-        assert lams[i] == family.divisor(i).lam
+        assert lams[i] == modified_coefficient(CTX23, i, seed3()).lam
 
 
 def test_modified_boundary_slopes_fixture():

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghostseries.errors import CertificationError
+from ghostseries.errors import CertificationError, PrecisionError
 from ghostseries.polygon import (
     SlopeList,
-    StandardFamily,
     classical_ghost_slopes,
     coefficient_valuation,
     ghost_polygon,
@@ -145,9 +144,8 @@ def _closed_form_increment(k, i):
 
 @pytest.mark.parametrize("k", [0, -2, -14])
 def test_negative_weight_slopes_match_factorial_formula(k):
-    family = StandardFamily(CTX21, EPS2)
     kappa = Classical(k)
-    values = [coefficient_valuation(family.divisor(i), kappa) for i in range(1, 31)]
+    values = [coefficient_valuation(coefficient_divisor(CTX21, EPS2, i), kappa) for i in range(1, 31)]
     increments = [values[0]] + [values[i] - values[i - 1] for i in range(1, 30)]
     closed = [_closed_form_increment(k, i) for i in range(1, 31)]
     assert [Fraction(c) for c in closed] == [Fraction(v) for v in increments]
@@ -177,6 +175,23 @@ def test_59_adic_ordinary_weight():
 def test_certification_cap_failure():
     with pytest.raises(CertificationError):
         ghost_slopes(CTX21, Classical(0), 40, cap=12)
+
+
+def test_cap_below_one_is_rejected():
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="degree cap"):
+            ghost_slopes(CTX21, Classical(0), 3, cap=cap)
+
+
+@pytest.mark.parametrize("w0, m, last_good, k", [(40, 10, 10, 254), (8, 12, 7, 326)])
+def test_precision_error_onset(w0, m, last_good, k):
+    # legs are taken only for the zeros of g_1..g_D, so an explicit w-value
+    # fails exactly when the truncation first reaches a zero it cannot
+    # separate from w
+    kappa = ExplicitW(w0, m)
+    assert len(ghost_slopes(CTX21, kappa, last_good)) == last_good
+    with pytest.raises(PrecisionError, match=f"zero at k = {k}"):
+        ghost_slopes(CTX21, kappa, last_good + 1)
 
 
 def test_slopes_at_a_zero_weight():

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from ghostseries.dims import gamma0_invariants
+from ghostseries.modified import bundled_seed, modified_coefficient
+from ghostseries.polygon import coefficient_valuation
 from ghostseries.series import (
+    GhostSeries,
     coefficient_divisor,
     delta_divisor,
     lam_deltas,
@@ -12,7 +15,18 @@ from ghostseries.series import (
     updown,
     updown_padded,
 )
-from ghostseries.weightspace import ComponentLabel, PrimeContext
+from ghostseries.weightspace import (
+    INFINITY,
+    Annulus,
+    CharClassical,
+    Classical,
+    ComponentLabel,
+    EtaEight,
+    ExplicitW,
+    PrimeContext,
+    pair_valuation,
+    weight_component,
+)
 
 CTX21 = PrimeContext(2, 1)
 EPS2 = ComponentLabel(0, 2)
@@ -136,3 +150,38 @@ def test_coefficient_divisor_rejects_bad_index():
         coefficient_divisor(CTX21, EPS2, 0)
     with pytest.raises(ValueError):
         delta_divisor(CTX21, EPS2, 0)
+
+
+@pytest.mark.parametrize(
+    "ctx, kappa, modified",
+    [
+        (CTX21, Classical(14), False),  # a zero of g_1: infinite legs
+        (CTX21, Annulus(0, Fraction(5, 2)), False),
+        (PrimeContext(7, 1), CharClassical(4, 2), False),
+        (CTX21, ExplicitW((pow(5, -2, 2**40) - 1) % 2**40, 40), False),
+        (PrimeContext(2, 3), EtaEight(3), True),  # a zero of the modified g_5
+    ],
+)
+def test_zero_table_matches_divisor_oracle(ctx, kappa, modified):
+    D = 60
+    eps = weight_component(kappa, ctx)
+    seed = bundled_seed(ctx.N) if modified else None
+    series = GhostSeries(ctx, eps, seed)
+    if modified:
+        oracle = [modified_coefficient(ctx, i, seed) for i in range(1, D + 1)]
+    else:
+        oracle = [coefficient_divisor(ctx, eps, i) for i in range(1, D + 1)]
+
+    def leg(z):
+        return pair_valuation(kappa, z, ctx)
+
+    want = [0] + [coefficient_valuation(coef, kappa) for coef in oracle]
+    degrees = [0] + [coef.lam for coef in oracle]
+    for upto in range(D + 1):  # every truncation, so the clipping at upto is covered
+        assert series.values(upto, leg) == want[: upto + 1]
+        assert series.values(upto) == degrees[: upto + 1]
+    if kappa in (Classical(14), EtaEight(3)):
+        assert INFINITY in want
+
+    rows = list(series.rows(D))
+    assert [list(row.items()) for row in rows] == [list(coef.zeros.items()) for coef in oracle]
