@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .dims import gamma0_invariants
 from .errors import GhostError
-from .polygon import DEFAULT_CAP, NewtonPolygon, SlopeList, certified_slopes, ghost_slopes
+from .polygon import DEFAULT_CAP, NewtonPolygon, SlopeList, certified_slopes, ghost_slopes, tail_window_end
 from .series import GhostSeries
 from .weightspace import Annulus, ComponentLabel, PrimeContext
 
@@ -44,7 +44,11 @@ def boundary_polygon(
     """
     series = GhostSeries(ctx, eps, seed)
     slopes, poly, points = certified_slopes(
-        series.lam_upto, series.lam_upto, Fraction(1), n, DEFAULT_CAP if cap is None else cap
+        lambda D: series.lam_upto(tail_window_end(D)),
+        series.lam_upto,
+        Fraction(1),
+        n,
+        DEFAULT_CAP if cap is None else cap,
     )
     return BoundaryPolygon(eps, tuple(points), poly, slopes)
 

@@ -102,7 +102,10 @@ def _cap(args) -> int:
         env = os.environ.get("GHOST_CAP")
         if not env:
             return DEFAULT_CAP
-        cap, source = int(env), "GHOST_CAP"
+        try:
+            cap, source = int(env), "GHOST_CAP"
+        except ValueError:
+            raise UsageError(f"GHOST_CAP must be an integer, got {env!r}") from None
     if cap < 1:
         raise UsageError(f"{source} must be at least 1, got {cap}")
     return cap

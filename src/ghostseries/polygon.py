@@ -18,7 +18,7 @@ and extrapolated monotonically past the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -49,24 +49,25 @@ class PolygonPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    """Lower convex hull, stored as its minimal vertex list."""
+    """Lower convex hull, stored as its minimal vertex list.
 
-    vertices: tuple[tuple[int, Fraction], ...]
+    Vertex values keep the type of the points: int for degree points,
+    Fraction for valuations.  Edge slopes are Fractions, computed once.
+    """
+
+    vertices: tuple[tuple[int, int | Fraction], ...]
+    _edges: tuple[tuple[Fraction, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        slopes = [
-            Fraction(y2 - y1, x2 - x1)
-            for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:])
-        ]
-        if any(s2 <= s1 for s1, s2 in zip(slopes, slopes[1:])):
+        runs = [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:])]
+        # dy2/dx2 > dy1/dx1 with positive dx, cross-multiplied
+        if any(dy2 * dx1 <= dy1 * dx2 for (dx1, dy1), (dx2, dy2) in zip(runs, runs[1:])):
             raise AssertionError("hull slopes must increase strictly between vertices")
+        object.__setattr__(self, "_edges", tuple((Fraction(dy, dx), dx) for dx, dy in runs))
 
     def slope_pairs(self) -> tuple[tuple[Fraction, int], ...]:
         """(slope, multiplicity) per edge; multiplicities are index gaps."""
-        return tuple(
-            (Fraction(y2 - y1, x2 - x1), x2 - x1)
-            for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:])
-        )
+        return self._edges
 
     def slopes(self, n: int | None = None) -> tuple[Fraction, ...]:
         """Slopes flattened with multiplicity, nondecreasing."""
@@ -110,19 +111,21 @@ def lower_hull(points: Sequence[tuple[int, ExtendedRational]]) -> NewtonPolygon:
     """Lower convex hull over the finite points; +Infinity points are omitted.
 
     The first point must be (0, 0) (the series has constant term 1) and
-    indices must be given in strictly increasing order.
+    indices must be given in strictly increasing order.  Values are compared
+    by cross-multiplication, so int values stay ints.
     """
     if not points:
         raise ValueError("cannot take the hull of no points")
-    pts = [(int(i), v) for i, v in points]
-    if pts[0][0] != 0 or pts[0][1] != 0:
+    if points[0][0] != 0 or points[0][1] != 0:
         raise ValueError("the hull needs the point (0, 0) for the constant term")
-    if any(b <= a for (a, _), (b, _) in zip(pts, pts[1:])):
-        raise ValueError("point indices must increase strictly")
-
-    finite = [(i, Fraction(v)) for i, v in pts if is_finite(v)]
-    hull: list[tuple[int, Fraction]] = []
-    for x, y in finite:
+    hull: list[tuple[int, ExtendedRational]] = []
+    last = -1
+    for x, y in points:
+        if x <= last:
+            raise ValueError("point indices must increase strictly")
+        last = x
+        if y is INFINITY:
+            continue
         # pop while the middle vertex is on or above the chord (keeps the
         # vertex set minimal: collinear interior points are dropped)
         while len(hull) >= 2:
@@ -174,21 +177,38 @@ def _tail_clears(
     c: Fraction,
     s: Fraction,
     i0: int,
-    y0: Fraction,
+    y0: int | Fraction,
 ) -> bool:
-    """Exact window check plus the monotone extrapolation assertion."""
+    """Exact window check plus the monotone extrapolation assertion.
+
+    Each index i of the window must satisfy lam[i] * c > y0 + s * (i - i0)
+    and (lam[i] - lam[i - 1]) * c > s.  Both are multiplied through by the
+    positive denominators of c, s and y0, so the loop compares ints.
+    """
+    cn, cd = c.numerator, c.denominator
+    sn, sd = s.numerator, s.denominator
+    yn, yd = y0.numerator, y0.denominator
+    lead, line, rise = cn * sd * yd, yn * cd * sd + sn * cd * yd * (D - i0), sn * cd * yd
+    step_lead, step_floor = cn * sd, sn * cd
     deltas: list[int] = []
+    prev = lam[D]
     for i in range(D + 1, window_end + 1):
-        step = lam[i] - lam[i - 1]
+        cur = lam[i]
+        step = cur - prev
+        prev = cur
+        line += rise
         deltas.append(step)
-        if not (lam[i] * c > y0 + s * (i - i0)):
-            return False
-        if not (step * c > s):
+        if cur * lead <= line or step * step_lead <= step_floor:
             return False
     half = len(deltas) // 2
     if half and min(deltas[half:]) < min(deltas[:half]):
         return False
     return True
+
+
+def tail_window_end(D: int) -> int:
+    """The last index of the exact tail window past the truncation degree D."""
+    return 2 * D + 32
 
 
 def certified_slopes(
@@ -201,9 +221,11 @@ def certified_slopes(
     """First n hull slopes with a truncation certificate.
 
     ``values(D)`` gives the point values for indices 0..D (at least), in one
-    call per round.  Grows the truncation degree D (doubling, up to ``cap``)
-    until the hull over indices 0..D has n slopes and every coefficient on
-    the window (D, 2D + 32] provably clears the supporting line at the n-th
+    call per round, before ``lam_upto`` is asked for the degrees through the
+    window end, so one walk of the series can serve both.  Grows the
+    truncation degree D (doubling, up to ``cap``) until the hull over indices
+    0..D has n slopes and every coefficient on the window
+    (D, tail_window_end(D)] provably clears the supporting line at the n-th
     slope.
     """
     if n < 1:
@@ -214,21 +236,20 @@ def certified_slopes(
         raise ValueError("the valuation floor c must be positive")
     D = min(max(2 * n, 16), cap)
     while True:
-        window_end = 2 * D + 32
-        lam = lam_upto(window_end)
+        window_end = tail_window_end(D)
         points = list(enumerate(values(D)[: D + 1]))
         poly = lower_hull(points)
         flat = poly.slopes(n)
         if len(flat) >= n:
             s, i0, y0 = _nth_anchor(poly, n)
-            if _tail_clears(lam, D, window_end, c, s, i0, y0):
+            if _tail_clears(lam_upto(window_end), D, window_end, c, s, i0, y0):
                 return SlopeList(flat, n), poly, points
         if D >= cap:
             raise CertificationError(
                 f"could not certify {n} slopes within the degree cap {cap}; "
                 "raise the cap (flag --cap or GHOST_CAP)"
             )
-        D = min(2 * D + 32, cap)
+        D = min(window_end, cap)
 
 
 def _valuation_floor(ctx: PrimeContext, kappa: WeightPoint, cap_val: Fraction) -> Fraction:
@@ -269,7 +290,11 @@ def ghost_polygon(
         return got
 
     slopes, poly, _ = certified_slopes(
-        lambda D: series.values(D, leg), series.lam_upto, c, n, DEFAULT_CAP if cap is None else cap
+        lambda D: series.values(D, leg, tail_window_end(D)),
+        series.lam_upto,
+        c,
+        n,
+        DEFAULT_CAP if cap is None else cap,
     )
     return slopes, poly
 

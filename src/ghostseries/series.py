@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Dict, Iterator, Mapping
 
-from .dims import dim_cusp_gamma0, dim_pnew, gamma0_invariants
+from .dims import cusp_dim, dim_cusp_gamma0, dim_pnew, gamma0_invariants, pnew_dim
 from .weightspace import (
     INFINITY,
     Classical,
@@ -166,14 +166,6 @@ def delta_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> DeltaDiviso
 # ---------------------------------------------------------------------------
 # the zero table: one pass per array (used by polygons, certificates, the CLI)
 
-def _mark(diff: list, lo: int, hi: int, step) -> None:
-    """Add ``step`` on [lo, hi], clipped to 1..len(diff) - 2, as a difference mark."""
-    lo, hi = max(lo, 1), min(hi, len(diff) - 2)
-    if lo <= hi:
-        diff[lo] += step
-        diff[hi + 1] -= step
-
-
 class GhostSeries:
     """The zeros of the series on one component, as one table.
 
@@ -199,10 +191,22 @@ class GhostSeries:
         self._lams: list[int] = [0]
 
     def tents(self, upto: int) -> Iterator[tuple[int, int, int]]:
-        """(k, d_k, ell_k) for each classical zero of g_1..g_upto, by increasing k."""
-        for k, d in _component_dims(self.ctx, self.eps, upto):
+        """(k, d_k, ell_k) for each classical zero of g_1..g_upto, by increasing k.
+
+        The Gamma_0(N) and Gamma_0(Np) invariants are fetched once and each
+        weight's dimensions come from the plain formula, so the walk fills no
+        dimension memo.  It stops as ``coefficient_divisor`` does, once d_k is
+        past upto by the enumeration margin.
+        """
+        ctx = self.ctx
+        tame, full = gamma0_invariants(ctx.N), gamma0_invariants(ctx.N * ctx.p)
+        stop = upto + enumeration_margin(ctx.N)
+        for k in classical_weights(ctx, self.eps):
+            d = cusp_dim(tame, k)
+            if d >= stop:
+                return
             if d < upto:
-                ell = dim_pnew(self.ctx, k) - 1
+                ell = pnew_dim(ctx, k, cusp_dim(full, k), d) - 1
                 if ell >= 1:
                     yield k, d, ell
 
@@ -214,33 +218,59 @@ class GhostSeries:
 
         return eta8_points(self.seed, upto)
 
-    def values(self, upto: int, leg=1) -> list:
+    def values(self, upto: int, leg=1, through: int | None = None) -> list:
         """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
 
-        ``leg`` is a constant or a function of the zero: 1 gives the degrees
-        lam(g_i), ``pair_valuation(kappa, .)`` the valuations v_p(g_i(w_kappa)),
-        +Infinity wherever a zero of g_i has an infinite leg.  The multiplicity
-        of a tent rises by one on [d + 1, d + ceil(ell/2)] and falls by one on
-        [d + floor(ell/2) + 2, d + ell + 1]: one pass marks these first
-        differences weighted by the leg and two prefix sums read them out.
-        Legs are taken only for zeros of g_1..g_upto.
+        ``leg`` is 1, for the degrees lam(g_i), or a function of the zero:
+        ``pair_valuation(kappa, .)`` gives the valuations
+        v_p(g_i(w_kappa)), +Infinity wherever a zero of g_i has an infinite
+        leg.  The multiplicity of a tent rises by one on [d + 1, d + ceil(ell/2)]
+        and falls by one on [d + floor(ell/2) + 2, d + ell + 1]: one walk marks
+        these second differences weighted by the leg and two prefix sums read
+        them out.  Legs are taken only for zeros of g_1..g_upto.
+
+        The same walk computes the degrees through ``through`` (at least upto)
+        and keeps them for ``lam_upto``, so a certificate round that needs the
+        valuations through D and the degrees through its window walks once.
         """
-        steps = [0] * (upto + 2)  # second differences of the finite part
-        hits = [0] * (upto + 2)  # differences of the count of infinite legs
-        for k, d, ell in self.tents(upto):
-            w = leg(Classical(k)) if callable(leg) else leg
-            if w is INFINITY:
-                _mark(hits, d + 1, d + ell, 1)
-            else:
-                _mark(steps, d + 1, d + (ell + 1) // 2, w)
-                _mark(steps, d + ell // 2 + 2, d + ell + 1, -w)
-        out = list(accumulate(accumulate(steps[: upto + 1])))
-        for zero, i, m in self.points(upto):
-            w = leg(zero) if callable(leg) else leg
-            if w is INFINITY:
-                _mark(hits, i, i, 1)
-            else:
-                out[i] += m * w
+        top = upto if through is None else max(upto, through)
+        spill = top + 1  # marks past top land here and never reach a sum
+        lams = [0] * (top + 2)
+        weighted = leg != 1
+        if weighted:
+            steps = [0] * (upto + 2)  # second differences of the finite part
+            hits = [0] * (upto + 2)  # first differences of the count of infinite legs
+        for k, d, ell in self.tents(top):
+            up, down, end = d + (ell + 1) // 2 + 1, d + ell // 2 + 2, d + ell + 2
+            lams[d + 1] += 1
+            lams[min(up, spill)] -= 1
+            lams[min(down, spill)] -= 1
+            lams[min(end, spill)] += 1
+            if weighted and d < upto:
+                w = leg(Classical(k))
+                if w is INFINITY:
+                    hits[d + 1] += 1
+                    hits[min(end - 1, upto + 1)] -= 1
+                else:
+                    steps[d + 1] += w
+                    steps[min(up, upto + 1)] -= w
+                    steps[min(down, upto + 1)] -= w
+                    steps[min(end, upto + 1)] += w
+        lams = list(accumulate(accumulate(lams[:spill])))
+        out = list(accumulate(accumulate(steps[: upto + 1]))) if weighted else None
+        for zero, i, m in self.points(top):
+            lams[i] += m
+            if weighted and i <= upto:
+                w = leg(zero)
+                if w is INFINITY:
+                    hits[i] += 1
+                    hits[i + 1] -= 1
+                else:
+                    out[i] += m * w
+        if top >= len(self._lams):
+            self._lams = lams
+        if not weighted:
+            return lams[: upto + 1]
         for i, count in enumerate(accumulate(hits[: upto + 1])):
             if count:
                 out[i] = INFINITY
@@ -248,10 +278,9 @@ class GhostSeries:
 
     def lam_upto(self, upto: int) -> list[int]:
         """[lam(g_i) for i = 0..] through at least upto; the longest one is cached."""
-        lams = self._lams
-        if upto >= len(lams):
-            lams = self._lams = self.values(upto)
-        return lams
+        if upto >= len(self._lams):
+            self.values(upto)
+        return self._lams
 
     def rows(self, upto: int) -> Iterator[Dict[WeightPoint, int]]:
         """The divisors of g_1..g_upto in turn, keyed like the reference oracles:

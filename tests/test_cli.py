@@ -228,6 +228,9 @@ def test_cap_env_override(monkeypatch, capsys):
         monkeypatch.setenv("GHOST_CAP", bad)
         assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3"]) == 2
         assert capsys.readouterr().err.startswith("usage error: GHOST_CAP must be at least 1")
+    monkeypatch.setenv("GHOST_CAP", "lots")
+    assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3"]) == 2
+    assert capsys.readouterr().err == "usage error: GHOST_CAP must be an integer, got 'lots'\n"
     # the flag wins over the environment
     assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3", "--cap", "100"]) == 0
     monkeypatch.delenv("GHOST_CAP")

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from ghostseries.errors import CertificationError, PrecisionError
 from ghostseries.polygon import (
+    NewtonPolygon,
     SlopeList,
+    _tail_clears,
     classical_ghost_slopes,
     coefficient_valuation,
     ghost_polygon,
@@ -103,6 +105,68 @@ def test_hull_oracle_random_cases():
         # slope multiplicities fill the index range of the finite points
         finite_last = max(i for i, v in points if v is not INFINITY)
         assert sum(m for _, m in poly.slope_pairs()) == finite_last
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-60, 60), st.just(INFINITY)), max_size=29))
+def test_int_hull_matches_fraction_hull(tail):
+    ints = [(0, 0)] + list(enumerate(tail, start=1))
+    fracs = [(i, v if v is INFINITY else Fraction(v)) for i, v in ints]
+    poly, ref = lower_hull(ints), lower_hull(fracs)
+    assert poly.vertices == ref.vertices
+    assert poly.slope_pairs() == ref.slope_pairs()
+    assert all(type(y) is int for _, y in poly.vertices)
+
+
+def test_newton_polygon_rejects_collinear_vertices():
+    with pytest.raises(AssertionError, match="increase strictly"):
+        NewtonPolygon(((0, 0), (1, 1), (2, 2)))
+    with pytest.raises(AssertionError, match="increase strictly"):
+        NewtonPolygon(((0, 0), (2, Fraction(1, 2)), (3, Fraction(3, 4))))
+
+
+def _tail_clears_reference(lam, D, window_end, c, s, i0, y0):
+    """The window check in Fraction arithmetic."""
+    deltas = []
+    for i in range(D + 1, window_end + 1):
+        step = lam[i] - lam[i - 1]
+        deltas.append(step)
+        if not (lam[i] * c > y0 + s * (i - i0)):
+            return False
+        if not (step * c > s):
+            return False
+    half = len(deltas) // 2
+    return not (half and min(deltas[half:]) < min(deltas[:half]))
+
+
+def test_tail_check_is_strict_at_equality():
+    # lam[1] * c == y0 + s * (1 - i0): 4/3 == 5/6 + 1/2
+    c, s = Fraction(1, 3), Fraction(1, 2)
+    assert not _tail_clears([0, 4], 0, 1, c, s, 0, Fraction(5, 6))
+    assert _tail_clears([0, 4], 0, 1, c, s, 0, Fraction(4, 6))
+    # step * c == s: 3 * 1/2 == 3/2, with the line well below
+    c = Fraction(1, 2)
+    assert not _tail_clears([0, 3], 0, 1, c, Fraction(3, 2), 0, -1)
+    assert _tail_clears([0, 3], 0, 1, c, Fraction(7, 5), 0, -1)
+
+
+def test_tail_check_matches_fraction_reference():
+    rng = random.Random(4321)
+    outcomes = set()
+    for _ in range(3000):
+        D = rng.randrange(0, 6)
+        window_end = D + rng.randrange(1, 8)
+        lam = [0]
+        for _ in range(window_end):
+            lam.append(lam[-1] + rng.randrange(0, 6))
+        c = Fraction(rng.randrange(1, 7), rng.randrange(1, 4))
+        s = Fraction(rng.randrange(-3, 12), rng.randrange(1, 4))
+        i0 = rng.randrange(0, D + 1)
+        y0 = rng.choice([rng.randrange(-5, 10), Fraction(rng.randrange(-10, 20), rng.randrange(1, 4))])
+        got = _tail_clears(lam, D, window_end, c, s, i0, y0)
+        assert got == _tail_clears_reference(lam, D, window_end, c, s, i0, y0)
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_slope_list_bookkeeping():

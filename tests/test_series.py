@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from ghostseries.dims import gamma0_invariants
+from ghostseries.dims import dim_pnew, gamma0_invariants
 from ghostseries.modified import bundled_seed, modified_coefficient
 from ghostseries.polygon import coefficient_valuation
 from ghostseries.series import (
     GhostSeries,
+    _component_dims,
     coefficient_divisor,
     delta_divisor,
     lam_deltas,
@@ -185,3 +186,36 @@ def test_zero_table_matches_divisor_oracle(ctx, kappa, modified):
 
     rows = list(series.rows(D))
     assert [list(row.items()) for row in rows] == [list(coef.zeros.items()) for coef in oracle]
+
+
+def _oracle_tents(ctx, eps, upto):
+    """The tent list from the memoized dimension functions."""
+    out = []
+    for k, d in _component_dims(ctx, eps, upto):
+        if d < upto:
+            ell = dim_pnew(ctx, k) - 1
+            if ell >= 1:
+                out.append((k, d, ell))
+    return out
+
+
+def test_tent_walk_matches_dimension_oracle():
+    # N = 7 and 13 have elliptic points (nu2 or nu3 > 0), N = 4 and 9 none
+    assert gamma0_invariants(7).nu3 > 0 and gamma0_invariants(13).nu2 > 0
+    assert gamma0_invariants(4).nu2 == gamma0_invariants(4).nu3 == 0
+    assert gamma0_invariants(9).nu2 == gamma0_invariants(9).nu3 == 0
+    weight_two = set()
+    for p in (2, 3, 5, 7, 11, 13):
+        for N in range(1, 41):
+            if N % p == 0:
+                continue
+            ctx = PrimeContext(p, N)
+            for residue in range(0, max(p - 1, 1), 2):
+                eps = ComponentLabel(residue, p)
+                series = GhostSeries(ctx, eps)
+                for upto in (1, 12, 40):
+                    tents = list(series.tents(upto))
+                    assert tents == _oracle_tents(ctx, eps, upto), (p, N, eps, upto)
+                    if tents and tents[0][0] == 2:
+                        weight_two.add(N)
+    assert {4, 7, 9, 13} <= weight_two
