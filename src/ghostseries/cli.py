@@ -12,7 +12,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +113,8 @@ def _cap(args) -> int:
 
 def _seed(args, ctx: PrimeContext) -> Weight2SeedSlopes | None:
     if not getattr(args, "modified", False):
+        if getattr(args, "seed", None):
+            raise UsageError("--seed needs --modified")
         return None
     if ctx.p != 2:
         raise UsageError("--modified applies only to p = 2")
@@ -169,16 +171,6 @@ def _cmd_dims(args) -> int:
     inv_n = gamma0_invariants(ctx.N)
     inv_np = gamma0_invariants(ctx.N * ctx.p)
 
-    def inv_json(inv) -> dict:
-        return {
-            "level": inv.level,
-            "index": inv.index,
-            "nu2": inv.nu2,
-            "nu3": inv.nu3,
-            "cusps": inv.cusps,
-            "genus": inv.genus,
-        }
-
     table = []
     include_eta8 = ctx.p == 2 and ctx.N % 2 == 1
     for k in range(2, args.k_max + 1, 2):
@@ -195,7 +187,7 @@ def _cmd_dims(args) -> int:
         "command": "dims",
         "p": ctx.p,
         "N": ctx.N,
-        "invariants": {"tame": inv_json(inv_n), "full": inv_json(inv_np)},
+        "invariants": {"tame": asdict(inv_n), "full": asdict(inv_np)},
         "dimensions": table,
     }
     print(json.dumps(doc, indent=2))

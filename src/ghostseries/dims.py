@@ -149,10 +149,6 @@ def dim_pnew(ctx: PrimeContext, k: int) -> int:
 # ---------------------------------------------------------------------------
 # spaces with the conductor-8 character (p = 2 machinery)
 
-_ETA8_PLUS = {1: 1, 3: -1, 5: -1, 7: 1}
-_ETA8_MINUS = {1: 1, 3: 1, 5: -1, 7: -1}
-
-
 def _cohen_oesterle_lambda(r: int, s: int, p: int) -> int:
     """The local factor lambda(r_p, s_p, p) of the Cohen-Oesterle formula."""
     if 2 * s <= r:
@@ -163,37 +159,14 @@ def _cohen_oesterle_lambda(r: int, s: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _dim_eta8(N: int, k: int, sign: int) -> int:
+def _dim_eta8(N: int, k: int) -> int:
     M = 8 * N
-    inv = gamma0_invariants(M)
-    table = _ETA8_PLUS if sign == 1 else _ETA8_MINUS
-
     lam = 1
     for ell, r in _prime_factors(M):
         s = 3 if ell == 2 else 0  # the character has conductor 8
         lam *= _cohen_oesterle_lambda(r, s, ell)
-
-    def chi(x: int) -> int:
-        return 0 if gcd(x, M) != 1 else table[x % 8]
-
-    # elliptic-point character sums; empty whenever 8 | M, kept general anyway
-    gamma4 = sum(chi(x) for x in range(M) if (x * x + 1) % M == 0)
-    gamma3 = sum(chi(x) for x in range(M) if (x * x + x + 1) % M == 0)
-
-    if k % 2 == 1:
-        c4 = Fraction(0)
-    elif k % 4 == 2:
-        c4 = Fraction(-1, 4)
-    else:
-        c4 = Fraction(1, 4)
-    if k % 3 == 1:
-        c3 = Fraction(0)
-    elif k % 3 == 2:
-        c3 = Fraction(-1, 3)
-    else:
-        c3 = Fraction(1, 3)
-
-    dim = Fraction(k - 1, 12) * inv.index - Fraction(lam, 2) + c4 * gamma4 + c3 * gamma3
+    # the elliptic terms vanish: 8 | M, and x^2 + 1, x^2 + x + 1 have no roots mod 8
+    dim = Fraction(k - 1, 12) * gamma0_invariants(M).index - Fraction(lam, 2)
     # at k = 2 the formula computes dim S_2 - dim M_0; eta_8 is nontrivial,
     # so dim M_0 = 0 and no correction is needed
     if dim.denominator != 1 or dim < 0:
@@ -214,7 +187,7 @@ def dim_cusp_eta8(N: int, k: int, sign: int) -> int:
         raise ValueError("sign must be +1 or -1")
     if sign != (1 if k % 2 == 0 else -1):
         raise ValueError(f"sign {sign:+d} does not match the parity of k = {k}")
-    return _dim_eta8(N, k, sign)
+    return _dim_eta8(N, k)
 
 
 def eta8_weight2_excess(N: int) -> int:

@@ -83,8 +83,16 @@ def seed_from_json(obj: dict) -> Weight2SeedSlopes:
 
 
 def load_seed(path) -> Weight2SeedSlopes:
+    """Read a seed file; a file that holds no valid seed raises ExternalDataError naming it."""
     with open(path, "r", encoding="utf-8") as handle:
-        return seed_from_json(json.load(handle))
+        try:
+            obj = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ExternalDataError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return seed_from_json(obj)
+    except ExternalDataError as exc:
+        raise ExternalDataError(f"{path}: {exc}") from exc
 
 
 def bundled_seed(N: int) -> Weight2SeedSlopes:
@@ -196,25 +204,6 @@ def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> 
             if m:
                 extra[EtaEight(k)] = m
     return ModifiedCoefficient(base, extra)
-
-
-def eta8_points(seed: Weight2SeedSlopes, upto: int):
-    """(EtaEight(k), i, m) for every eta_8 zero of g_1..g_upto, by increasing k.
-
-    The weight-2 zero sits at i = j and each higher weight at i = d_k - j,
-    with multiplicity m_j(2) for j = 1..d_2.
-    """
-    mults = seed_multiplicities(seed)
-    d2 = len(mults)
-    if d2 == 0:
-        return
-    for k, dk in _eta8_dims(seed.N):
-        if k > 2 and dk - d2 > upto:
-            return
-        for j, m in enumerate(mults, start=1):
-            i = j if k == 2 else dk - j
-            if m and 1 <= i <= upto:
-                yield EtaEight(k), i, m
 
 
 def modified_boundary_slopes(

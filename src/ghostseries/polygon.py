@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .dims import dim_cusp_gamma0
 from .errors import CertificationError, PrecisionError
@@ -40,11 +40,6 @@ from .weightspace import (
 )
 
 DEFAULT_CAP = 10_000
-
-
-class PolygonPoint(NamedTuple):
-    index: int
-    value: ExtendedRational
 
 
 @dataclass(frozen=True)

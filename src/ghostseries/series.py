@@ -15,21 +15,23 @@ pattern s(d_k^new - 1) shifted past d_k leading zeros:
 
 and 0 otherwise, with d_k = dim S_k(Gamma_0(N)) and d_k^new the p-new
 dimension at level Np.  In particular m_i(k) > 0 exactly when
-d_k < i < d_k + d_k^new.
+d_k < i < d_k + d_k^new.  The eta_8 zeros of the modified p = 2 series
+are tents of the same shape (see :meth:`GhostSeries._eta8_tents`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Dict, Iterator, Mapping
 
-from .dims import cusp_dim, dim_cusp_gamma0, dim_pnew, gamma0_invariants, pnew_dim
+from .dims import cusp_dim, dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants, pnew_dim
 from .weightspace import (
     INFINITY,
     Classical,
     ComponentLabel,
+    EtaEight,
     PrimeContext,
     WeightPoint,
     classical_weights,
@@ -171,8 +173,8 @@ class GhostSeries:
 
     Each classical zero w_k is a tent (k, d_k, ell_k), ell_k = d_k^new - 1: its
     multiplicity in g_i is the up-down term s_{i - d_k}(ell_k).  Passing a
-    weight-2 seed adds the eta_8 zeros of the modified p = 2 series as point
-    terms (zero, i, m).  Every consumer reads the same table: ``values`` for
+    weight-2 seed adds the eta_8 zeros of the modified p = 2 series as tents
+    of the same kind.  Every consumer reads the same table: ``values`` for
     the degrees and the valuations at a weight, ``rows`` for the divisors.
     """
 
@@ -210,13 +212,35 @@ class GhostSeries:
                 if ell >= 1:
                     yield k, d, ell
 
-    def points(self, upto: int) -> Iterator[tuple[WeightPoint, int, int]]:
-        """(zero, i, m) for each eta_8 zero of g_1..g_upto; none without a seed."""
-        if self.seed is None:
-            return iter(())
-        from .modified import eta8_points  # local import avoids a cycle
+    def _eta8_tents(self, upto: int) -> Iterator[tuple[int, int, int]]:
+        """(k, d, ell) for each eta_8 zero of g_1..g_upto, by increasing k; none without a seed.
 
-        return eta8_points(self.seed, upto)
+        A block of mu > 1 equal fractional seed slopes at positions beta..beta+mu-1
+        has m_i(2) = s_{i-beta+1}(mu - 1): the weight-2 tent (beta - 1, mu - 1).
+        As m_i(k) = m_{d_k - i}(2) and the pattern is a palindrome, each weight
+        k >= 3 reflects it to the tent (d_k - beta - mu + 1, mu - 1), with
+        d_k = dim S_k(Gamma_1(8N), eta_8^{+-}) strictly increasing in k.
+        """
+        slopes = self.seed.slopes if self.seed is not None else ()
+        blocks = [
+            (slopes.index(nu), slopes.count(nu) - 1)  # (beta - 1, mu - 1)
+            for nu in dict.fromkeys(slopes)
+            if nu.denominator != 1 and slopes.count(nu) > 1
+        ]
+        if not blocks:
+            return
+        yield from ((2, b, ell) for b, ell in blocks if b < upto)
+        for k in count(3):
+            dk = dim_cusp_eta8(self.seed.N, k, 1 if k % 2 == 0 else -1)
+            if dk - len(slopes) >= upto:  # every later tent starts past upto
+                return
+            for b, ell in blocks:
+                if dk - b - ell - 1 < upto:
+                    yield k, dk - b - ell - 1, ell
+
+    def _zero_groups(self, upto: int) -> list:
+        """(zero type, its tents through upto): classical zeros, then eta_8 zeros."""
+        return [(Classical, self.tents(upto)), (EtaEight, self._eta8_tents(upto))]
 
     def values(self, upto: int, leg=1, through: int | None = None) -> list:
         """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
@@ -240,33 +264,25 @@ class GhostSeries:
         if weighted:
             steps = [0] * (upto + 2)  # second differences of the finite part
             hits = [0] * (upto + 2)  # first differences of the count of infinite legs
-        for k, d, ell in self.tents(top):
-            up, down, end = d + (ell + 1) // 2 + 1, d + ell // 2 + 2, d + ell + 2
-            lams[d + 1] += 1
-            lams[min(up, spill)] -= 1
-            lams[min(down, spill)] -= 1
-            lams[min(end, spill)] += 1
-            if weighted and d < upto:
-                w = leg(Classical(k))
-                if w is INFINITY:
-                    hits[d + 1] += 1
-                    hits[min(end - 1, upto + 1)] -= 1
-                else:
-                    steps[d + 1] += w
-                    steps[min(up, upto + 1)] -= w
-                    steps[min(down, upto + 1)] -= w
-                    steps[min(end, upto + 1)] += w
+        for zero, tents in self._zero_groups(top):
+            for k, d, ell in tents:
+                up, down, end = d + (ell + 1) // 2 + 1, d + ell // 2 + 2, d + ell + 2
+                lams[d + 1] += 1
+                lams[min(up, spill)] -= 1
+                lams[min(down, spill)] -= 1
+                lams[min(end, spill)] += 1
+                if weighted and d < upto:
+                    w = leg(zero(k))
+                    if w is INFINITY:
+                        hits[d + 1] += 1
+                        hits[min(end - 1, upto + 1)] -= 1
+                    else:
+                        steps[d + 1] += w
+                        steps[min(up, upto + 1)] -= w
+                        steps[min(down, upto + 1)] -= w
+                        steps[min(end, upto + 1)] += w
         lams = list(accumulate(accumulate(lams[:spill])))
         out = list(accumulate(accumulate(steps[: upto + 1]))) if weighted else None
-        for zero, i, m in self.points(top):
-            lams[i] += m
-            if weighted and i <= upto:
-                w = leg(zero)
-                if w is INFINITY:
-                    hits[i] += 1
-                    hits[i + 1] -= 1
-                else:
-                    out[i] += m * w
         if top >= len(self._lams):
             self._lams = lams
         if not weighted:
@@ -285,18 +301,15 @@ class GhostSeries:
     def rows(self, upto: int) -> Iterator[Dict[WeightPoint, int]]:
         """The divisors of g_1..g_upto in turn, keyed like the reference oracles:
         classical zeros by increasing k, then eta_8 zeros by increasing k."""
+        groups = self._zero_groups(upto)
         starts: Dict[int, list] = {}
-        for tent in self.tents(upto):
-            starts.setdefault(tent[1] + 1, []).append(tent)
-        extra: Dict[int, list] = {}
-        for zero, i, m in self.points(upto):
-            extra.setdefault(i, []).append((zero, m))
-        live: list[tuple[int, int, int]] = []
+        for g, (_, tents) in enumerate(groups):
+            for k, d, ell in tents:
+                starts.setdefault(d + 1, []).append((g, k, d, ell))
+        live: list[tuple[int, int, int, int]] = []
         for i in range(1, upto + 1):
-            live = sorted([t for t in live if t[1] + t[2] >= i] + starts.pop(i, []))
-            zeros: Dict[WeightPoint, int] = {Classical(k): updown_term(ell, i - d) for k, d, ell in live}
-            zeros.update(extra.pop(i, ()))
-            yield zeros
+            live = sorted([t for t in live if t[2] + t[3] >= i] + starts.pop(i, []))
+            yield {groups[g][0](k): updown_term(ell, i - d) for g, k, d, ell in live}
 
 
 def lam_values(ctx: PrimeContext, eps: ComponentLabel, upto: int) -> list[int]:

@@ -35,7 +35,7 @@ from .errors import ComponentMismatch, PrecisionError
 # exact arithmetic helpers
 
 class _PlusInfinity:
-    """The point +infinity of the extended rationals (absorbs addition)."""
+    """The point +infinity of the extended rationals: it compares above every finite value."""
 
     __slots__ = ()
 
@@ -53,21 +53,6 @@ class _PlusInfinity:
 
     def __ge__(self, other) -> bool:
         return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if other is INFINITY or other > 0:
-            return self
-        raise ArithmeticError("cannot multiply +Infinity by a nonpositive value")
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        raise ArithmeticError("-Infinity is not an extended rational here")
 
 
 INFINITY = _PlusInfinity()

@@ -218,6 +218,27 @@ def test_exit_codes(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: --cap must be at least 1")
+    # a seed file without --modified is a usage error, not silently ignored
+    assert main(["boundary", "--p", "2", "--N", "3", "--seed", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --seed needs --modified\n"
+
+
+def test_seed_file_errors_name_the_file(tmp_path, capsys):
+    base = ["boundary", "--p", "2", "--N", "3", "--count", "3", "--modified", "--seed"]
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{N: 3")
+    assert main(base + [str(not_json)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {not_json}: not valid JSON: ")
+    missing_key = tmp_path / "missing_key.json"
+    missing_key.write_text(json.dumps({"N": 3}))
+    assert main(base + [str(missing_key)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {missing_key}: malformed seed file: 'weight2_slopes'\n"
 
 
 def test_cap_env_override(monkeypatch, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ghostseries.dims import dim_pnew, gamma0_invariants
-from ghostseries.modified import bundled_seed, modified_coefficient
+from ghostseries.modified import Weight2SeedSlopes, bundled_seed, modified_coefficient
 from ghostseries.polygon import coefficient_valuation
 from ghostseries.series import (
     GhostSeries,
@@ -153,22 +153,32 @@ def test_coefficient_divisor_rejects_bad_index():
         delta_divisor(CTX21, EPS2, 0)
 
 
+# the first five ids are kept fixed, so their test names stay comparable across versions
 @pytest.mark.parametrize(
-    "ctx, kappa, modified",
+    "ctx, kappa, seed",
     [
-        (CTX21, Classical(14), False),  # a zero of g_1: infinite legs
-        (CTX21, Annulus(0, Fraction(5, 2)), False),
-        (PrimeContext(7, 1), CharClassical(4, 2), False),
-        (CTX21, ExplicitW((pow(5, -2, 2**40) - 1) % 2**40, 40), False),
-        (PrimeContext(2, 3), EtaEight(3), True),  # a zero of the modified g_5
+        pytest.param(CTX21, Classical(14), None, id="ctx0-kappa0-False"),  # a zero of g_1: infinite legs
+        pytest.param(CTX21, Annulus(0, Fraction(5, 2)), None, id="ctx1-kappa1-False"),
+        pytest.param(PrimeContext(7, 1), CharClassical(4, 2), None, id="ctx2-kappa2-False"),
+        pytest.param(
+            CTX21, ExplicitW((pow(5, -2, 2**40) - 1) % 2**40, 40), None, id="ctx3-kappa3-False"
+        ),
+        # a zero of the modified g_5
+        pytest.param(PrimeContext(2, 3), EtaEight(3), bundled_seed(3), id="ctx4-kappa4-True"),
+        # two fractional blocks, so two weight-2 tents
+        pytest.param(
+            PrimeContext(2, 5),
+            EtaEight(3),
+            Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))),
+            id="N5-two-blocks",
+        ),
     ],
 )
-def test_zero_table_matches_divisor_oracle(ctx, kappa, modified):
+def test_zero_table_matches_divisor_oracle(ctx, kappa, seed):
     D = 60
     eps = weight_component(kappa, ctx)
-    seed = bundled_seed(ctx.N) if modified else None
     series = GhostSeries(ctx, eps, seed)
-    if modified:
+    if seed is not None:
         oracle = [modified_coefficient(ctx, i, seed) for i in range(1, D + 1)]
     else:
         oracle = [coefficient_divisor(ctx, eps, i) for i in range(1, D + 1)]
