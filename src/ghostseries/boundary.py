@@ -9,25 +9,21 @@ interleaving identity slope(j + n_ap) = slope(j) + delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .dims import gamma0_invariants
 from .errors import GhostError
-from .polygon import DEFAULT_CAP, NewtonPolygon, SlopeList, certified_slopes, ghost_slopes, tail_window_end
+from .polygon import DEFAULT_CAP, SlopeList, certified_slopes, ghost_slopes, tail_window_end
+from .record import Record
 from .series import GhostSeries
 from .weightspace import Annulus, ComponentLabel, PrimeContext
 
 
-@dataclass(frozen=True)
-class BoundaryPolygon:
+class BoundaryPolygon(Record):
     """Degree points (i, lam(g_i)), their hull, and the certified w-adic slopes."""
 
-    component: ComponentLabel
-    points: tuple[tuple[int, int], ...]
-    polygon: NewtonPolygon
-    slopes: SlopeList
+    __slots__ = ("component", "points", "polygon", "slopes")
 
 
 def boundary_polygon(
@@ -56,13 +52,8 @@ def boundary_polygon(
 # ---------------------------------------------------------------------------
 # arithmetic progressions
 
-@dataclass(frozen=True)
-class APReport:
-    n_ap: int
-    delta: Fraction
-    burn_in: int
-    verified_through: int
-    first_violation: int | None
+class APReport(Record):
+    __slots__ = ("n_ap", "delta", "burn_in", "verified_through", "first_violation")
 
     @property
     def verified(self) -> bool:
@@ -87,6 +78,23 @@ def ap_parameters(ctx: PrimeContext) -> tuple[int, int]:
     return numerator // 24, delta2 // 2
 
 
+def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions) -> int | None:
+    """The first j of ``positions`` with slope(j + n_ap) != slope(j) + delta, or None.
+
+    Each slope is read once as numerator and denominator; the identity is
+    then compared on integers, cross-multiplied by the positive denominators.
+    """
+    delta = Fraction(delta)
+    dn, dd = delta.numerator, delta.denominator
+    nums = [s.numerator for s in slopes]
+    dens = [s.denominator for s in slopes]
+    for j in positions:
+        a, b = dens[j], dens[j + n_ap]
+        if (nums[j + n_ap] * a - nums[j] * b) * dd != dn * a * b:
+            return j
+    return None
+
+
 def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APReport:
     """Verify slope(j + n_ap) = slope(j) + delta for all j >= burn_in.
 
@@ -103,42 +111,27 @@ def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APRe
             f"insufficient certified slopes: have {total}, "
             f"need more than {burn_in + n_ap}"
         )
-    first_violation = None
-    for j in range(burn_in, total - n_ap):
-        if slopes[j + n_ap] != slopes[j] + delta:
-            first_violation = j
-            break
+    first_violation = _first_break(slopes, n_ap, delta, range(burn_in, total - n_ap))
     return APReport(n_ap, Fraction(delta), burn_in, total, first_violation)
 
 
 def scan_burn_in(slopes: Sequence[Fraction], n_ap: int, delta, max_burn_in: int) -> int | None:
     """Smallest burn-in <= max_burn_in that verifies, or None."""
-    total = len(slopes)
-    j = total - n_ap - 1
-    last_bad = -1
-    while j >= 0:
-        if slopes[j + n_ap] != slopes[j] + delta:
-            last_bad = j
-            break
-        j -= 1
-    burn = last_bad + 1
+    last_bad = _first_break(slopes, n_ap, delta, range(len(slopes) - n_ap - 1, -1, -1))
+    burn = 0 if last_bad is None else last_bad + 1
     return burn if burn <= max_burn_in else None
 
 
 # ---------------------------------------------------------------------------
 # halo profiles
 
-@dataclass(frozen=True)
-class HaloProfile:
+class HaloProfile(Record):
     """Slope rows sampled on r < v < r + 1, with per-slope affine fits.
 
     fits[t] = (a, b) means the t-th slope equals a + b*v across the rows.
     """
 
-    center: int
-    interval: int
-    rows: tuple[tuple[Fraction, SlopeList], ...]
-    fits: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("center", "interval", "rows", "fits")
 
 
 def halo_profile(

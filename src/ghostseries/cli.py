@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .errors import CertificationError, ComponentMismatch, ExternalDataError, Gh
 from .modified import Weight2SeedSlopes, bundled_seed, load_seed
 from .modified import modified_coefficient  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
+from .record import Record
 from .series import GhostSeries
 from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .weightspace import (
@@ -45,11 +45,26 @@ def _rat(x) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
-def _slopes_json(slopes: SlopeList) -> list[dict]:
-    return [
-        {"index": j + 1, "slope": _rat(s), "certified": j < slopes.certified_count}
-        for j, s in enumerate(slopes.slopes)
-    ]
+_ZERO_TYPES = {Classical: "classical", EtaEight: "eta8"}  # the "type" of a zero in `series` output
+
+# one slope entry, {"index", "slope": {"num", "den"}, "certified"}, laid out as by json.dumps(indent=2)
+_SLOPE_ENTRY = '{\n  "index": %d,\n  "slope": {\n    "num": %d,\n    "den": %d\n  },\n  "certified": %s\n}'
+
+
+def _write_slopes(write, slopes: SlopeList, indent: str = "") -> None:
+    """Write the slope entries as the JSON array json.dumps(..., indent=2)
+    prints at the nesting ``indent``, one entry per ``write`` call."""
+    if not slopes.slopes:
+        write("[]")
+        return
+    pad = indent + "  "
+    entry = pad + _SLOPE_ENTRY.replace("\n", "\n" + pad)
+    cert = slopes.certified_count
+    sep = "[\n"
+    for j, s in enumerate(slopes.slopes):
+        write(sep + entry % (j + 1, s.numerator, s.denominator, "true" if j < cert else "false"))
+        sep = ",\n"
+    write("\n" + indent + "]")
 
 
 def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
@@ -149,7 +164,8 @@ def _cmd_slopes(args) -> int:
         for j, s in enumerate(slopes.slopes, start=1):
             print(f"{j},{s},{str(j <= slopes.certified_count).lower()}")
     else:
-        print(json.dumps(_slopes_json(slopes), indent=2))
+        _write_slopes(sys.stdout.write, slopes)
+        sys.stdout.write("\n")
     return 0
 
 
@@ -157,12 +173,11 @@ def _cmd_series(args) -> int:
     ctx = _context(args)
     seed = _seed(args, ctx)
     series = GhostSeries(ctx, ComponentLabel(args.component, ctx.p), seed)
-    for i, row in enumerate(series.rows(args.up_to), start=1):
-        zeros = [
-            {"type": "eta8" if isinstance(z, EtaEight) else "classical", "k": z.k, "mult": mult}
-            for z, mult in row.items()
-        ]
-        print(json.dumps({"i": i, "lambda": sum(row.values()), "zeros": zeros}))
+    write = sys.stdout.write
+    for i, zeros in enumerate(series.divisors(args.up_to), start=1):
+        # the line json.dumps({"i", "lambda", "zeros": [{"type", "k", "mult"}, ...]}) prints
+        items = ", ".join([f'{{"type": "{_ZERO_TYPES[kind]}", "k": {k}, "mult": {m}}}' for kind, k, m in zeros])
+        write(f'{{"i": {i}, "lambda": {sum([m for _, _, m in zeros])}, "zeros": [{items}]}}\n')
     return 0
 
 
@@ -187,7 +202,7 @@ def _cmd_dims(args) -> int:
         "command": "dims",
         "p": ctx.p,
         "N": ctx.N,
-        "invariants": {"tame": asdict(inv_n), "full": asdict(inv_np)},
+        "invariants": {"tame": inv_n._asdict(), "full": inv_np._asdict()},
         "dimensions": table,
     }
     print(json.dumps(doc, indent=2))
@@ -199,14 +214,7 @@ def _cmd_boundary(args) -> int:
     seed = _seed(args, ctx)
     eps = ComponentLabel(args.component, ctx.p)
     result = boundary_polygon(ctx, eps, args.count, seed=seed, cap=_cap(args))
-    doc = {
-        "command": "boundary",
-        "p": ctx.p,
-        "N": ctx.N,
-        "component": eps.residue,
-        "modified": seed is not None,
-        "slopes": _slopes_json(result.slopes),
-    }
+    ap_report = None
     if args.ap:
         if (args.n_ap is None) != (args.delta is None):
             raise UsageError("--n-ap and --delta must be supplied together")
@@ -216,17 +224,26 @@ def _cmd_boundary(args) -> int:
             n_ap, delta = ap_parameters(ctx)
         burn = scan_burn_in(result.slopes, n_ap, delta, args.burn_in_max)
         if burn is None:
-            doc["ap_report"] = {"n_ap": n_ap, "delta": _rat(delta), "verified": False}
+            ap_report = {"n_ap": n_ap, "delta": _rat(delta), "verified": False}
         else:
             report = ap_check(result.slopes, n_ap, delta, burn)
-            doc["ap_report"] = {
+            ap_report = {
                 "n_ap": report.n_ap,
                 "delta": _rat(report.delta),
                 "burn_in": report.burn_in,
                 "verified_through": report.verified_through,
                 "verified": report.verified,
             }
-    print(json.dumps(doc, indent=2))
+    # the document json.dumps(..., indent=2) prints, with the slopes streamed
+    write = sys.stdout.write
+    write(
+        '{\n  "command": "boundary",\n  "p": %d,\n  "N": %d,\n  "component": %d,\n  "modified": %s,\n  "slopes": '
+        % (ctx.p, ctx.N, eps.residue, "true" if seed is not None else "false")
+    )
+    _write_slopes(write, result.slopes, "  ")
+    if ap_report is not None:
+        write(',\n  "ap_report": ' + json.dumps(ap_report, indent=2).replace("\n", "\n  "))
+    write("\n}\n")
     return 0
 
 
@@ -261,14 +278,9 @@ def _cmd_halo(args) -> int:
 # ---------------------------------------------------------------------------
 # fixture comparison
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    fixture: str
-    computed: SlopeList
-    compared: int
-    diffs: tuple[tuple[int, Fraction, Fraction], ...]  # (index, expected, computed)
-    first_mismatch: int | None
-    truncated: str | None
+class ComparisonReport(Record):
+    # diffs holds (index, expected, computed) triples
+    __slots__ = ("fixture", "computed", "compared", "diffs", "first_mismatch", "truncated")
 
     @property
     def match(self) -> bool:
@@ -325,12 +337,13 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-def _add_common(sub) -> None:
+def _add_common(sub, modified: bool = True) -> None:
     sub.add_argument("--p", type=int, required=True, help="the prime p")
     sub.add_argument("--N", type=int, default=1, help="tame level N coprime to p")
     sub.add_argument("--cap", type=int, default=None, help="truncation degree cap (default 10000, env GHOST_CAP)")
-    sub.add_argument("--modified", action="store_true", help="use the modified p=2 series")
-    sub.add_argument("--seed", type=str, default=None, help="weight-2 slope seed file (JSON)")
+    if modified:
+        sub.add_argument("--modified", action="store_true", help="use the modified p=2 series")
+        sub.add_argument("--seed", type=str, default=None, help="weight-2 slope seed file (JSON)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_series)
 
     sp = subs.add_parser("dims", help="dimension tables and curve invariants")
-    _add_common(sp)
+    _add_common(sp, modified=False)
     sp.add_argument("--k-max", type=int, default=30)
     sp.set_defaults(func=_cmd_dims)
 

@@ -9,11 +9,11 @@ integer before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .record import Record
 from .weightspace import PrimeContext
 
 
@@ -56,16 +56,10 @@ def _euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Gamma0Invariants:
+class Gamma0Invariants(Record):
     """Index, elliptic point counts, cusps and genus of X_0(M)."""
 
-    level: int
-    index: int
-    nu2: int
-    nu3: int
-    cusps: int
-    genus: int
+    __slots__ = ("level", "index", "nu2", "nu3", "cusps", "genus")
 
 
 @lru_cache(maxsize=None)

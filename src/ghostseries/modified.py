@@ -20,9 +20,8 @@ must be supplied (the N = 3 list {1/2, 1/2} ships as package data).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import pkgutil
 from fractions import Fraction
-from importlib import resources
 from typing import Dict, Mapping
 
 from .boundary import boundary_polygon
@@ -30,30 +29,28 @@ from .dims import dim_cusp_eta8, dim_cusp_gamma0
 from .errors import ExternalDataError
 from .polygon import SlopeList
 from .polygon import certified_slopes  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
+from .record import Record, init
 from .series import GhostCoefficient, coefficient_divisor, updown_padded
 from .weightspace import ComponentLabel, EtaEight, PrimeContext, WeightPoint
 
 
-@dataclass(frozen=True)
-class Weight2SeedSlopes:
+class Weight2SeedSlopes(Record):
     """The slope list of U_2 on S_2(Gamma_1(8N), eta_8^+), exact and sorted.
 
     The list must have length dim S_2(Gamma_1(8N), eta_8^+) and be symmetric
     around 1/2 (the involution pairs slopes summing to k - 1 = 1).
     """
 
-    N: int
-    slopes: tuple[Fraction, ...]
+    __slots__ = ("N", "slopes")
 
-    def __post_init__(self) -> None:
-        if self.N < 1 or self.N % 2 == 0:
-            raise ValueError(f"tame level N = {self.N} must be odd and positive")
-        slopes = tuple(Fraction(s) for s in self.slopes)
-        object.__setattr__(self, "slopes", slopes)
-        expected = dim_cusp_eta8(self.N, 2, 1)
+    def __init__(self, N: int, slopes: tuple[Fraction, ...]) -> None:
+        if N < 1 or N % 2 == 0:
+            raise ValueError(f"tame level N = {N} must be odd and positive")
+        slopes = tuple(Fraction(s) for s in slopes)
+        expected = dim_cusp_eta8(N, 2, 1)
         if len(slopes) != expected:
             raise ExternalDataError(
-                f"seed for N = {self.N} must list {expected} slopes, got {len(slopes)}"
+                f"seed for N = {N} must list {expected} slopes, got {len(slopes)}"
             )
         if any(b < a for a, b in zip(slopes, slopes[1:])):
             raise ExternalDataError("seed slopes must be sorted nondecreasingly")
@@ -66,6 +63,8 @@ class Weight2SeedSlopes:
                     "seed slopes must be symmetric around 1/2 "
                     f"(positions {i + 1} and {d - i} sum to {slopes[i] + slopes[d - 1 - i]})"
                 )
+        init(self, "N", N)
+        init(self, "slopes", slopes)
 
     @property
     def dimension(self) -> int:
@@ -100,8 +99,7 @@ def bundled_seed(N: int) -> Weight2SeedSlopes:
     if N == 1:
         return Weight2SeedSlopes(1, ())
     if N == 3:
-        text = resources.files("ghostseries.data").joinpath("eta8_seed_N3.json").read_text()
-        return seed_from_json(json.loads(text))
+        return seed_from_json(json.loads(pkgutil.get_data(__package__, "data/eta8_seed_N3.json")))
     raise ExternalDataError(
         f"no bundled weight-2 slope data for N = {N}; supply a seed file"
     )
@@ -145,12 +143,14 @@ def modified_multiplicity(N: int, i: int, k: int, seed: Weight2SeedSlopes) -> in
     return mults[j - 1] if 1 <= j <= len(mults) else 0
 
 
-@dataclass(frozen=True)
-class ModifiedCoefficient:
+class ModifiedCoefficient(Record):
     """A plain coefficient divisor plus its extra eta_8 zeros."""
 
-    base: GhostCoefficient
-    extra: Mapping[WeightPoint, int] = field(default_factory=dict)
+    __slots__ = ("base", "extra")
+
+    def __init__(self, base: GhostCoefficient, extra: Mapping[WeightPoint, int] | None = None) -> None:
+        init(self, "base", base)
+        init(self, "extra", {} if extra is None else extra)
 
     @property
     def index(self) -> int:

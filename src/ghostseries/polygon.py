@@ -7,8 +7,8 @@ slope.  The lower bound used is lam(g_i) * c, where c is the smallest
 valuation any zero can contribute against the given weight:
 
     c = min(v_p(w_kappa), 1)            odd p,
-    c = min(v_2(w_kappa), 3)            p = 2, plain series,
-    c = min(v_2(w_kappa), 1)            p = 2, modified series,
+    c = min(v_2(w_kappa), 3)            p = 2, no eta_8 zeros,
+    c = min(v_2(w_kappa), 1)            p = 2, modified series with eta_8 zeros,
 
 because zeros of the coefficients satisfy v_p(w) >= 1 (>= 3 for p = 2;
 the extra eta_8 zeros of the modified series sit at v_2(w) = 1).  The
@@ -18,12 +18,12 @@ and extrapolated monotonically past the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .dims import dim_cusp_gamma0
 from .errors import CertificationError, PrecisionError
+from .record import Record, init
 from .series import GhostSeries
 from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .weightspace import (
@@ -42,23 +42,23 @@ from .weightspace import (
 DEFAULT_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Lower convex hull, stored as its minimal vertex list.
 
     Vertex values keep the type of the points: int for degree points,
     Fraction for valuations.  Edge slopes are Fractions, computed once.
     """
 
-    vertices: tuple[tuple[int, int | Fraction], ...]
-    _edges: tuple[tuple[Fraction, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "_edges")
+    _fields = ("vertices",)
 
-    def __post_init__(self) -> None:
-        runs = [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:])]
+    def __init__(self, vertices: tuple[tuple[int, int | Fraction], ...]) -> None:
+        runs = [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(vertices, vertices[1:])]
         # dy2/dx2 > dy1/dx1 with positive dx, cross-multiplied
         if any(dy2 * dx1 <= dy1 * dx2 for (dx1, dy1), (dx2, dy2) in zip(runs, runs[1:])):
             raise AssertionError("hull slopes must increase strictly between vertices")
-        object.__setattr__(self, "_edges", tuple((Fraction(dy, dx), dx) for dx, dy in runs))
+        init(self, "vertices", vertices)
+        init(self, "_edges", tuple((Fraction(dy, dx), dx) for dx, dy in runs))
 
     def slope_pairs(self) -> tuple[tuple[Fraction, int], ...]:
         """(slope, multiplicity) per edge; multiplicities are index gaps."""
@@ -75,16 +75,16 @@ class NewtonPolygon:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SlopeList:
+class SlopeList(Record):
     """Nondecreasing slopes with a count of how many are guaranteed final."""
 
-    slopes: tuple[Fraction, ...]
-    certified_count: int
+    __slots__ = ("slopes", "certified_count")
 
-    def __post_init__(self) -> None:
-        if any(b < a for a, b in zip(self.slopes, self.slopes[1:])):
+    def __init__(self, slopes: tuple[Fraction, ...], certified_count: int) -> None:
+        if any(b < a for a, b in zip(slopes, slopes[1:])):
             raise AssertionError("slope lists are nondecreasing")
+        init(self, "slopes", slopes)
+        init(self, "certified_count", certified_count)
 
     def pairs(self) -> tuple[tuple[Fraction, int], ...]:
         out: list[tuple[Fraction, int]] = []
@@ -97,6 +97,9 @@ class SlopeList:
 
     def __len__(self) -> int:
         return len(self.slopes)
+
+    def __iter__(self):
+        return iter(self.slopes)
 
     def __getitem__(self, j: int) -> Fraction:
         return self.slopes[j]

@@ -21,12 +21,12 @@ are tents of the same shape (see :meth:`GhostSeries._eta8_tents`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, count
 from typing import Dict, Iterator, Mapping
 
 from .dims import cusp_dim, dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants, pnew_dim
+from .record import Record, init
 from .weightspace import (
     INFINITY,
     Classical,
@@ -41,12 +41,10 @@ from .weightspace import (
 # ---------------------------------------------------------------------------
 # the up-down pattern
 
-@dataclass(frozen=True)
-class UpDownPattern:
+class UpDownPattern(Record):
     """The palindromic sequence 1, 2, ..., up, ..., 2, 1 of length ell."""
 
-    ell: int
-    terms: tuple[int, ...]
+    __slots__ = ("ell", "terms")
 
 
 def updown_term(ell: int, j: int) -> int:
@@ -85,13 +83,15 @@ def multiplicity(ctx: PrimeContext, i: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # divisors
 
-@dataclass(frozen=True)
-class GhostCoefficient:
+class GhostCoefficient(Record):
     """Divisor of the i-th coefficient on one component: zeros with multiplicity."""
 
-    index: int
-    component: ComponentLabel
-    zeros: Mapping[WeightPoint, int] = field(default_factory=dict)
+    __slots__ = ("index", "component", "zeros")
+
+    def __init__(self, index: int, component: ComponentLabel, zeros: Mapping[WeightPoint, int] | None = None) -> None:
+        init(self, "index", index)
+        init(self, "component", component)
+        init(self, "zeros", {} if zeros is None else zeros)
 
     @property
     def lam(self) -> int:
@@ -99,13 +99,10 @@ class GhostCoefficient:
         return sum(self.zeros.values())
 
 
-@dataclass(frozen=True)
-class DeltaDivisor:
+class DeltaDivisor(Record):
     """Zero/pole divisor of the ratio of consecutive coefficients g_i/g_{i-1}."""
 
-    index: int
-    zeros: Mapping[WeightPoint, int]
-    poles: Mapping[WeightPoint, int]
+    __slots__ = ("index", "zeros", "poles")
 
     @property
     def lam(self) -> int:
@@ -187,9 +184,17 @@ class GhostSeries:
         self.ctx = ctx
         self.eps = eps
         self.seed = seed
-        # the least valuation of w_z over the zeros z: eta_8 zeros sit at
-        # v_2(w) = 1, classical ones at v_p(w) >= 1 (>= 3 for p = 2)
-        self.floor_cap = Fraction(1 if ctx.p != 2 or (seed is not None and seed.dimension) else 3)
+        # the seed's blocks of mu > 1 equal fractional slopes, as (beta - 1, mu - 1)
+        slopes = seed.slopes if seed is not None else ()
+        self._blocks = [
+            (slopes.index(nu), slopes.count(nu) - 1)
+            for nu in dict.fromkeys(slopes)
+            if nu.denominator != 1 and slopes.count(nu) > 1
+        ]
+        # the least valuation of w_z over the zeros z: eta_8 zeros, which only
+        # a fractional block adds, sit at v_2(w) = 1; classical ones at
+        # v_p(w) >= 1 (>= 3 for p = 2)
+        self.floor_cap = Fraction(1 if ctx.p != 2 or self._blocks else 3)
         self._lams: list[int] = [0]
 
     def tents(self, upto: int) -> Iterator[tuple[int, int, int]]:
@@ -221,18 +226,13 @@ class GhostSeries:
         k >= 3 reflects it to the tent (d_k - beta - mu + 1, mu - 1), with
         d_k = dim S_k(Gamma_1(8N), eta_8^{+-}) strictly increasing in k.
         """
-        slopes = self.seed.slopes if self.seed is not None else ()
-        blocks = [
-            (slopes.index(nu), slopes.count(nu) - 1)  # (beta - 1, mu - 1)
-            for nu in dict.fromkeys(slopes)
-            if nu.denominator != 1 and slopes.count(nu) > 1
-        ]
+        blocks = self._blocks
         if not blocks:
             return
         yield from ((2, b, ell) for b, ell in blocks if b < upto)
         for k in count(3):
             dk = dim_cusp_eta8(self.seed.N, k, 1 if k % 2 == 0 else -1)
-            if dk - len(slopes) >= upto:  # every later tent starts past upto
+            if dk - self.seed.dimension >= upto:  # every later tent starts past upto
                 return
             for b, ell in blocks:
                 if dk - b - ell - 1 < upto:
@@ -298,18 +298,25 @@ class GhostSeries:
             self.values(upto)
         return self._lams
 
-    def rows(self, upto: int) -> Iterator[Dict[WeightPoint, int]]:
-        """The divisors of g_1..g_upto in turn, keyed like the reference oracles:
-        classical zeros by increasing k, then eta_8 zeros by increasing k."""
-        groups = self._zero_groups(upto)
+    def divisors(self, upto: int) -> Iterator[list[tuple[type, int, int]]]:
+        """[(zero type, k, m_i(k)) for each zero of g_i] for i = 1..upto, in the
+        order of the reference oracles: classical zeros by increasing k, then
+        eta_8 zeros by increasing k.  One walk over the live tents; no zero
+        object is built."""
         starts: Dict[int, list] = {}
-        for g, (_, tents) in enumerate(groups):
+        for g, (kind, tents) in enumerate(self._zero_groups(upto)):
             for k, d, ell in tents:
-                starts.setdefault(d + 1, []).append((g, k, d, ell))
-        live: list[tuple[int, int, int, int]] = []
+                starts.setdefault(d + 1, []).append((g, k, d, ell, kind))
+        live: list[tuple[int, int, int, int, type]] = []
         for i in range(1, upto + 1):
             live = sorted([t for t in live if t[2] + t[3] >= i] + starts.pop(i, []))
-            yield {groups[g][0](k): updown_term(ell, i - d) for g, k, d, ell in live}
+            # the up-down term s_{i-d}(ell), for 1 <= i - d <= ell
+            yield [(kind, k, i - d if 2 * (i - d) <= ell else d + ell + 1 - i) for _, k, d, ell, kind in live]
+
+    def rows(self, upto: int) -> Iterator[Dict[WeightPoint, int]]:
+        """The divisors of g_1..g_upto in turn as {zero: multiplicity} dicts."""
+        for zeros in self.divisors(upto):
+            yield {kind(k): mult for kind, k, mult in zeros}
 
 
 def lam_values(ctx: PrimeContext, eps: ComponentLabel, upto: int) -> list[int]:

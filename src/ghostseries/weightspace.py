@@ -23,12 +23,12 @@ The distance formulas used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Union
 
 from .errors import ComponentMismatch, PrecisionError
+from .record import Record, init
 
 
 # ---------------------------------------------------------------------------
@@ -94,39 +94,55 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # contexts and components
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(Record):
     """A prime p together with a tame level N coprime to p."""
 
-    p: int
-    N: int = 1
+    __slots__ = ("p", "N")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.N < 1:
-            raise ValueError(f"tame level N = {self.N} must be positive")
-        if gcd(self.N, self.p) != 1:
-            raise ValueError(f"N = {self.N} must be coprime to p = {self.p}")
+    def __init__(self, p: int, N: int = 1) -> None:
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if N < 1:
+            raise ValueError(f"tame level N = {N} must be positive")
+        if gcd(N, p) != 1:
+            raise ValueError(f"N = {N} must be coprime to p = {p}")
+        init(self, "p", p)
+        init(self, "N", N)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.p == other.p and self.N == other.N
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.N))
 
 
-@dataclass(frozen=True)
-class ComponentLabel:
+class ComponentLabel(Record):
     """A component of even weight space: an even residue mod (p-1).
 
     For p = 2 the modulus degenerates to 1 and the unique component is
     labelled 0.
     """
 
-    residue: int
-    p: int
+    __slots__ = ("residue", "p")
 
-    def __post_init__(self) -> None:
-        modulus = max(self.p - 1, 1)
-        if not (0 <= self.residue < modulus):
-            raise ValueError(f"residue {self.residue} out of range mod {modulus}")
-        if self.residue % 2 != 0:
+    def __init__(self, residue: int, p: int) -> None:
+        modulus = max(p - 1, 1)
+        if not (0 <= residue < modulus):
+            raise ValueError(f"residue {residue} out of range mod {modulus}")
+        if residue % 2 != 0:
             raise ValueError("components of even weight space have even residue")
+        init(self, "residue", residue)
+        init(self, "p", p)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.residue == other.residue and self.p == other.p
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.residue, self.p))
 
 
 def component_of(k: int, ctx: PrimeContext) -> ComponentLabel:
@@ -156,52 +172,62 @@ def classical_weights(ctx: PrimeContext, eps: ComponentLabel):
 # ---------------------------------------------------------------------------
 # weight points
 
-@dataclass(frozen=True)
-class Classical:
+class Classical(Record):
     """The weight z^k for an even integer k (any sign)."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self) -> None:
-        if self.k % 2 != 0:
-            raise ValueError(f"classical weight k = {self.k} must be even")
+    def __init__(self, k: int) -> None:
+        if k % 2 != 0:
+            raise ValueError(f"classical weight k = {k} must be even")
+        init(self, "k", k)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.k == other.k
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.k)
 
 
-@dataclass(frozen=True)
-class EtaEight:
+class EtaEight(Record):
     """The weight z^k eta_8^{+-} (p = 2 only), sign forced to (-1)^k."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self) -> None:
-        if self.k < 2:
+    def __init__(self, k: int) -> None:
+        if k < 2:
             raise ValueError("eta_8 weights require k >= 2")
+        init(self, "k", k)
+
+    __eq__ = Classical.__eq__
+    __hash__ = Classical.__hash__
 
     @property
     def sign(self) -> int:
         return 1 if self.k % 2 == 0 else -1
 
 
-@dataclass(frozen=True)
-class CharClassical:
+class CharClassical(Record):
     """The weight z^k chi for chi of conductor p^t, t >= 2 (odd p only).
 
     The tame part of chi is trivial, so evenness forces k even; the choice
     of primitive chi does not affect any valuation computed here.
     """
 
-    k: int
-    t: int
+    __slots__ = ("k", "t")
 
-    def __post_init__(self) -> None:
-        if self.k % 2 != 0:
-            raise ValueError(f"character weight k = {self.k} must be even")
-        if self.t < 2:
+    def __init__(self, k: int, t: int) -> None:
+        if k % 2 != 0:
+            raise ValueError(f"character weight k = {k} must be even")
+        if t < 2:
             raise ValueError("character conductor exponent must satisfy t >= 2")
+        init(self, "k", k)
+        init(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Annulus:
+class Annulus(Record):
     """A weight at exact distance v from the integer weight k0, v positive
     and non-integral.
 
@@ -210,26 +236,26 @@ class Annulus:
     without further information about the weight.
     """
 
-    center: int
-    v: Fraction
+    __slots__ = ("center", "v")
 
-    def __post_init__(self) -> None:
-        if self.center % 2 != 0:
+    def __init__(self, center: int, v: Fraction) -> None:
+        if center % 2 != 0:
             raise ValueError("annulus center must be an even integer weight")
-        if isinstance(self.v, float):
+        if isinstance(v, float):
             raise TypeError("annulus radius must be exact: pass a Fraction, not a float")
-        object.__setattr__(self, "v", Fraction(self.v))
-        if self.v <= 0:
+        v = Fraction(v)
+        if v <= 0:
             raise ValueError("annulus radius v must be positive")
-        if self.v.denominator == 1:
+        if v.denominator == 1:
             raise ValueError(
                 "annulus radius v must not be an integer; "
                 "use an explicit w-value with enough precision instead"
             )
+        init(self, "center", center)
+        init(self, "v", v)
 
 
-@dataclass(frozen=True)
-class ExplicitW:
+class ExplicitW(Record):
     """A weight given by its w-coordinate w0 (an integer) mod p^m.
 
     The coordinate presumes the fixed generator gamma = 1 + p (gamma = 5 for
@@ -238,14 +264,15 @@ class ExplicitW:
     component; it may be omitted for p = 2.
     """
 
-    w0: int
-    m: int
-    residue: int | None = None
-    generator: int | None = None
+    __slots__ = ("w0", "m", "residue", "generator")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, w0: int, m: int, residue: int | None = None, generator: int | None = None) -> None:
+        if m < 1:
             raise ValueError("precision m must be at least 1")
+        init(self, "w0", w0)
+        init(self, "m", m)
+        init(self, "residue", residue)
+        init(self, "generator", generator)
 
 
 WeightPoint = Union[Classical, EtaEight, CharClassical, Annulus, ExplicitW]

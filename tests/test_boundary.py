@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,59 @@ def test_ap_check_toy_sequences():
     assert not report.verified and report.first_violation == 16
     with pytest.raises(GhostError):
         ap_check(toy[:3], 5, 8, 0)
+
+
+def _first_violation_reference(slopes, n_ap, delta, burn_in):
+    """ap_check's scan as one Fraction addition per slope."""
+    for j in range(burn_in, len(slopes) - n_ap):
+        if slopes[j + n_ap] != slopes[j] + delta:
+            return j
+    return None
+
+
+def _burn_in_reference(slopes, n_ap, delta, max_burn_in):
+    """scan_burn_in as one Fraction addition per slope, from the end."""
+    last_bad = -1
+    for j in range(len(slopes) - n_ap - 1, -1, -1):
+        if slopes[j + n_ap] != slopes[j] + delta:
+            last_bad = j
+            break
+    return last_bad + 1 if last_bad + 1 <= max_burn_in else None
+
+
+def test_ap_check_matches_fraction_reference():
+    rng = random.Random(20)
+    cases = []
+    for _ in range(400):
+        n_ap = rng.randint(1, 6)
+        delta = Fraction(rng.randint(0, 12), rng.choice([1, 1, 2, 3, 5]))
+        head = sorted(Fraction(rng.randint(0, 40), rng.randint(1, 7)) for _ in range(n_ap))
+        slopes = list(head)
+        for j in range(n_ap, rng.randint(n_ap, 80)):
+            slopes.append(slopes[j - n_ap] + delta)
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):  # plant violations
+            if slopes:
+                j = rng.randrange(len(slopes))
+                slopes[j] += rng.choice([Fraction(1, 3), Fraction(-1, 2), 1, delta or 1])
+        cases.append((sorted(slopes) if rng.random() < 0.5 else slopes, n_ap, delta))
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p, 1)
+        for eps in range(0, p - 1, 2):
+            slopes = boundary_polygon(ctx, ComponentLabel(eps, p), 300).slopes
+            n_ap, delta = ap_parameters(ctx)
+            cases += [(slopes, n_ap, delta), (slopes, n_ap, delta + 1), (slopes, 1, delta), (slopes, 2 * n_ap, 2 * delta)]
+    violations = 0
+    for slopes, n_ap, delta in cases:
+        for max_burn_in in (0, 5, len(slopes)):
+            assert scan_burn_in(slopes, n_ap, delta, max_burn_in) == _burn_in_reference(
+                slopes, n_ap, delta, max_burn_in
+            )
+        for burn_in in range(0, len(slopes) - n_ap, 7):
+            expected = _first_violation_reference(slopes, n_ap, delta, burn_in)
+            report = ap_check(slopes, n_ap, delta, burn_in)
+            assert report.first_violation == expected, (list(slopes), n_ap, delta, burn_in)
+            violations += expected is not None
+    assert violations > 1000  # the planted and shifted cases do fail
 
 
 def test_ap_structure_odd_primes():

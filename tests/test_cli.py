@@ -4,12 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from ghostseries.boundary import ap_check, ap_parameters, boundary_polygon, scan_burn_in
 from ghostseries.cli import build_parser, compare, main, parse_weight
-from ghostseries.polygon import SlopeList
+from ghostseries.modified import bundled_seed
+from ghostseries.polygon import SlopeList, classical_ghost_slopes, ghost_slopes
+from ghostseries.series import GhostSeries
 from ghostseries.weightspace import (
     Annulus,
     CharClassical,
     Classical,
+    ComponentLabel,
     EtaEight,
     ExplicitW,
     PrimeContext,
@@ -223,6 +227,11 @@ def test_exit_codes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: --seed needs --modified\n"
+    # dims has no modified series: --modified and --seed are not its options
+    assert main(["dims", "--p", "2", "--N", "3", "--k-max", "4", "--modified", "--seed", "/nonexistent.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --modified --seed /nonexistent.json" in captured.err
 
 
 def test_seed_file_errors_name_the_file(tmp_path, capsys):
@@ -263,3 +272,109 @@ def test_parser_help_lists_subcommands():
     text = parser.format_help()
     for name in ("slopes", "series", "dims", "boundary", "halo", "compare"):
         assert name in text
+
+
+# ---------------------------------------------------------------------------
+# the streamed output equals json.dumps of the library results
+
+
+def _rat(x):
+    return {"num": Fraction(x).numerator, "den": Fraction(x).denominator}
+
+
+def _slopes_doc(slopes):
+    return [
+        {"index": j + 1, "slope": _rat(s), "certified": j < slopes.certified_count}
+        for j, s in enumerate(slopes.slopes)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, slopes",
+    [
+        (["--p", "2", "--weight", "k=0", "--count", "20"], lambda: ghost_slopes(PrimeContext(2), Classical(0), 20)),
+        (
+            ["--p", "2", "--N", "3", "--weight", "annulus:0:5/2", "--count", "9", "--modified"],
+            lambda: ghost_slopes(PrimeContext(2, 3), Annulus(0, Fraction(5, 2)), 9, seed=bundled_seed(3)),
+        ),
+        (
+            ["--p", "5", "--weight", "char:2:25", "--count", "12"],
+            lambda: ghost_slopes(PrimeContext(5), CharClassical(2, 2), 12),
+        ),
+        (
+            ["--p", "3", "--N", "7", "--weight", "k=24", "--mode", "full"],
+            lambda: classical_ghost_slopes(PrimeContext(3, 7), 24, "full"),
+        ),
+        # dim S_2(SL_2(Z)) = 0: an empty list
+        (["--p", "2", "--weight", "k=2", "--mode", "tame"], lambda: classical_ghost_slopes(PrimeContext(2), 2)),
+    ],
+)
+def test_slopes_output_is_json_dumps_of_the_slopes(capsys, argv, slopes):
+    code, out = run(capsys, ["slopes"] + argv)
+    assert code == 0
+    assert out == json.dumps(_slopes_doc(slopes()), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "p, N, component, modified, extra",
+    [
+        (5, 1, 2, False, []),
+        (2, 3, 0, True, []),
+        (5, 1, 0, False, ["--ap"]),
+        (3, 7, 0, False, ["--ap", "--burn-in-max", "0"]),
+        (5, 3, 2, False, ["--ap", "--n-ap", "1", "--delta", "8"]),  # no burn-in verifies
+    ],
+)
+def test_boundary_output_is_json_dumps_of_the_polygon(capsys, p, N, component, modified, extra):
+    ctx, count = PrimeContext(p, N), 150
+    seed = bundled_seed(N) if modified else None
+    argv = ["boundary", "--p", str(p), "--N", str(N), "--component", str(component), "--count", str(count)]
+    code, out = run(capsys, argv + (["--modified"] if modified else []) + extra)
+    assert code == 0
+    slopes = boundary_polygon(ctx, ComponentLabel(component, p), count, seed=seed).slopes
+    doc = {
+        "command": "boundary",
+        "p": p,
+        "N": N,
+        "component": component,
+        "modified": modified,
+        "slopes": _slopes_doc(slopes),
+    }
+    if "--ap" in extra:
+        n_ap, delta = (1, 8) if "--n-ap" in extra else ap_parameters(ctx)
+        burn = scan_burn_in(slopes, n_ap, delta, 0 if "--burn-in-max" in extra else 100)
+        if burn is None:
+            doc["ap_report"] = {"n_ap": n_ap, "delta": _rat(delta), "verified": False}
+        else:
+            report = ap_check(slopes, n_ap, delta, burn)
+            doc["ap_report"] = {
+                "n_ap": n_ap,
+                "delta": _rat(delta),
+                "burn_in": burn,
+                "verified_through": report.verified_through,
+                "verified": report.verified,
+            }
+        assert doc["ap_report"]["verified"] is ("--n-ap" not in extra)
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "p, N, component, modified, upto",
+    [(2, 1, 0, False, 40), (7, 3, 4, False, 30), (2, 3, 0, True, 40), (2, 1, 0, False, 0)],
+)
+def test_series_output_is_json_dumps_of_the_rows(capsys, p, N, component, modified, upto):
+    argv = ["series", "--p", str(p), "--N", str(N), "--component", str(component), "--up-to", str(upto)]
+    code, out = run(capsys, argv + (["--modified"] if modified else []))
+    assert code == 0
+    series = GhostSeries(PrimeContext(p, N), ComponentLabel(component, p), bundled_seed(N) if modified else None)
+    lines = []
+    for i, row in enumerate(series.rows(upto), start=1):
+        zeros = [
+            {"type": "eta8" if isinstance(z, EtaEight) else "classical", "k": z.k, "mult": mult}
+            for z, mult in row.items()
+        ]
+        lines.append(json.dumps({"i": i, "lambda": sum(row.values()), "zeros": zeros}) + "\n")
+    assert out == "".join(lines)
+    assert len(lines) == upto
+    if modified:
+        assert '"type": "eta8"' in out

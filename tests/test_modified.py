@@ -16,7 +16,7 @@ from ghostseries.modified import (
 )
 from ghostseries.polygon import ghost_slopes
 from ghostseries.series import GhostSeries, lam_values
-from ghostseries.weightspace import Annulus, Classical, ComponentLabel, EtaEight, PrimeContext
+from ghostseries.weightspace import Annulus, Classical, ComponentLabel, EtaEight, ExplicitW, PrimeContext
 
 HALF = Fraction(1, 2)
 CTX23 = PrimeContext(2, 3)
@@ -154,6 +154,18 @@ def test_n1_pipelines_agree():
     seed = bundled_seed(1)
     for kappa in (Classical(0), Classical(-2), Annulus(0, Fraction(5, 2))):
         assert ghost_slopes(ctx, kappa, 8).slopes == ghost_slopes(ctx, kappa, 8, seed=seed).slopes
+
+
+def test_whole_slope_seed_is_the_plain_series():
+    # a seed without a block of equal fractional slopes adds no eta_8 zero,
+    # so the valuation floor stays at 3 and every slope is the plain one
+    whole = Weight2SeedSlopes(3, (Fraction(0), Fraction(1)))
+    assert GhostSeries(CTX23, EPS2, whole).floor_cap == 3
+    assert GhostSeries(CTX23, EPS2, seed3()).floor_cap == 1
+    for kappa in (Annulus(0, Fraction(5, 2)), ExplicitW(20, 8)):
+        plain = ghost_slopes(CTX23, kappa, 8, cap=12)
+        assert ghost_slopes(CTX23, kappa, 8, seed=whole, cap=12) == plain
+    assert GhostSeries(CTX23, EPS2, whole).lam_upto(60) == lam_values(CTX23, EPS2, 60)
 
 
 def test_regularity_check():

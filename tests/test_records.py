@@ -1,0 +1,113 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from ghostseries.boundary import APReport
+from ghostseries.dims import Gamma0Invariants, gamma0_invariants
+from ghostseries.modified import Weight2SeedSlopes
+from ghostseries.polygon import NewtonPolygon
+from ghostseries.weightspace import (
+    Annulus,
+    CharClassical,
+    Classical,
+    ComponentLabel,
+    EtaEight,
+    ExplicitW,
+    PrimeContext,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (value, an equal value built another way, its repr, a field name)
+VALUES = [
+    (Classical(2), Classical(k=2), "Classical(k=2)", "k"),
+    (EtaEight(3), EtaEight(k=3), "EtaEight(k=3)", "k"),
+    (CharClassical(2, 3), CharClassical(k=2, t=3), "CharClassical(k=2, t=3)", "t"),
+    (Annulus(0, Fraction(5, 2)), Annulus(0, "5/2"), "Annulus(center=0, v=Fraction(5, 2))", "v"),
+    (ExplicitW(5, 4, residue=2), ExplicitW(5, 4, 2, None), "ExplicitW(w0=5, m=4, residue=2, generator=None)", "m"),
+    (ComponentLabel(2, 5), ComponentLabel(residue=2, p=5), "ComponentLabel(residue=2, p=5)", "residue"),
+    (PrimeContext(2), PrimeContext(2, N=1), "PrimeContext(p=2, N=1)", "N"),
+    (
+        Weight2SeedSlopes(3, (Fraction(1, 2), Fraction(1, 2))),
+        Weight2SeedSlopes(N=3, slopes=[Fraction(1, 2), "1/2"]),
+        "Weight2SeedSlopes(N=3, slopes=(Fraction(1, 2), Fraction(1, 2)))",
+        "slopes",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, twin, text, field", VALUES, ids=[v[2].split("(")[0] for v in VALUES])
+def test_value_types(value, twin, text, field):
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert repr(value) == repr(twin) == text
+    assert len({value, twin}) == 1
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.other = 1  # no instance dict
+    assert copy.copy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_equality_needs_the_same_type():
+    assert Classical(2) != EtaEight(2)
+    assert EtaEight(2) != Classical(2)
+    assert {Classical(2): "classical", EtaEight(2): "eta8"}[EtaEight(2)] == "eta8"
+    assert Classical(2) != 2 and Classical(2) != (2,)
+    assert PrimeContext(2, 3) != PrimeContext(2, 5)
+    assert ComponentLabel(0, 5) != ComponentLabel(2, 5)
+    assert ComponentLabel(0, 3) != PrimeContext(3, 1)
+    assert Annulus(0, Fraction(5, 2)) != Annulus(2, Fraction(5, 2))
+    assert ExplicitW(5, 4) != ExplicitW(5, 4, generator=13)
+
+
+def test_coercion_and_validation_happen_at_construction():
+    assert type(Annulus(0, "5/2").v) is Fraction
+    assert Weight2SeedSlopes(3, ["1/2", Fraction(1, 2)]).slopes == (Fraction(1, 2),) * 2
+    with pytest.raises(TypeError):
+        Annulus(0, 2.5)
+    with pytest.raises(ValueError):
+        Classical(3)
+    with pytest.raises(ValueError):
+        PrimeContext(2, N=4)
+
+
+def test_cached_fields_stay_out_of_eq_and_repr():
+    poly = NewtonPolygon(((0, 0), (1, 1), (3, 5)))
+    assert repr(poly) == "NewtonPolygon(vertices=((0, 0), (1, 1), (3, 5)))"
+    assert poly == NewtonPolygon(((0, 0), (1, 1), (3, 5)))
+    assert poly.slope_pairs() == ((Fraction(1), 1), (Fraction(2), 2))
+    assert copy.deepcopy(poly).slope_pairs() == poly.slope_pairs()
+    inv = gamma0_invariants(11)
+    assert repr(inv) == "Gamma0Invariants(level=11, index=12, nu2=0, nu3=0, cusps=2, genus=1)"
+
+
+def test_plain_records_take_fields_by_position_or_name():
+    report = APReport(5, Fraction(8), 0, 300, None)
+    assert report == APReport(5, Fraction(8), burn_in=0, first_violation=None, verified_through=300)
+    assert report.verified and repr(report).startswith("APReport(n_ap=5, delta=Fraction(8, 1), burn_in=0,")
+    assert gamma0_invariants(11) == Gamma0Invariants(11, 12, 0, 0, 2, 1)
+    for args, kwargs in [((5, 8, 0, 300), {}), ((5, 8, 0, 300, None, 1), {}), ((5, 8, 0, 300), {"n_ap": 5})]:
+        with pytest.raises(TypeError):
+            APReport(*args, **kwargs)
+
+
+def test_cli_import_leaves_dataclass_machinery_out():
+    code = (
+        "import sys; import ghostseries.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
