@@ -18,7 +18,7 @@ from pathlib import Path
 from .boundary import ap_check, boundary_polygon, halo_profile, scan_burn_in, ap_parameters
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ComponentMismatch, ExternalDataError, GhostError, PrecisionError
-from .modified import Weight2SeedSlopes, bundled_seed, load_seed
+from .modified import Weight2SeedSlopes, bundled_seed, json_int, load_seed
 from .modified import modified_coefficient  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
 from .record import Record
@@ -76,7 +76,7 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
     m = re.fullmatch(r"k=(-?\d+)", spec)
     if m:
         return Classical(int(m.group(1)))
-    m = re.fullmatch(r"annulus:(-?\d+):(-?\d+)/(\d+)", spec)
+    m = re.fullmatch(r"annulus:(-?\d+):(-?\d+)/(0*[1-9]\d*)", spec)
     if m:
         return Annulus(int(m.group(1)), Fraction(int(m.group(2)), int(m.group(3))))
     m = re.fullmatch(r"char:(-?\d+):(\d+)(?:\^(\d+))?", spec)
@@ -290,8 +290,8 @@ class ComparisonReport(Record):
 def compare(fixture: dict, computed: SlopeList, fixture_name: str = "<fixture>") -> ComparisonReport:
     """Exact rational comparison of computed slopes against a fixture list."""
     try:
-        expected = [Fraction(int(s["num"]), int(s["den"])) for s in fixture["slopes"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        expected = [Fraction(json_int(s["num"]), json_int(s["den"])) for s in fixture["slopes"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed fixture: {exc}") from exc
     compared = min(len(expected), len(computed))
     truncated = None

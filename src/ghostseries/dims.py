@@ -102,42 +102,32 @@ def gamma0_invariants(M: int) -> Gamma0Invariants:
     return Gamma0Invariants(M, index, nu2, nu3, cusps, int(genus))
 
 
-def cusp_dim(inv: Gamma0Invariants, k: int) -> int:
-    """dim S_k(Gamma_0(M)) from the invariants of X_0(M), for even k >= 2.
+@lru_cache(maxsize=None)
+def dim_cusp_gamma0(M: int, k: int) -> int:
+    """dim S_k(Gamma_0(M)) for even k; zero in weights k <= 0.
 
     Weight 2 is the genus; even weights k >= 4 use
     (k-1)(g-1) + (k/2 - 1)nu_inf + floor(k/4)nu2 + floor(k/3)nu3.
-    Plain and unmemoized: the tent walk calls it once per weight.
     """
-    if k == 2:
-        return inv.genus
-    dim = (k - 1) * (inv.genus - 1) + (k // 2 - 1) * inv.cusps + (k // 4) * inv.nu2 + (k // 3) * inv.nu3
-    if dim < 0:
-        raise AssertionError(f"negative dimension at M = {inv.level}, k = {k}")
-    return dim
-
-
-@lru_cache(maxsize=None)
-def dim_cusp_gamma0(M: int, k: int) -> int:
-    """dim S_k(Gamma_0(M)) for even k; zero in weights k <= 0."""
     if k % 2 != 0:
         raise ValueError(f"weight k = {k} must be even")
     if k <= 0:
         return 0
-    return cusp_dim(gamma0_invariants(M), k)
-
-
-def pnew_dim(ctx: PrimeContext, k: int, full: int, tame: int) -> int:
-    """The p-new dimension full - 2 tame from full = dim S_k(Gamma_0(Np)), tame = dim S_k(Gamma_0(N))."""
-    dim = full - 2 * tame
+    inv = gamma0_invariants(M)
+    if k == 2:
+        return inv.genus
+    dim = (k - 1) * (inv.genus - 1) + (k // 2 - 1) * inv.cusps + (k // 4) * inv.nu2 + (k // 3) * inv.nu3
     if dim < 0:
-        raise AssertionError(f"p-new dimension came out negative at p={ctx.p}, N={ctx.N}, k={k}")
+        raise AssertionError(f"negative dimension at M = {M}, k = {k}")
     return dim
 
 
 def dim_pnew(ctx: PrimeContext, k: int) -> int:
     """dim S_k(Gamma_0(Np))^{p-new} = dim S_k(Gamma_0(Np)) - 2 dim S_k(Gamma_0(N))."""
-    return pnew_dim(ctx, k, dim_cusp_gamma0(ctx.N * ctx.p, k), dim_cusp_gamma0(ctx.N, k))
+    dim = dim_cusp_gamma0(ctx.N * ctx.p, k) - 2 * dim_cusp_gamma0(ctx.N, k)
+    if dim < 0:
+        raise AssertionError(f"p-new dimension came out negative at p={ctx.p}, N={ctx.N}, k={k}")
+    return dim
 
 
 # ---------------------------------------------------------------------------

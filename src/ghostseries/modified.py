@@ -8,10 +8,13 @@ nu_1(2) <= ... <= nu_d(2) of U_2 on S_2(Gamma_1(8N), eta_8^+):
 
     m_i(2) = s_i(mu_i - 1, beta_i - 1)  if nu_i(2) is not an integer, else 0,
 
-with mu_i the multiplicity and beta_i the first index of nu_i(2), and the
-higher weights reflect down to weight 2:
+with mu_i the multiplicity and beta_i the first index of nu_i(2), and every
+weight reflects down to weight 2:
 
     m_i(k) = m_{d_k - i}(2)  for 1 <= i < d_k,  d_k = dim S_k(Gamma_1(8N), eta_8^{+-}).
+
+At k = 2 the reflection holds too: the seed is symmetric around 1/2, so
+its fractional blocks, and with them m_i(2), are symmetric under i -> d_2 - i.
 
 The weight-2 slope list is the one input this package cannot compute; it
 must be supplied (the N = 3 list {1/2, 1/2} ships as package data).
@@ -71,12 +74,19 @@ class Weight2SeedSlopes(Record):
         return len(self.slopes)
 
 
+def json_int(x) -> int:
+    """An integer read from parsed JSON; a float or a boolean is refused, never truncated."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def seed_from_json(obj: dict) -> Weight2SeedSlopes:
     """Parse {"N": odd int, "weight2_slopes": [{"num", "den"}, ...]}."""
     try:
-        N = int(obj["N"])
-        slopes = tuple(Fraction(int(s["num"]), int(s["den"])) for s in obj["weight2_slopes"])
-    except (KeyError, TypeError, ValueError) as exc:
+        N = json_int(obj["N"])
+        slopes = tuple(Fraction(json_int(s["num"]), json_int(s["den"])) for s in obj["weight2_slopes"])
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ExternalDataError(f"malformed seed file: {exc}") from exc
     return Weight2SeedSlopes(N, slopes)
 
@@ -134,13 +144,8 @@ def modified_multiplicity(N: int, i: int, k: int, seed: Weight2SeedSlopes) -> in
     if seed.N != N:
         raise ValueError(f"seed belongs to N = {seed.N}, not N = {N}")
     mults = seed_multiplicities(seed)
-    if k == 2:
-        return mults[i - 1] if 1 <= i <= len(mults) else 0
     dk = dim_cusp_eta8(N, k, 1 if k % 2 == 0 else -1)
-    if not (1 <= i < dk):
-        return 0
-    j = dk - i
-    return mults[j - 1] if 1 <= j <= len(mults) else 0
+    return mults[dk - i - 1] if 1 <= i < dk and dk - i <= len(mults) else 0
 
 
 class ModifiedCoefficient(Record):

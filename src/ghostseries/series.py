@@ -16,16 +16,17 @@ pattern s(d_k^new - 1) shifted past d_k leading zeros:
 and 0 otherwise, with d_k = dim S_k(Gamma_0(N)) and d_k^new the p-new
 dimension at level Np.  In particular m_i(k) > 0 exactly when
 d_k < i < d_k + d_k^new.  The eta_8 zeros of the modified p = 2 series
-are tents of the same shape (see :meth:`GhostSeries._eta8_tents`).
+are tents of the same shape; both kinds come in arithmetic progressions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate
+from math import lcm
 from typing import Dict, Iterator, Mapping
 
-from .dims import cusp_dim, dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants, pnew_dim
+from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .record import Record, init
 from .weightspace import (
     INFINITY,
@@ -109,22 +110,16 @@ class DeltaDivisor(Record):
         return sum(self.zeros.values()) - sum(self.poles.values())
 
 
-def enumeration_margin(N: int) -> int:
-    """Safe overshoot for cutting off the zero enumeration.
+def _component_dims(ctx: PrimeContext, eps: ComponentLabel, stop_at: int) -> Iterator[tuple[int, int]]:
+    """(k, d_k) along the component until d_k >= stop_at is safely past.
 
     d_k = k*mu0/12 - (g - 1) - nu_inf - theta2*nu2 - theta3*nu3 with
     0 <= theta2 <= 1/2 and 0 <= theta3 <= 2/3, so once some k reaches
-    d_k >= i + ceil(nu2/2 + 2nu3/3) no later weight can dip back under i.
-    (d_k itself is not monotone: dim S_12(SL_2(Z)) = 1 > dim S_14 = 0.)
+    d_k >= stop_at + ceil(nu2/2 + 2nu3/3) no later weight can dip back under
+    stop_at.  (d_k itself is not monotone: dim S_12(SL_2(Z)) = 1 > dim S_14 = 0.)
     """
-    inv = gamma0_invariants(N)
+    inv = gamma0_invariants(ctx.N)
     margin = (inv.nu2 * 3 + inv.nu3 * 4 + 5) // 6  # ceil(nu2/2 + 2*nu3/3)
-    return margin
-
-
-def _component_dims(ctx: PrimeContext, eps: ComponentLabel, stop_at: int) -> Iterator[tuple[int, int]]:
-    """(k, d_k) along the component until d_k >= stop_at is safely past."""
-    margin = enumeration_margin(ctx.N)
     for k in classical_weights(ctx, eps):
         d = dim_cusp_gamma0(ctx.N, k)
         if d >= stop_at + margin:
@@ -165,14 +160,60 @@ def delta_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> DeltaDiviso
 # ---------------------------------------------------------------------------
 # the zero table: one pass per array (used by polygons, certificates, the CLI)
 
+def _family(row, k: int, dk: int) -> tuple:
+    """The head (k, d, ell) and step (dk, dd, dell) of the tents row(k) = (d, ell)
+    at k, k + dk, ..., from three terms that must be linear with d growing."""
+    (d0, l0), (d1, l1), (d2, l2) = [row(k + j * dk) for j in range(3)]
+    if d2 - d1 != d1 - d0 or l2 - l1 != l1 - l0 or d1 <= d0:
+        raise AssertionError(f"the tents from k = {k} in steps of {dk} are not linear with d growing")
+    return (k, d0, l0), (dk, d1 - d0, l1 - l0)
+
+
+def _classical_families(ctx: PrimeContext, eps: ComponentLabel) -> list:
+    """The classical zeros of the component as families, heads by increasing k.
+
+    For even k >= 4, floor(k/4) and floor(k/3) are the only terms of
+    dim S_k(Gamma_0(M)) not linear in k, and they are periodic mod 12, so
+    d_k and ell_k = d_k^new - 1 are linear on each class mod lcm(12, step).
+    """
+    def row(k: int) -> tuple[int, int]:
+        return dim_cusp_gamma0(ctx.N, k), dim_pnew(ctx, k) - 1
+
+    step, first = max(ctx.p - 1, 2), next(classical_weights(ctx, eps))
+    period = lcm(12, step)
+    genus = [((2, *row(2)), (0, 0, 0))] if first == 2 else []  # weight 2 is a single tent
+    start = 4 + (first - 4) % step  # the least weight k >= 4 on the component
+    return genus + [_family(row, k, period) for k in range(start, start + period, step)]
+
+
+def _eta8_families(seed) -> list:
+    """The eta_8 zeros of the modified series as families, one per seed block.
+
+    The block of mu > 1 equal fractional seed slopes from position b + 1 is
+    the weight-2 tent (2, b, ell), ell = mu - 1, and weight k reflects it to
+    (k, d_k - b - ell - 1, ell), d_k = dim S_k(Gamma_1(8N), eta_8^{+-}) being
+    linear in k.  The symmetric seed maps its blocks onto themselves under
+    b -> d_2 - b - ell - 1, so the family (k, b + d_k - d_2, ell), k >= 2,
+    holds the reflections of one block and, at k = 2, the tent of another.
+    """
+    slopes = seed.slopes
+    _, step = _family(lambda k: (dim_cusp_eta8(seed.N, k, 1 if k % 2 == 0 else -1), 0), 2, 1)
+    return [
+        ((2, slopes.index(nu), slopes.count(nu) - 1), step)
+        for nu in dict.fromkeys(slopes)
+        if nu.denominator != 1 and slopes.count(nu) > 1
+    ]
+
+
 class GhostSeries:
     """The zeros of the series on one component, as one table.
 
     Each classical zero w_k is a tent (k, d_k, ell_k), ell_k = d_k^new - 1: its
     multiplicity in g_i is the up-down term s_{i - d_k}(ell_k).  Passing a
     weight-2 seed adds the eta_8 zeros of the modified p = 2 series as tents
-    of the same kind.  Every consumer reads the same table: ``values`` for
-    the degrees and the valuations at a weight, ``rows`` for the divisors.
+    of the same kind; the table holds each kind as a few families.  Every
+    consumer reads it: ``values`` for the degrees and the valuations at a
+    weight, ``rows`` for the divisors.
     """
 
     def __init__(self, ctx: PrimeContext, eps: ComponentLabel, seed=None):
@@ -181,66 +222,28 @@ class GhostSeries:
                 raise ValueError("the modified series exists only for p = 2")
             if ctx.N != seed.N:
                 raise ValueError(f"seed belongs to N = {seed.N}, not N = {ctx.N}")
-        self.ctx = ctx
-        self.eps = eps
-        self.seed = seed
-        # the seed's blocks of mu > 1 equal fractional slopes, as (beta - 1, mu - 1)
-        slopes = seed.slopes if seed is not None else ()
-        self._blocks = [
-            (slopes.index(nu), slopes.count(nu) - 1)
-            for nu in dict.fromkeys(slopes)
-            if nu.denominator != 1 and slopes.count(nu) > 1
-        ]
+        eta8 = _eta8_families(seed) if seed is not None else []
+        self._families = {Classical: _classical_families(ctx, eps), EtaEight: eta8}
         # the least valuation of w_z over the zeros z: eta_8 zeros, which only
         # a fractional block adds, sit at v_2(w) = 1; classical ones at
         # v_p(w) >= 1 (>= 3 for p = 2)
-        self.floor_cap = Fraction(1 if ctx.p != 2 or self._blocks else 3)
+        self.floor_cap = Fraction(1 if ctx.p != 2 or self._families[EtaEight] else 3)
         self._lams: list[int] = [0]
 
-    def tents(self, upto: int) -> Iterator[tuple[int, int, int]]:
-        """(k, d_k, ell_k) for each classical zero of g_1..g_upto, by increasing k.
+    def tents(self, upto: int, zero: type = Classical) -> Iterator[tuple[int, int, int]]:
+        """(k, d, ell) for each zero of the type in g_1..g_upto, by increasing k.
 
-        The Gamma_0(N) and Gamma_0(Np) invariants are fetched once and each
-        weight's dimensions come from the plain formula, so the walk fills no
-        dimension memo.  It stops as ``coefficient_divisor`` does, once d_k is
-        past upto by the enumeration margin.
+        The families step side by side, one term each in turn, and each stops
+        at its first d >= upto.  Tents with ell < 1 are empty and skipped.
         """
-        ctx = self.ctx
-        tame, full = gamma0_invariants(ctx.N), gamma0_invariants(ctx.N * ctx.p)
-        stop = upto + enumeration_margin(ctx.N)
-        for k in classical_weights(ctx, self.eps):
-            d = cusp_dim(tame, k)
-            if d >= stop:
-                return
-            if d < upto:
-                ell = pnew_dim(ctx, k, cusp_dim(full, k), d) - 1
+        live = [[*head, *step] for head, step in self._families[zero] if head[1] < upto]
+        while live:
+            for t in live:
+                k, d, ell, dk, dd, dell = t
                 if ell >= 1:
                     yield k, d, ell
-
-    def _eta8_tents(self, upto: int) -> Iterator[tuple[int, int, int]]:
-        """(k, d, ell) for each eta_8 zero of g_1..g_upto, by increasing k; none without a seed.
-
-        A block of mu > 1 equal fractional seed slopes at positions beta..beta+mu-1
-        has m_i(2) = s_{i-beta+1}(mu - 1): the weight-2 tent (beta - 1, mu - 1).
-        As m_i(k) = m_{d_k - i}(2) and the pattern is a palindrome, each weight
-        k >= 3 reflects it to the tent (d_k - beta - mu + 1, mu - 1), with
-        d_k = dim S_k(Gamma_1(8N), eta_8^{+-}) strictly increasing in k.
-        """
-        blocks = self._blocks
-        if not blocks:
-            return
-        yield from ((2, b, ell) for b, ell in blocks if b < upto)
-        for k in count(3):
-            dk = dim_cusp_eta8(self.seed.N, k, 1 if k % 2 == 0 else -1)
-            if dk - self.seed.dimension >= upto:  # every later tent starts past upto
-                return
-            for b, ell in blocks:
-                if dk - b - ell - 1 < upto:
-                    yield k, dk - b - ell - 1, ell
-
-    def _zero_groups(self, upto: int) -> list:
-        """(zero type, its tents through upto): classical zeros, then eta_8 zeros."""
-        return [(Classical, self.tents(upto)), (EtaEight, self._eta8_tents(upto))]
+                t[0], t[1], t[2] = k + dk, d + dd, ell + dell
+            live = [t for t in live if t[4] and t[1] < upto]
 
     def values(self, upto: int, leg=1, through: int | None = None) -> list:
         """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
@@ -264,8 +267,8 @@ class GhostSeries:
         if weighted:
             steps = [0] * (upto + 2)  # second differences of the finite part
             hits = [0] * (upto + 2)  # first differences of the count of infinite legs
-        for zero, tents in self._zero_groups(top):
-            for k, d, ell in tents:
+        for zero in self._families:
+            for k, d, ell in self.tents(top, zero):
                 up, down, end = d + (ell + 1) // 2 + 1, d + ell // 2 + 2, d + ell + 2
                 lams[d + 1] += 1
                 lams[min(up, spill)] -= 1
@@ -304,8 +307,8 @@ class GhostSeries:
         eta_8 zeros by increasing k.  One walk over the live tents; no zero
         object is built."""
         starts: Dict[int, list] = {}
-        for g, (kind, tents) in enumerate(self._zero_groups(upto)):
-            for k, d, ell in tents:
+        for g, kind in enumerate(self._families):
+            for k, d, ell in self.tents(upto, kind):
                 starts.setdefault(d + 1, []).append((g, k, d, ell, kind))
         live: list[tuple[int, int, int, int, type]] = []
         for i in range(1, upto + 1):

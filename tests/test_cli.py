@@ -194,6 +194,22 @@ def test_compare_match_and_mismatch(tmp_path, capsys):
     assert json.loads(out)["first_mismatch"] == 4
 
 
+@pytest.mark.parametrize(
+    "entry", [{"num": 1.7, "den": 2}, {"num": 1, "den": 2.0}, {"num": True, "den": 2}, {"num": 1, "den": False}]
+)
+def test_compare_refuses_inexact_fixture_entries(tmp_path, capsys, entry):
+    # int() would truncate 1.7 to 1, and 1/2 would then match the computed slope
+    computed = SlopeList((Fraction(1, 2),), 1)
+    with pytest.raises(ValueError, match="malformed fixture: expected an integer"):
+        compare({"slopes": [entry]}, computed)
+    fixture = tmp_path / "inexact.json"
+    fixture.write_text(json.dumps({"slopes": [entry]}))
+    assert main(["compare", "--p", "2", "--fixture", str(fixture), "--weight", "k=0", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: malformed fixture: expected an integer, got ")
+
+
 def test_compare_prefix_truncation():
     fixture = {"slopes": [{"num": 1, "den": 2}, {"num": 1, "den": 1}]}
     computed = SlopeList((Fraction(1, 2), Fraction(1), Fraction(3, 2)), 3)
@@ -202,7 +218,7 @@ def test_compare_prefix_truncation():
     assert "prefix" in report.truncated
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     # usage error: bad weight grammar
     assert main(["slopes", "--p", "2", "--weight", "huh", "--count", "1"]) == 2
     # usage error: modified with odd p
@@ -232,6 +248,17 @@ def test_exit_codes(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --modified --seed /nonexistent.json" in captured.err
+    # a zero denominator in a weight or a fixture is a usage error, not a crash
+    assert main(["slopes", "--p", "2", "--weight", "annulus:0:1/0", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: cannot parse weight specification 'annulus:0:1/0'\n"
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps({"slopes": [{"num": 1, "den": 0}]}))
+    assert main(["compare", "--p", "2", "--fixture", str(zero_den), "--weight", "k=0", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: malformed fixture: Fraction(1, 0)\n"
 
 
 def test_seed_file_errors_name_the_file(tmp_path, capsys):
@@ -248,6 +275,12 @@ def test_seed_file_errors_name_the_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {missing_key}: malformed seed file: 'weight2_slopes'\n"
+    zero_den = tmp_path / "zero_den.json"
+    zero_den.write_text(json.dumps({"N": 3, "weight2_slopes": [{"num": 1, "den": 0}, {"num": 1, "den": 2}]}))
+    assert main(base + [str(zero_den)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {zero_den}: malformed seed file: Fraction(1, 0)\n"
 
 
 def test_cap_env_override(monkeypatch, capsys):

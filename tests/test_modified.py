@@ -12,6 +12,7 @@ from ghostseries.modified import (
     modified_coefficient,
     modified_multiplicity,
     regularity_check_p2,
+    seed_from_json,
     seed_multiplicities,
 )
 from ghostseries.polygon import ghost_slopes
@@ -55,6 +56,21 @@ def test_bundled_and_file_seeds(tmp_path):
     bad.write_text(json.dumps({"N": 3}))
     with pytest.raises(ExternalDataError):
         load_seed(bad)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"N": 3, "weight2_slopes": [{"num": 1.9, "den": 2}, {"num": 1, "den": 2}]},
+        {"N": 3.7, "weight2_slopes": [{"num": 1, "den": 2}, {"num": 1, "den": 2}]},
+        {"N": 3, "weight2_slopes": [{"num": 1, "den": 2}, {"num": True, "den": 2}]},
+        {"N": True, "weight2_slopes": []},
+    ],
+)
+def test_seed_refuses_inexact_entries(obj):
+    # int() would truncate 1.9 to 1 and 3.7 to 3, loading the N = 3 seed {1/2, 1/2}
+    with pytest.raises(ExternalDataError, match="malformed seed file: expected an integer, got "):
+        seed_from_json(obj)
 
 
 def test_seed_multiplicities_examples():

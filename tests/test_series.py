@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import ghostseries.series
 from ghostseries.dims import dim_pnew, gamma0_invariants
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed, modified_coefficient
 from ghostseries.polygon import coefficient_valuation
@@ -223,9 +225,39 @@ def test_tent_walk_matches_dimension_oracle():
             for residue in range(0, max(p - 1, 1), 2):
                 eps = ComponentLabel(residue, p)
                 series = GhostSeries(ctx, eps)
-                for upto in (1, 12, 40):
+                for upto in (1, 12, 40, 400):
                     tents = list(series.tents(upto))
                     assert tents == _oracle_tents(ctx, eps, upto), (p, N, eps, upto)
                     if tents and tents[0][0] == 2:
                         weight_two.add(N)
     assert {4, 7, 9, 13} <= weight_two
+
+
+@pytest.mark.parametrize(
+    "ctx, seed", [(PrimeContext(5, 1), None), (PrimeContext(2, 3), bundled_seed(3))], ids=["p5", "p2-modified"]
+)
+def test_dimension_calls_do_not_grow_with_upto(monkeypatch, ctx, seed):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # every dimension function the series module calls, dim_cusp_gamma0 and dim_pnew among them
+    for name, fn in list(vars(ghostseries.series).items()):
+        if callable(fn) and (name.startswith("dim_") or name.endswith("_dim")):
+            monkeypatch.setattr(ghostseries.series, name, counted(name, fn))
+
+    def walk(upto):
+        calls.clear()
+        series = GhostSeries(ctx, ComponentLabel(0, ctx.p), seed)
+        n = sum(1 for zero in (Classical, EtaEight) for _ in series.tents(upto, zero))
+        return Counter(calls), n
+
+    (small, few), (big, many) = walk(1000), walk(100_000)
+    assert small["dim_cusp_gamma0"] and small["dim_pnew"]
+    assert small == big
+    assert many > 50 * few
