@@ -292,7 +292,7 @@ def compare(fixture: dict, computed: SlopeList, fixture_name: str = "<fixture>")
     try:
         expected = [Fraction(json_int(s["num"]), json_int(s["den"])) for s in fixture["slopes"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"malformed fixture: {exc}") from exc
+        raise UsageError(f"{fixture_name}: malformed fixture: {exc}") from exc
     compared = min(len(expected), len(computed))
     truncated = None
     if len(expected) < len(computed):
@@ -313,7 +313,10 @@ def _cmd_compare(args) -> int:
     seed = _seed(args, ctx)
     weight = parse_weight(args.weight, ctx)
     with open(args.fixture, "r", encoding="utf-8") as handle:
-        fixture = json.load(handle)
+        try:
+            fixture = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise UsageError(f"{args.fixture}: not valid JSON: {exc}") from exc
     computed = _mode_slopes(args, ctx, seed, weight)
     report = compare(fixture, computed, args.fixture)
     doc = {

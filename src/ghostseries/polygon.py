@@ -33,6 +33,7 @@ from .weightspace import (
     ExtendedRational,
     PrimeContext,
     WeightPoint,
+    distance,
     is_finite,
     pair_valuation,
     weight_component,
@@ -279,16 +280,9 @@ def ghost_polygon(
     """
     series = GhostSeries(ctx, weight_component(kappa, ctx), seed)
     c = _valuation_floor(ctx, kappa, series.floor_cap)
-    legs: dict[WeightPoint, ExtendedRational] = {}
-
-    def leg(zero: WeightPoint) -> ExtendedRational:
-        got = legs.get(zero)
-        if got is None:
-            got = legs[zero] = pair_valuation(kappa, zero, ctx)
-        return got
-
+    # every zero of the series lies on the component of kappa
     slopes, poly, _ = certified_slopes(
-        lambda D: series.values(D, leg, tail_window_end(D)),
+        lambda D: series.values(D, lambda zero: distance(kappa, zero, ctx), tail_window_end(D)),
         series.lam_upto,
         c,
         n,

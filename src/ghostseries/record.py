@@ -8,10 +8,7 @@ that agrees with it, the repr ``Annulus(center=0, v=Fraction(5, 2))``, an
 A type that checks or coerces its arguments writes its own ``__init__``
 and sets each slot through :data:`init`.  The fields are ``_fields``, by
 default ``__slots__``; a slot left out of it (a cached value) takes no
-part in equality, hashing or the repr.  The types built and compared on
-every leg and row (``PrimeContext``, ``ComponentLabel``, ``Classical``,
-``EtaEight``) spell out ``__eq__`` and ``__hash__``, which runs about
-twice as fast as the generic pair below.
+part in equality, hashing or the repr.
 """
 
 from __future__ import annotations

@@ -249,7 +249,7 @@ class GhostSeries:
         """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
 
         ``leg`` is 1, for the degrees lam(g_i), or a function of the zero:
-        ``pair_valuation(kappa, .)`` gives the valuations
+        ``weightspace.distance(kappa, ., ctx)`` gives the valuations
         v_p(g_i(w_kappa)), +Infinity wherever a zero of g_i has an infinite
         leg.  The multiplicity of a tent rises by one on [d + 1, d + ceil(ell/2)]
         and falls by one on [d + floor(ell/2) + 2, d + ell + 1]: one walk marks

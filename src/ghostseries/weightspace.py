@@ -4,8 +4,8 @@ Even weight space is a disjoint union of open unit discs, one per even
 character of the torsion subgroup of Z_p^x.  On a fixed disc the coordinate
 of a weight ``kappa`` is ``w = kappa(gamma) - 1`` where ``gamma`` topologically
 generates ``1 + 2pZ_p``.  Everything here is exact: valuations are returned
-as `fractions.Fraction` (normalized so ``v_p(p) = 1``) or as the
-:data:`INFINITY` sentinel, never as floats.
+as ints or `fractions.Fraction` values (normalized so ``v_p(p) = 1``) or as
+the :data:`INFINITY` sentinel, never as floats.
 
 The distance formulas used throughout:
 
@@ -109,14 +109,6 @@ class PrimeContext(Record):
         init(self, "p", p)
         init(self, "N", N)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.p == other.p and self.N == other.N
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.N))
-
 
 class ComponentLabel(Record):
     """A component of even weight space: an even residue mod (p-1).
@@ -135,14 +127,6 @@ class ComponentLabel(Record):
             raise ValueError("components of even weight space have even residue")
         init(self, "residue", residue)
         init(self, "p", p)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.residue == other.residue and self.p == other.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.residue, self.p))
 
 
 def component_of(k: int, ctx: PrimeContext) -> ComponentLabel:
@@ -182,14 +166,6 @@ class Classical(Record):
             raise ValueError(f"classical weight k = {k} must be even")
         init(self, "k", k)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.k == other.k
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.k)
-
 
 class EtaEight(Record):
     """The weight z^k eta_8^{+-} (p = 2 only), sign forced to (-1)^k."""
@@ -200,13 +176,6 @@ class EtaEight(Record):
         if k < 2:
             raise ValueError("eta_8 weights require k >= 2")
         init(self, "k", k)
-
-    __eq__ = Classical.__eq__
-    __hash__ = Classical.__hash__
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.k % 2 == 0 else -1
 
 
 class CharClassical(Record):
@@ -335,10 +304,7 @@ def classical_pair_valuation(k: int, k2: int, ctx: PrimeContext) -> ExtendedRati
         raise ComponentMismatch(
             f"weights {k} and {k2} lie on different components mod {ctx.p - 1}"
         )
-    if k == k2:
-        return INFINITY
-    base = 2 if ctx.p == 2 else 1
-    return base + padic_valuation(k - k2, ctx.p)
+    return distance(Classical(k), Classical(k2), ctx)
 
 
 def _w_coordinate_mod(z: ZeroPoint, p: int, m: int, gen: int) -> int:
@@ -365,6 +331,33 @@ def _explicit_pair_valuation(a: ExplicitW, z: ZeroPoint, ctx: PrimeContext) -> F
     return Fraction(padic_valuation(diff, p))
 
 
+def distance(a: WeightPoint, z: ZeroPoint, ctx: PrimeContext) -> ExtendedRational:
+    """v_p(w_a - w_z) for a zero ``z`` known to lie on the component of ``a``.
+
+    Nothing is checked: :func:`pair_valuation` is the checked form, and a
+    series walks only zeros of the component it was built for.
+    """
+    kind = a.__class__
+    if kind is Classical or kind is EtaEight:
+        if z.__class__ is not kind:
+            # classical vs eta_8: w-values are 5^k - 1 and -5^k' - 1, and
+            # 5^k + 5^k' is 2 mod 4, so the distance is exactly 1.
+            return Fraction(1)
+        if a.k == z.k:
+            return INFINITY
+        return (2 if ctx.p == 2 else 1) + padic_valuation(a.k - z.k, ctx.p)
+    if kind is Annulus:
+        # strict ultrametric: v is not an integer and the other leg is
+        return min(a.v, distance(Classical(a.center), z, ctx))
+    if kind is CharClassical:
+        p = ctx.p
+        # v_p(zeta - 1) < 1 <= v_p(gamma^(k-z) - 1), so the root of unity wins
+        return Fraction(1, p ** (a.t - 2) * (p - 1))
+    if kind is ExplicitW:
+        return _explicit_pair_valuation(a, z, ctx)
+    raise TypeError(f"not a weight point: {a!r}")
+
+
 def pair_valuation(a: WeightPoint, z: ZeroPoint, ctx: PrimeContext) -> ExtendedRational:
     """v_p(w_a - w_z) for a weight point ``a`` and a coefficient zero ``z``.
 
@@ -378,35 +371,7 @@ def pair_valuation(a: WeightPoint, z: ZeroPoint, ctx: PrimeContext) -> ExtendedR
         raise ComponentMismatch(
             f"{a!r} and {z!r} lie on different components of weight space"
         )
-
-    if isinstance(a, Classical):
-        if isinstance(z, Classical):
-            return classical_pair_valuation(a.k, z.k, ctx)
-        # classical vs eta_8: w-values are 5^k - 1 and -5^k' - 1, and
-        # 5^k + 5^k' is 2 mod 4, so the distance is exactly 1.
-        return Fraction(1)
-
-    if isinstance(a, EtaEight):
-        if isinstance(z, EtaEight):
-            if a.k == z.k:
-                return INFINITY
-            return Fraction(2 + padic_valuation(a.k - z.k, 2))
-        return Fraction(1)
-
-    if isinstance(a, Annulus):
-        # strict ultrametric: v is not an integer and the other leg is
-        other = pair_valuation(Classical(a.center), z, ctx)
-        return min(a.v, other)
-
-    if isinstance(a, CharClassical):
-        p = ctx.p
-        # v_p(zeta - 1) < 1 <= v_p(gamma^(k-z) - 1), so the root of unity wins
-        return Fraction(1, p ** (a.t - 2) * (p - 1))
-
-    if isinstance(a, ExplicitW):
-        return _explicit_pair_valuation(a, z, ctx)
-
-    raise TypeError(f"not a weight point: {a!r}")
+    return distance(a, z, ctx)
 
 
 def weight_valuation(a: WeightPoint, ctx: PrimeContext) -> ExtendedRational:
@@ -415,17 +380,6 @@ def weight_valuation(a: WeightPoint, ctx: PrimeContext) -> ExtendedRational:
     Raises PrecisionError for an explicit w-value that is 0 mod p^m.
     """
     p = ctx.p
-    if isinstance(a, Classical):
-        if a.k == 0:
-            return INFINITY
-        base = 2 if p == 2 else 1
-        return Fraction(base + padic_valuation(a.k, p))
-    if isinstance(a, EtaEight):
-        return Fraction(1)
-    if isinstance(a, CharClassical):
-        return Fraction(1, p ** (a.t - 2) * (p - 1))
-    if isinstance(a, Annulus):
-        return min(a.v, weight_valuation(Classical(a.center), ctx))
     if isinstance(a, ExplicitW):
         if a.w0 % p != 0:
             raise ValueError(f"w0 = {a.w0} is not in the open unit disc")
@@ -435,4 +389,6 @@ def weight_valuation(a: WeightPoint, ctx: PrimeContext) -> ExtendedRational:
                 f"v_{p}(w) >= {a.m} is all the precision allows for w0 = {a.w0}"
             )
         return Fraction(padic_valuation(rep, p))
-    raise TypeError(f"not a weight point: {a!r}")
+    # the center w = 0 of a's disc, read in the formulas of distance as z^0
+    v = distance(a, Classical(0), ctx)
+    return v if v is INFINITY else Fraction(v)

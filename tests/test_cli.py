@@ -207,7 +207,24 @@ def test_compare_refuses_inexact_fixture_entries(tmp_path, capsys, entry):
     assert main(["compare", "--p", "2", "--fixture", str(fixture), "--weight", "k=0", "--count", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("usage error: malformed fixture: expected an integer, got ")
+    assert captured.err.startswith(f"usage error: {fixture}: malformed fixture: expected an integer, got ")
+
+
+@pytest.mark.parametrize(
+    "content, text",
+    [
+        (b"", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe{", "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ],
+    ids=["empty", "not-utf8"],
+)
+def test_compare_errors_name_the_fixture(tmp_path, capsys, content, text):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_bytes(content)
+    assert main(["compare", "--p", "2", "--fixture", str(fixture), "--weight", "k=0", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {fixture}: {text}")
 
 
 def test_compare_prefix_truncation():
@@ -258,7 +275,7 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["compare", "--p", "2", "--fixture", str(zero_den), "--weight", "k=0", "--count", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "usage error: malformed fixture: Fraction(1, 0)\n"
+    assert captured.err == f"usage error: {zero_den}: malformed fixture: Fraction(1, 0)\n"
 
 
 def test_seed_file_errors_name_the_file(tmp_path, capsys):

@@ -27,6 +27,7 @@ from ghostseries.weightspace import (
     EtaEight,
     ExplicitW,
     PrimeContext,
+    distance,
     pair_valuation,
     weight_component,
 )
@@ -192,6 +193,7 @@ def test_zero_table_matches_divisor_oracle(ctx, kappa, seed):
     degrees = [0] + [coef.lam for coef in oracle]
     for upto in range(D + 1):  # every truncation, so the clipping at upto is covered
         assert series.values(upto, leg) == want[: upto + 1]
+        assert series.values(upto, lambda z: distance(kappa, z, ctx)) == want[: upto + 1]
         assert series.values(upto) == degrees[: upto + 1]
     if kappa in (Classical(14), EtaEight(3)):
         assert INFINITY in want
