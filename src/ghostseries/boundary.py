@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .dims import gamma0_invariants
 from .errors import GhostError
-from .polygon import DEFAULT_CAP, SlopeList, certified_slopes, ghost_slopes, tail_window_end
+from .polygon import DEFAULT_CAP, SlopeList, certified_slopes, ghost_slopes
 from .record import Record
 from .series import GhostSeries
 from .weightspace import Annulus, ComponentLabel, PrimeContext
@@ -40,7 +40,7 @@ def boundary_polygon(
     """
     series = GhostSeries(ctx, eps, seed)
     slopes, poly, points = certified_slopes(
-        lambda D: series.lam_upto(tail_window_end(D)),
+        series.lam_upto,
         series.lam_upto,
         Fraction(1),
         n,

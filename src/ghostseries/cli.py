@@ -287,12 +287,17 @@ class ComparisonReport(Record):
         return self.first_mismatch is None
 
 
-def compare(fixture: dict, computed: SlopeList, fixture_name: str = "<fixture>") -> ComparisonReport:
-    """Exact rational comparison of computed slopes against a fixture list."""
+def _fixture_slopes(fixture: dict, fixture_name: str) -> list[Fraction]:
+    """The slopes a fixture lists, as exact rationals."""
     try:
-        expected = [Fraction(json_int(s["num"]), json_int(s["den"])) for s in fixture["slopes"]]
+        return [Fraction(json_int(s["num"]), json_int(s["den"])) for s in fixture["slopes"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"{fixture_name}: malformed fixture: {exc}") from exc
+
+
+def compare(fixture: dict, computed: SlopeList, fixture_name: str = "<fixture>") -> ComparisonReport:
+    """Exact rational comparison of computed slopes against a fixture list."""
+    expected = _fixture_slopes(fixture, fixture_name)
     compared = min(len(expected), len(computed))
     truncated = None
     if len(expected) < len(computed):
@@ -317,6 +322,7 @@ def _cmd_compare(args) -> int:
             fixture = json.load(handle)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise UsageError(f"{args.fixture}: not valid JSON: {exc}") from exc
+    _fixture_slopes(fixture, args.fixture)  # a malformed fixture fails before any slope is computed
     computed = _mode_slopes(args, ctx, seed, weight)
     report = compare(fixture, computed, args.fixture)
     doc = {

@@ -33,8 +33,8 @@ from .weightspace import (
     ExtendedRational,
     PrimeContext,
     WeightPoint,
-    distance,
     is_finite,
+    leg_rule,
     pair_valuation,
     weight_component,
     weight_valuation,
@@ -205,11 +205,6 @@ def _tail_clears(
     return True
 
 
-def tail_window_end(D: int) -> int:
-    """The last index of the exact tail window past the truncation degree D."""
-    return 2 * D + 32
-
-
 def certified_slopes(
     values: Callable[[int], Sequence[ExtendedRational]],
     lam_upto: Callable[[int], Sequence[int]],
@@ -219,13 +214,12 @@ def certified_slopes(
 ) -> tuple[SlopeList, NewtonPolygon, list[tuple[int, ExtendedRational]]]:
     """First n hull slopes with a truncation certificate.
 
-    ``values(D)`` gives the point values for indices 0..D (at least), in one
-    call per round, before ``lam_upto`` is asked for the degrees through the
-    window end, so one walk of the series can serve both.  Grows the
-    truncation degree D (doubling, up to ``cap``) until the hull over indices
-    0..D has n slopes and every coefficient on the window
-    (D, tail_window_end(D)] provably clears the supporting line at the n-th
-    slope.
+    Grows the truncation degree D (doubling, up to ``cap``) until the hull
+    over indices 0..D has n slopes and every coefficient on the window
+    (D, 2D + 32] provably clears the supporting line at the n-th slope.
+    Each round asks ``lam_upto`` for the degrees through the window end
+    first, then ``values(D)`` for the point values of indices 0..D (at
+    least), so a caller whose values are the degrees walks once per round.
     """
     if n < 1:
         raise ValueError("at least one slope must be requested")
@@ -235,13 +229,14 @@ def certified_slopes(
         raise ValueError("the valuation floor c must be positive")
     D = min(max(2 * n, 16), cap)
     while True:
-        window_end = tail_window_end(D)
+        window_end = 2 * D + 32
+        lam = lam_upto(window_end)
         points = list(enumerate(values(D)[: D + 1]))
         poly = lower_hull(points)
         flat = poly.slopes(n)
         if len(flat) >= n:
             s, i0, y0 = _nth_anchor(poly, n)
-            if _tail_clears(lam_upto(window_end), D, window_end, c, s, i0, y0):
+            if _tail_clears(lam, D, window_end, c, s, i0, y0):
                 return SlopeList(flat, n), poly, points
         if D >= cap:
             raise CertificationError(
@@ -260,9 +255,7 @@ def _valuation_floor(ctx: PrimeContext, kappa: WeightPoint, cap_val: Fraction) -
         if isinstance(kappa, ExplicitW) and kappa.m >= cap_val:
             return cap_val
         raise
-    if not is_finite(v):
-        return cap_val
-    return min(Fraction(v), cap_val)
+    return min(v, cap_val)  # +Infinity compares above every cap
 
 
 def ghost_polygon(
@@ -280,9 +273,9 @@ def ghost_polygon(
     """
     series = GhostSeries(ctx, weight_component(kappa, ctx), seed)
     c = _valuation_floor(ctx, kappa, series.floor_cap)
-    # every zero of the series lies on the component of kappa
+    leg = leg_rule(kappa, ctx)  # every zero of the series lies on the component of kappa
     slopes, poly, _ = certified_slopes(
-        lambda D: series.values(D, lambda zero: distance(kappa, zero, ctx), tail_window_end(D)),
+        lambda D: series.values(D, leg),
         series.lam_upto,
         c,
         n,

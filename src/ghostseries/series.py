@@ -245,52 +245,41 @@ class GhostSeries:
                 t[0], t[1], t[2] = k + dk, d + dd, ell + dell
             live = [t for t in live if t[4] and t[1] < upto]
 
-    def values(self, upto: int, leg=1, through: int | None = None) -> list:
+    def values(self, upto: int, leg=1) -> list:
         """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
 
-        ``leg`` is 1, for the degrees lam(g_i), or a function of the zero:
-        ``weightspace.distance(kappa, ., ctx)`` gives the valuations
+        ``leg`` is 1, for the degrees lam(g_i), or a function of the zero kind
+        and k: ``weightspace.leg_rule(kappa, ctx)`` gives the valuations
         v_p(g_i(w_kappa)), +Infinity wherever a zero of g_i has an infinite
         leg.  The multiplicity of a tent rises by one on [d + 1, d + ceil(ell/2)]
         and falls by one on [d + floor(ell/2) + 2, d + ell + 1]: one walk marks
         these second differences weighted by the leg and two prefix sums read
         them out.  Legs are taken only for zeros of g_1..g_upto.
-
-        The same walk computes the degrees through ``through`` (at least upto)
-        and keeps them for ``lam_upto``, so a certificate round that needs the
-        valuations through D and the degrees through its window walks once.
         """
-        top = upto if through is None else max(upto, through)
-        spill = top + 1  # marks past top land here and never reach a sum
-        lams = [0] * (top + 2)
-        weighted = leg != 1
-        if weighted:
-            steps = [0] * (upto + 2)  # second differences of the finite part
-            hits = [0] * (upto + 2)  # first differences of the count of infinite legs
+        spill = upto + 1  # marks past upto land here and never reach a sum
+        marks = [0] * (upto + 2)
+        if leg == 1:
+            for zero in self._families:
+                for k, d, ell in self.tents(upto, zero):
+                    marks[d + 1] += 1
+                    marks[min(d + (ell + 1) // 2 + 1, spill)] -= 1
+                    marks[min(d + ell // 2 + 2, spill)] -= 1
+                    marks[min(d + ell + 2, spill)] += 1
+            return list(accumulate(accumulate(marks[:spill])))
+        hits = [0] * (upto + 2)  # first differences of the count of infinite legs
         for zero in self._families:
-            for k, d, ell in self.tents(top, zero):
-                up, down, end = d + (ell + 1) // 2 + 1, d + ell // 2 + 2, d + ell + 2
-                lams[d + 1] += 1
-                lams[min(up, spill)] -= 1
-                lams[min(down, spill)] -= 1
-                lams[min(end, spill)] += 1
-                if weighted and d < upto:
-                    w = leg(zero(k))
-                    if w is INFINITY:
-                        hits[d + 1] += 1
-                        hits[min(end - 1, upto + 1)] -= 1
-                    else:
-                        steps[d + 1] += w
-                        steps[min(up, upto + 1)] -= w
-                        steps[min(down, upto + 1)] -= w
-                        steps[min(end, upto + 1)] += w
-        lams = list(accumulate(accumulate(lams[:spill])))
-        out = list(accumulate(accumulate(steps[: upto + 1]))) if weighted else None
-        if top >= len(self._lams):
-            self._lams = lams
-        if not weighted:
-            return lams[: upto + 1]
-        for i, count in enumerate(accumulate(hits[: upto + 1])):
+            for k, d, ell in self.tents(upto, zero):
+                w = leg(zero, k)
+                if w is INFINITY:
+                    hits[d + 1] += 1
+                    hits[min(d + ell + 1, spill)] -= 1
+                else:
+                    marks[d + 1] += w
+                    marks[min(d + (ell + 1) // 2 + 1, spill)] -= w
+                    marks[min(d + ell // 2 + 2, spill)] -= w
+                    marks[min(d + ell + 2, spill)] += w
+        out = list(accumulate(accumulate(marks[:spill])))
+        for i, count in enumerate(accumulate(hits[:spill])):
             if count:
                 out[i] = INFINITY
         return out
@@ -298,7 +287,7 @@ class GhostSeries:
     def lam_upto(self, upto: int) -> list[int]:
         """[lam(g_i) for i = 0..] through at least upto; the longest one is cached."""
         if upto >= len(self._lams):
-            self.values(upto)
+            self._lams = self.values(upto)
         return self._lams
 
     def divisors(self, upto: int) -> Iterator[list[tuple[type, int, int]]]:

@@ -246,9 +246,6 @@ class ExplicitW(Record):
 
 WeightPoint = Union[Classical, EtaEight, CharClassical, Annulus, ExplicitW]
 
-ZeroPoint = Union[Classical, EtaEight]
-
-
 def default_generator(p: int) -> int:
     return 5 if p == 2 else 1 + p
 
@@ -304,61 +301,73 @@ def classical_pair_valuation(k: int, k2: int, ctx: PrimeContext) -> ExtendedRati
         raise ComponentMismatch(
             f"weights {k} and {k2} lie on different components mod {ctx.p - 1}"
         )
-    return distance(Classical(k), Classical(k2), ctx)
+    return leg_rule(Classical(k), ctx)(Classical, k2)
 
 
-def _w_coordinate_mod(z: ZeroPoint, p: int, m: int, gen: int) -> int:
-    """w-coordinate of a zero, reduced mod p^m, in the convention of gen."""
-    mod = p ** m
-    if isinstance(z, Classical):
-        return (pow(gen, z.k, mod) - 1) % mod
-    # eta_8^{+-}(gamma) = -1 because gamma = 5 mod 8 for every generator
-    return (-pow(gen, z.k, mod) - 1) % mod
+def leg_rule(kappa: WeightPoint, ctx: PrimeContext):
+    """(zero kind, k) -> v_p(w_kappa - w_z) for the zero z = kind(k) on the component of kappa.
 
+    The weight is read once, here, and its component is not checked:
+    :func:`pair_valuation` is the checked form, and a series walks only
+    zeros of the component it was built for.  An annulus leg is the lesser
+    of its radius and its center's leg; a character weight has one
+    ``Fraction`` leg for every zero.
 
-def _explicit_pair_valuation(a: ExplicitW, z: ZeroPoint, ctx: PrimeContext) -> Fraction:
-    p = ctx.p
-    gen = _check_generator(a.generator or default_generator(p), p)
-    mod = p ** a.m
-    if a.w0 % p != 0:
-        raise ValueError(f"w0 = {a.w0} is not in the open unit disc (p must divide w0)")
-    diff = (a.w0 - _w_coordinate_mod(z, p, a.m, gen)) % mod
-    if diff == 0:
-        raise PrecisionError(
-            f"w-value known mod {p}^{a.m} only: v_{p}(w - w_z) >= {a.m} "
-            f"is not determined (zero at k = {z.k})"
-        )
-    return Fraction(padic_valuation(diff, p))
-
-
-def distance(a: WeightPoint, z: ZeroPoint, ctx: PrimeContext) -> ExtendedRational:
-    """v_p(w_a - w_z) for a zero ``z`` known to lie on the component of ``a``.
-
-    Nothing is checked: :func:`pair_valuation` is the checked form, and a
-    series walks only zeros of the component it was built for.
+    Every other weight has w + 1 = +-gen^a, with the sign of the zeros of
+    one kind.  Against that kind the leg is the int e + v_p(k - a), e =
+    v_p(gen - 1), and +Infinity at k = a; against the other kind (p = 2:
+    5^k + 5^k' is 2 mod 4) it is 1.  A w-value known mod p^m gives a mod
+    p^(m - e), and a leg of m or more is then not determined.
     """
-    kind = a.__class__
-    if kind is Classical or kind is EtaEight:
-        if z.__class__ is not kind:
-            # classical vs eta_8: w-values are 5^k - 1 and -5^k' - 1, and
-            # 5^k + 5^k' is 2 mod 4, so the distance is exactly 1.
-            return Fraction(1)
-        if a.k == z.k:
-            return INFINITY
-        return (2 if ctx.p == 2 else 1) + padic_valuation(a.k - z.k, ctx.p)
+    p, kind, m = ctx.p, kappa.__class__, None
+    e = 2 if p == 2 else 1
     if kind is Annulus:
         # strict ultrametric: v is not an integer and the other leg is
-        return min(a.v, distance(Classical(a.center), z, ctx))
+        v, center = kappa.v, leg_rule(Classical(kappa.center), ctx)
+        return lambda zero, k: min(v, center(zero, k))
     if kind is CharClassical:
-        p = ctx.p
         # v_p(zeta - 1) < 1 <= v_p(gamma^(k-z) - 1), so the root of unity wins
-        return Fraction(1, p ** (a.t - 2) * (p - 1))
-    if kind is ExplicitW:
-        return _explicit_pair_valuation(a, z, ctx)
-    raise TypeError(f"not a weight point: {a!r}")
+        v = Fraction(1, p ** (kappa.t - 2) * (p - 1))
+        return lambda zero, k: v
+    if kind is Classical or kind is EtaEight:
+        own, a = kind, kappa.k
+    elif kind is ExplicitW:
+        gen = _check_generator(kappa.generator or default_generator(p), p)
+        if kappa.w0 % p != 0:
+            raise ValueError(f"w0 = {kappa.w0} is not in the open unit disc (p must divide w0)")
+        m, mod = kappa.m, p ** kappa.m
+        u, own = (kappa.w0 + 1) % mod, Classical
+        if p == 2 and u % 4 == 3:
+            # w + 1 = -gen^a, as for the eta_8 zeros: eta_8^{+-}(gamma) = -1
+            # because gamma = 5 mod 8 for every generator
+            u, own = mod - u, EtaEight
+        # gen^(p^j) = 1 + c p^(e + j) mod p^(e + j + 1) with one unit c for every
+        # j, so digit j of a is the next digit of t = u gen^-(a mod p^j), over c
+        unit, a, t, g = pow((gen - 1) // p ** e, -1, p), 0, u, pow(gen, -1, mod)
+        for j in range(m - e):  # t = 1 mod p^(e + j), g = gen^-(p^j)
+            digit = (t - 1) // p ** (e + j) * unit % p
+            a, t, g = a + digit * p ** j, t * pow(g, digit, mod) % mod, pow(g, p, mod)
+    else:
+        raise TypeError(f"not a weight point: {kappa!r}")
+
+    def leg(zero: type, k: int) -> ExtendedRational:
+        if zero is not own:
+            v = 1
+        elif k == a:
+            v = INFINITY
+        else:
+            v = e + padic_valuation(k - a, p)
+        if m is not None and not v < m:
+            raise PrecisionError(
+                f"w-value known mod {p}^{m} only: v_{p}(w - w_z) >= {m} "
+                f"is not determined (zero at k = {k})"
+            )
+        return v
+
+    return leg
 
 
-def pair_valuation(a: WeightPoint, z: ZeroPoint, ctx: PrimeContext) -> ExtendedRational:
+def pair_valuation(a: WeightPoint, z: Classical | EtaEight, ctx: PrimeContext) -> ExtendedRational:
     """v_p(w_a - w_z) for a weight point ``a`` and a coefficient zero ``z``.
 
     ``z`` must be a Classical or EtaEight point on the component of ``a``.
@@ -371,7 +380,7 @@ def pair_valuation(a: WeightPoint, z: ZeroPoint, ctx: PrimeContext) -> ExtendedR
         raise ComponentMismatch(
             f"{a!r} and {z!r} lie on different components of weight space"
         )
-    return distance(a, z, ctx)
+    return leg_rule(a, ctx)(z.__class__, z.k)
 
 
 def weight_valuation(a: WeightPoint, ctx: PrimeContext) -> ExtendedRational:
@@ -389,6 +398,6 @@ def weight_valuation(a: WeightPoint, ctx: PrimeContext) -> ExtendedRational:
                 f"v_{p}(w) >= {a.m} is all the precision allows for w0 = {a.w0}"
             )
         return Fraction(padic_valuation(rep, p))
-    # the center w = 0 of a's disc, read in the formulas of distance as z^0
-    v = distance(a, Classical(0), ctx)
+    # the center w = 0 of a's disc, read in the leg formulas as z^0
+    v = leg_rule(a, ctx)(Classical, 0)
     return v if v is INFINITY else Fraction(v)

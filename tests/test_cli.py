@@ -276,6 +276,12 @@ def test_exit_codes(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {zero_den}: malformed fixture: Fraction(1, 0)\n"
+    # the fixture is read before any slope: a request that could not certify still names it
+    argv = ["compare", "--p", "2", "--fixture", str(zero_den), "--weight", "k=0", "--count", "40", "--cap", "12"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {zero_den}: malformed fixture: Fraction(1, 0)\n"
 
 
 def test_seed_file_errors_name_the_file(tmp_path, capsys):

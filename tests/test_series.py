@@ -27,7 +27,7 @@ from ghostseries.weightspace import (
     EtaEight,
     ExplicitW,
     PrimeContext,
-    distance,
+    leg_rule,
     pair_valuation,
     weight_component,
 )
@@ -175,6 +175,22 @@ def test_coefficient_divisor_rejects_bad_index():
             Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))),
             id="N5-two-blocks",
         ),
+        # w0 = 2 mod 4: w + 1 = -5^a, beside the eta_8 zeros; then w0 = 0 mod 4 beside the classical ones
+        pytest.param(
+            PrimeContext(2, 3),
+            ExplicitW((-pow(5, -2, 2**40) - 1) % 2**40, 40),
+            bundled_seed(3),
+            id="explicit-eta8-kind",
+        ),
+        pytest.param(
+            PrimeContext(2, 3),
+            ExplicitW((pow(5, -2, 2**40) - 1) % 2**40, 40),
+            bundled_seed(3),
+            id="explicit-classical-kind-modified",
+        ),
+        pytest.param(
+            PrimeContext(5, 1), ExplicitW((pow(6, -4, 5**20) - 1) % 5**20, 20, residue=0), None, id="explicit-p5"
+        ),
     ],
 )
 def test_zero_table_matches_divisor_oracle(ctx, kappa, seed):
@@ -186,14 +202,14 @@ def test_zero_table_matches_divisor_oracle(ctx, kappa, seed):
     else:
         oracle = [coefficient_divisor(ctx, eps, i) for i in range(1, D + 1)]
 
-    def leg(z):
-        return pair_valuation(kappa, z, ctx)
+    def leg(kind, k):
+        return pair_valuation(kappa, kind(k), ctx)
 
     want = [0] + [coefficient_valuation(coef, kappa) for coef in oracle]
     degrees = [0] + [coef.lam for coef in oracle]
     for upto in range(D + 1):  # every truncation, so the clipping at upto is covered
         assert series.values(upto, leg) == want[: upto + 1]
-        assert series.values(upto, lambda z: distance(kappa, z, ctx)) == want[: upto + 1]
+        assert series.values(upto, leg_rule(kappa, ctx)) == want[: upto + 1]
         assert series.values(upto) == degrees[: upto + 1]
     if kappa in (Classical(14), EtaEight(3)):
         assert INFINITY in want

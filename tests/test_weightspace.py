@@ -15,6 +15,7 @@ from ghostseries.weightspace import (
     PrimeContext,
     classical_pair_valuation,
     component_of,
+    leg_rule,
     padic_valuation,
     pair_valuation,
     weight_component,
@@ -146,6 +147,58 @@ def test_explicit_w_generator_convention_is_irrelevant():
             assert pair_valuation(a, Classical(z), ctx) == classical_pair_valuation(10, z, ctx)
     with pytest.raises(ValueError):
         pair_valuation(ExplicitW(12, 10, residue=0, generator=10), Classical(4), ctx)
+
+
+def _w_coordinate(kind, k, gen, mod):
+    """w_z mod p^m: gen^k - 1 for a classical zero, -gen^k - 1 for an eta_8 zero."""
+    return ((pow(gen, k, mod) if kind is Classical else -pow(gen, k, mod)) - 1) % mod
+
+
+@pytest.mark.parametrize("p, generators", [(2, (5, 13)), (3, (4, 16)), (5, (6, 11)), (7, (8, 15)), (13, (14, 27))])
+def test_explicit_w_legs_match_w_coordinates(p, generators):
+    rng = random.Random(p)
+    kinds = (Classical, EtaEight) if p == 2 else (Classical,)
+    zeros = [(kind, k) for kind in kinds for k in range(2, 120, 2)]
+    ctx = PrimeContext(p)
+    for m in range(1, 31):
+        mod = p ** m
+        for gen in generators:
+            explicit = (None, gen) if gen == generators[0] else (gen,)
+            # w0 near a zero, at a random distance p^j (j = m: on it), from either kind at p = 2
+            weights = []
+            for _ in range(3):
+                kind, k0 = rng.choice(zeros)
+                w_z = _w_coordinate(kind, k0, gen, mod)
+                weights.append((w_z + p ** rng.randrange(1, m + 1) * rng.randrange(1, p)) % mod)
+            for w0 in weights:
+                for given in explicit:
+                    kappa = ExplicitW(w0, m, residue=0, generator=given)
+                    rule = leg_rule(kappa, ctx)
+                    for kind, k in zeros:
+                        diff = (w0 - _w_coordinate(kind, k, gen, mod)) % mod  # v_p(w0 - w_z) unless 0
+                        if diff == 0:
+                            with pytest.raises(PrecisionError) as err:
+                                rule(kind, k)
+                            assert str(err.value) == (
+                                f"w-value known mod {p}^{m} only: v_{p}(w - w_z) >= {m} "
+                                f"is not determined (zero at k = {k})"
+                            )
+                        else:
+                            leg = rule(kind, k)
+                            assert leg == padic_valuation(diff, p) and type(leg) is int, (m, gen, w0, kind, k)
+    if p == 2:
+        # w known mod 2: no leg is determined; mod 4: only those against the other kind
+        for w0 in (0, 2):
+            with pytest.raises(PrecisionError):
+                leg_rule(ExplicitW(w0, 1), ctx)(Classical, 2)
+            with pytest.raises(PrecisionError):
+                leg_rule(ExplicitW(w0, 1), ctx)(EtaEight, 2)
+        assert leg_rule(ExplicitW(0, 2), ctx)(EtaEight, 2) == 1
+        assert leg_rule(ExplicitW(2, 2), ctx)(Classical, 2) == 1
+        with pytest.raises(PrecisionError):
+            leg_rule(ExplicitW(0, 2), ctx)(Classical, 4)
+        with pytest.raises(PrecisionError):
+            leg_rule(ExplicitW(2, 2), ctx)(EtaEight, 4)
 
 
 def _random_weights(rng, ctx, size):
