@@ -117,6 +117,8 @@ def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APRe
 
 def scan_burn_in(slopes: Sequence[Fraction], n_ap: int, delta, max_burn_in: int) -> int | None:
     """Smallest burn-in <= max_burn_in that verifies, or None."""
+    if n_ap < 1 or max_burn_in < 0:
+        raise ValueError("need n_ap >= 1 and burn_in >= 0")
     last_bad = _first_break(slopes, n_ap, delta, range(len(slopes) - n_ap - 1, -1, -1))
     burn = 0 if last_bad is None else last_bad + 1
     return burn if burn <= max_burn_in else None

@@ -29,13 +29,14 @@ from .series import coefficient_divisor  # noqa: F401  kept importable: perfbenc
 from .weightspace import (
     INFINITY,
     Classical,
+    EtaEight,
     ExplicitW,
     ExtendedRational,
     PrimeContext,
     WeightPoint,
     is_finite,
     leg_rule,
-    pair_valuation,
+    pair_valuation,  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
     weight_component,
     weight_valuation,
 )
@@ -146,9 +147,12 @@ def coefficient_valuation(coef, kappa: WeightPoint) -> ExtendedRational:
     ctx = PrimeContext(coef.component.p)
     if weight_component(kappa, ctx) != coef.component:
         raise ValueError("weight lies on a different component than the coefficient")
+    leg = leg_rule(kappa, ctx)
     total = Fraction(0)
     for zero, mult in coef.zeros.items():
-        v = pair_valuation(kappa, zero, ctx)
+        if not isinstance(zero, (Classical, EtaEight)):
+            raise TypeError(f"coefficient zeros are Classical or EtaEight points, not {zero!r}")
+        v = leg(zero.__class__, zero.k)
         if not is_finite(v):
             return INFINITY
         total += mult * v
@@ -219,7 +223,8 @@ def certified_slopes(
     (D, 2D + 32] provably clears the supporting line at the n-th slope.
     Each round asks ``lam_upto`` for the degrees through the window end
     first, then ``values(D)`` for the point values of indices 0..D (at
-    least), so a caller whose values are the degrees walks once per round.
+    least), so a caller whose values are the degrees builds one degree
+    array per round.
     """
     if n < 1:
         raise ValueError("at least one slope must be requested")

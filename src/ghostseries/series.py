@@ -16,14 +16,17 @@ pattern s(d_k^new - 1) shifted past d_k leading zeros:
 and 0 otherwise, with d_k = dim S_k(Gamma_0(N)) and d_k^new the p-new
 dimension at level Np.  In particular m_i(k) > 0 exactly when
 d_k < i < d_k + d_k^new.  The eta_8 zeros of the modified p = 2 series
-are tents of the same shape; both kinds come in arithmetic progressions.
+are tents of the same shape; both kinds come in arithmetic progressions,
+so the degrees lam(g_i) are built a progression at a time, with no walk
+over single tents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import lcm
+from operator import add
 from typing import Dict, Iterator, Mapping
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
@@ -162,11 +165,44 @@ def delta_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> DeltaDiviso
 
 def _family(row, k: int, dk: int) -> tuple:
     """The head (k, d, ell) and step (dk, dd, dell) of the tents row(k) = (d, ell)
-    at k, k + dk, ..., from three terms that must be linear with d growing."""
+    at k, k + dk, ..., from three terms that must be linear with d growing and
+    ell not falling."""
     (d0, l0), (d1, l1), (d2, l2) = [row(k + j * dk) for j in range(3)]
-    if d2 - d1 != d1 - d0 or l2 - l1 != l1 - l0 or d1 <= d0:
-        raise AssertionError(f"the tents from k = {k} in steps of {dk} are not linear with d growing")
+    if d2 - d1 != d1 - d0 or l2 - l1 != l1 - l0 or d1 <= d0 or l1 < l0:
+        raise AssertionError(
+            f"the tents from k = {k} in steps of {dk} are not linear with d growing and ell not falling"
+        )
     return (k, d0, l0), (dk, d1 - d0, l1 - l0)
+
+
+def _mark_family(marks: list, head: tuple, step: tuple) -> None:
+    """Add the degree marks of one family's tents to ``marks``, dropping those
+    past its end.
+
+    Tent j is (d + j*dd, ell + j*dell), empty while ell + j*dell < 1, and its
+    four second-difference marks are +1 at d_j + 1, -1 at d_j + ceil(ell_j/2)
+    + 1 and at d_j + floor(ell_j/2) + 2, and +1 at d_j + ell_j + 2.  On the
+    tents of one parity of j each mark steps by a constant, so the family
+    takes eight extended-slice updates.  Every mark of a tent with d_j past
+    the end is past it too, so the slices stop the family exactly.
+    """
+    (_, d, ell), (_, dd, dell) = head, step
+    if ell < 1:
+        if not dell:
+            return
+        j = (dell - ell) // dell  # the first tent with ell_j >= 1 (dell > 0)
+        d, ell = d + j * dd, ell + j * dell
+    stop = len(marks)
+    if not dd:  # the weight-2 tent: a second one would start past the end
+        dd = stop
+    for d, ell in (d, ell), (d + dd, ell + dell):  # the first tent of each parity
+        for a, s, w in (
+            (d + 1, 2 * dd, 1),
+            (d + (ell + 1) // 2 + 1, 2 * dd + dell, -1),
+            (d + ell // 2 + 2, 2 * dd + dell, -1),
+            (d + ell + 2, 2 * (dd + dell), 1),
+        ):
+            marks[a:stop:s] = map(add, marks[a:stop:s], repeat(w))
 
 
 def _classical_families(ctx: PrimeContext, eps: ComponentLabel) -> list:
@@ -252,20 +288,20 @@ class GhostSeries:
         and k: ``weightspace.leg_rule(kappa, ctx)`` gives the valuations
         v_p(g_i(w_kappa)), +Infinity wherever a zero of g_i has an infinite
         leg.  The multiplicity of a tent rises by one on [d + 1, d + ceil(ell/2)]
-        and falls by one on [d + floor(ell/2) + 2, d + ell + 1]: one walk marks
-        these second differences weighted by the leg and two prefix sums read
-        them out.  Legs are taken only for zeros of g_1..g_upto.
+        and falls by one on [d + floor(ell/2) + 2, d + ell + 1]: these second
+        differences, weighted by the leg, are marked and two prefix sums read
+        them out.  The degrees mark whole families by progression slices
+        (``_mark_family``); other legs walk the tents, and are taken only for
+        zeros of g_1..g_upto.
         """
+        if leg == 1:
+            marks = [0] * (upto + 1)
+            for families in self._families.values():
+                for head, step in families:
+                    _mark_family(marks, head, step)
+            return list(accumulate(accumulate(marks)))
         spill = upto + 1  # marks past upto land here and never reach a sum
         marks = [0] * (upto + 2)
-        if leg == 1:
-            for zero in self._families:
-                for k, d, ell in self.tents(upto, zero):
-                    marks[d + 1] += 1
-                    marks[min(d + (ell + 1) // 2 + 1, spill)] -= 1
-                    marks[min(d + ell // 2 + 2, spill)] -= 1
-                    marks[min(d + ell + 2, spill)] += 1
-            return list(accumulate(accumulate(marks[:spill])))
         hits = [0] * (upto + 2)  # first differences of the count of infinite legs
         for zero in self._families:
             for k, d, ell in self.tents(upto, zero):

@@ -282,6 +282,12 @@ def test_exit_codes(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {zero_den}: malformed fixture: Fraction(1, 0)\n"
+    # progression arguments out of range are usage errors, checked before the burn-in scan
+    for extra in (["--n-ap", "-2", "--delta", "2"], ["--n-ap", "0", "--delta", "2"], ["--burn-in-max", "-1"]):
+        assert main(["boundary", "--p", "3", "--count", "5", "--ap", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: need n_ap >= 1 and burn_in >= 0\n"
 
 
 def test_seed_file_errors_name_the_file(tmp_path, capsys):

@@ -279,3 +279,45 @@ def test_dimension_calls_do_not_grow_with_upto(monkeypatch, ctx, seed):
     assert small["dim_cusp_gamma0"] and small["dim_pnew"]
     assert small == big
     assert many > 50 * few
+
+
+def _one(kind, k):
+    return 1
+
+
+def test_degree_array_matches_tent_walk():
+    # values(upto) adds whole progressions of tents; a leg of 1 takes the
+    # per-tent walk.  p = 1009 (one class of huge ell) runs every component
+    # on three levels: N = 7 has nu3 > 0 and N = 13 nu2 > 0
+    uptos = (0, 1, 2, 3, 12, 40, 400, 2000)
+    seeds = (
+        bundled_seed(3),
+        Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))),
+        Weight2SeedSlopes(3, (Fraction(0), Fraction(1))),
+    )
+    cases = [GhostSeries(PrimeContext(2, seed.N), EPS2, seed) for seed in seeds]
+    for p in (2, 3, 5, 7, 11, 13, 59, 1009):
+        for N in range(1, 41) if p < 1009 else (1, 7, 13):
+            if N % p:
+                ctx = PrimeContext(p, N)
+                cases += [GhostSeries(ctx, ComponentLabel(r, p)) for r in range(0, max(p - 1, 1), 2)]
+    for series in cases:
+        for upto in uptos:
+            assert series.values(upto) == series.values(upto, _one), (series._families, upto)
+
+
+@pytest.mark.parametrize(
+    "ctx, seed", [(PrimeContext(5, 1), None), (PrimeContext(2, 3), bundled_seed(3))], ids=["p5", "p2-modified"]
+)
+def test_degree_array_takes_no_tent_walk(monkeypatch, ctx, seed):
+    series = GhostSeries(ctx, ComponentLabel(0, ctx.p), seed)
+    small = series.values(300, _one)
+
+    def no_walk(*args):
+        raise AssertionError("the degree array walked the tents")
+
+    monkeypatch.setattr(GhostSeries, "tents", no_walk)
+    big = series.values(100_000)
+    assert len(big) == 100_001 and big[:301] == small
+    with pytest.raises(AssertionError, match="walked the tents"):
+        series.values(300, _one)
