@@ -36,9 +36,7 @@ from .modified import (
     Weight2SeedSlopes,
     bundled_seed,
     load_seed,
-    modified_boundary_slopes,
     modified_coefficient,
-    modified_multiplicity,
     regularity_check_p2,
     seed_multiplicities,
 )
@@ -47,21 +45,16 @@ from .polygon import (
     NewtonPolygon,
     SlopeList,
     classical_ghost_slopes,
-    coefficient_valuation,
     ghost_polygon,
     ghost_slopes,
     lower_hull,
 )
 from .series import (
-    DeltaDivisor,
     GhostCoefficient,
     GhostSeries,
     coefficient_divisor,
-    delta_divisor,
     lam_deltas,
     lam_values,
-    multiplicity,
-    updown,
 )
 from .weightspace import (
     INFINITY,

@@ -78,6 +78,12 @@ def ap_parameters(ctx: PrimeContext) -> tuple[int, int]:
     return numerator // 24, delta2 // 2
 
 
+def check_ap_counts(n_ap: int, burn_in: int) -> None:
+    """Refuse a progression count below 1 or a negative burn-in."""
+    if n_ap < 1 or burn_in < 0:
+        raise ValueError("need n_ap >= 1 and burn_in >= 0")
+
+
 def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions) -> int | None:
     """The first j of ``positions`` with slope(j + n_ap) != slope(j) + delta, or None.
 
@@ -101,8 +107,7 @@ def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APRe
     Positions are 0-based; the first ``burn_in`` slopes are excluded.  The
     slopes must be certified through the checked range.
     """
-    if n_ap < 1 or burn_in < 0:
-        raise ValueError("need n_ap >= 1 and burn_in >= 0")
+    check_ap_counts(n_ap, burn_in)
     total = len(slopes)
     if isinstance(slopes, SlopeList) and slopes.certified_count < total:
         raise GhostError("slopes must be certified through the checked range")
@@ -117,8 +122,7 @@ def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APRe
 
 def scan_burn_in(slopes: Sequence[Fraction], n_ap: int, delta, max_burn_in: int) -> int | None:
     """Smallest burn-in <= max_burn_in that verifies, or None."""
-    if n_ap < 1 or max_burn_in < 0:
-        raise ValueError("need n_ap >= 1 and burn_in >= 0")
+    check_ap_counts(n_ap, max_burn_in)
     last_bad = _first_break(slopes, n_ap, delta, range(len(slopes) - n_ap - 1, -1, -1))
     burn = 0 if last_bad is None else last_bad + 1
     return burn if burn <= max_burn_in else None

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .boundary import ap_check, boundary_polygon, halo_profile, scan_burn_in, ap_parameters
+from .boundary import ap_check, boundary_polygon, check_ap_counts, halo_profile, scan_burn_in, ap_parameters
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ComponentMismatch, ExternalDataError, GhostError, PrecisionError
 from .modified import Weight2SeedSlopes, bundled_seed, json_int, load_seed
@@ -84,7 +84,6 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
         k = int(m.group(1))
         if m.group(3) is not None:
             base, t = int(m.group(2)), int(m.group(3))
-            cond = base ** t
         else:
             cond = int(m.group(2))
             base, t = ctx.p, 0
@@ -213,15 +212,18 @@ def _cmd_boundary(args) -> int:
     ctx = _context(args)
     seed = _seed(args, ctx)
     eps = ComponentLabel(args.component, ctx.p)
-    result = boundary_polygon(ctx, eps, args.count, seed=seed, cap=_cap(args))
-    ap_report = None
-    if args.ap:
+    cap = _cap(args)
+    if args.ap:  # the progression arguments are checked before any slope is computed
         if (args.n_ap is None) != (args.delta is None):
             raise UsageError("--n-ap and --delta must be supplied together")
         if args.n_ap is not None:
             n_ap, delta = args.n_ap, args.delta
         else:
             n_ap, delta = ap_parameters(ctx)
+        check_ap_counts(n_ap, args.burn_in_max)
+    result = boundary_polygon(ctx, eps, args.count, seed=seed, cap=cap)
+    ap_report = None
+    if args.ap:
         burn = scan_burn_in(result.slopes, n_ap, delta, args.burn_in_max)
         if burn is None:
             ap_report = {"n_ap": n_ap, "delta": _rat(delta), "verified": False}

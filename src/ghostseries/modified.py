@@ -27,13 +27,11 @@ import pkgutil
 from fractions import Fraction
 from typing import Dict, Mapping
 
-from .boundary import boundary_polygon
 from .dims import dim_cusp_eta8, dim_cusp_gamma0
 from .errors import ExternalDataError
-from .polygon import SlopeList
 from .polygon import certified_slopes  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .record import Record, init
-from .series import GhostCoefficient, coefficient_divisor, updown_padded
+from .series import GhostCoefficient, GhostSeries, _coefficient_zeros, coefficient_divisor
 from .weightspace import ComponentLabel, EtaEight, PrimeContext, WeightPoint
 
 
@@ -131,21 +129,10 @@ def seed_multiplicities(seed: Weight2SeedSlopes) -> tuple[int, ...]:
         if nu.denominator == 1:
             out.append(0)
             continue
-        mu = slopes.count(nu)
-        beta = slopes.index(nu) + 1
-        out.append(updown_padded(mu - 1, beta - 1, i))
+        mu, beta = slopes.count(nu), slopes.index(nu) + 1
+        j = i - beta + 1  # the place of i in the up-down pattern s(mu - 1), after beta - 1 zeros
+        out.append(min(j, mu - j) if j < mu else 0)
     return tuple(out)
-
-
-def modified_multiplicity(N: int, i: int, k: int, seed: Weight2SeedSlopes) -> int:
-    """m_i(k): multiplicity of the zero z^k eta_8^{+-} in the i-th coefficient."""
-    if k < 2:
-        raise ValueError(f"eta_8 zero weights satisfy k >= 2, got {k}")
-    if seed.N != N:
-        raise ValueError(f"seed belongs to N = {seed.N}, not N = {N}")
-    mults = seed_multiplicities(seed)
-    dk = dim_cusp_eta8(N, k, 1 if k % 2 == 0 else -1)
-    return mults[dk - i - 1] if 1 <= i < dk and dk - i <= len(mults) else 0
 
 
 class ModifiedCoefficient(Record):
@@ -176,50 +163,11 @@ class ModifiedCoefficient(Record):
         return self.base.lam + sum(self.extra.values())
 
 
-def _eta8_dims(N: int):
-    """(k, d_k) for k = 2, 3, 4, ...; strictly increasing is asserted."""
-    k = 2
-    prev = None
-    while True:
-        d = dim_cusp_eta8(N, k, 1 if k % 2 == 0 else -1)
-        if prev is not None and d <= prev:
-            raise AssertionError(f"eta_8 dimensions stopped increasing at k = {k}")
-        yield k, d
-        prev = d
-        k += 1
-
-
 def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> ModifiedCoefficient:
-    """Divisor of the i-th modified coefficient (p = 2, N odd).
-
-    Extra zeros only occur while d_k <= i + d_2, so the scan is finite.
-    """
-    if ctx.p != 2:
-        raise ValueError("the modified series exists only for p = 2")
-    if ctx.N != seed.N:
-        raise ValueError(f"seed belongs to N = {seed.N}, not N = {ctx.N}")
-    base = coefficient_divisor(ctx, ComponentLabel(0, 2), i)
-    extra: Dict[WeightPoint, int] = {}
-    d2 = seed.dimension
-    if d2:
-        for k, dk in _eta8_dims(ctx.N):
-            if dk > i + d2:
-                break
-            m = modified_multiplicity(ctx.N, i, k, seed)
-            if m:
-                extra[EtaEight(k)] = m
-    return ModifiedCoefficient(base, extra)
-
-
-def modified_boundary_slopes(
-    N: int,
-    seed: Weight2SeedSlopes,
-    n: int,
-    *,
-    cap: int | None = None,
-) -> SlopeList:
-    """First n w-adic slopes of the modified boundary polygon."""
-    return boundary_polygon(PrimeContext(2, N), ComponentLabel(0, 2), n, seed=seed, cap=cap).slopes
+    """Divisor of the i-th modified coefficient (p = 2, N odd)."""
+    eps = ComponentLabel(0, 2)
+    series = GhostSeries(ctx, eps, seed)  # rejects p != 2 and a seed of another N
+    return ModifiedCoefficient(coefficient_divisor(ctx, eps, i), _coefficient_zeros(series, i, EtaEight))
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,10 @@ from .series import coefficient_divisor  # noqa: F401  kept importable: perfbenc
 from .weightspace import (
     INFINITY,
     Classical,
-    EtaEight,
     ExplicitW,
     ExtendedRational,
     PrimeContext,
     WeightPoint,
-    is_finite,
     leg_rule,
     pair_valuation,  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
     weight_component,
@@ -137,26 +135,6 @@ def lower_hull(points: Sequence[tuple[int, ExtendedRational]]) -> NewtonPolygon:
                 break
         hull.append((x, y))
     return NewtonPolygon(tuple(hull))
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-def coefficient_valuation(coef, kappa: WeightPoint) -> ExtendedRational:
-    """v_p of one coefficient at the weight kappa; +Infinity at its zeros."""
-    ctx = PrimeContext(coef.component.p)
-    if weight_component(kappa, ctx) != coef.component:
-        raise ValueError("weight lies on a different component than the coefficient")
-    leg = leg_rule(kappa, ctx)
-    total = Fraction(0)
-    for zero, mult in coef.zeros.items():
-        if not isinstance(zero, (Classical, EtaEight)):
-            raise TypeError(f"coefficient zeros are Classical or EtaEight points, not {zero!r}")
-        v = leg(zero.__class__, zero.k)
-        if not is_finite(v):
-            return INFINITY
-        total += mult * v
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ zeros) to positive multiplicities.  Expanding the product into a
 polynomial is never needed; evaluating the series at a weight only
 requires valuations of the individual factors.  :class:`GhostSeries` holds
 all zeros of one component as one table and derives every array from it;
-the per-coefficient dicts of :func:`coefficient_divisor` are the slow
-reference form.
+:func:`coefficient_divisor` reads a single coefficient's divisor off it.
 
 The multiplicity of the zero w_k in the i-th coefficient is the up-down
 pattern s(d_k^new - 1) shifted past d_k leading zeros:
@@ -29,7 +28,7 @@ from math import lcm
 from operator import add
 from typing import Dict, Iterator, Mapping
 
-from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
+from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew
 from .record import Record, init
 from .weightspace import (
     INFINITY,
@@ -40,48 +39,6 @@ from .weightspace import (
     WeightPoint,
     classical_weights,
 )
-
-
-# ---------------------------------------------------------------------------
-# the up-down pattern
-
-class UpDownPattern(Record):
-    """The palindromic sequence 1, 2, ..., up, ..., 2, 1 of length ell."""
-
-    __slots__ = ("ell", "terms")
-
-
-def updown_term(ell: int, j: int) -> int:
-    """j-th term (1-indexed) of the up-down pattern of length ell; 0 outside."""
-    if j < 1 or j > ell:
-        return 0
-    if j <= ell // 2:
-        return j
-    return ell + 1 - j
-
-
-def updown(ell: int) -> UpDownPattern:
-    """The up-down pattern; empty when ell <= 0."""
-    if ell <= 0:
-        return UpDownPattern(ell, ())
-    return UpDownPattern(ell, tuple(updown_term(ell, j) for j in range(1, ell + 1)))
-
-
-def updown_padded(ell: int, pad: int, j: int) -> int:
-    """j-th term (1-indexed) of the pattern preceded by ``pad`` zeros."""
-    return updown_term(ell, j - pad)
-
-
-def multiplicity(ctx: PrimeContext, i: int, k: int) -> int:
-    """m_i(k): order of vanishing of the i-th coefficient at w_k."""
-    if k % 2 != 0:
-        raise ValueError(f"zero weights are even; got k = {k}")
-    if i <= 0 or k < 2:
-        return 0
-    d = dim_cusp_gamma0(ctx.N, k)
-    if i <= d:
-        return 0
-    return updown_term(dim_pnew(ctx, k) - 1, i - d)
 
 
 # ---------------------------------------------------------------------------
@@ -101,63 +58,6 @@ class GhostCoefficient(Record):
     def lam(self) -> int:
         """Total degree: the sum of all zero multiplicities."""
         return sum(self.zeros.values())
-
-
-class DeltaDivisor(Record):
-    """Zero/pole divisor of the ratio of consecutive coefficients g_i/g_{i-1}."""
-
-    __slots__ = ("index", "zeros", "poles")
-
-    @property
-    def lam(self) -> int:
-        return sum(self.zeros.values()) - sum(self.poles.values())
-
-
-def _component_dims(ctx: PrimeContext, eps: ComponentLabel, stop_at: int) -> Iterator[tuple[int, int]]:
-    """(k, d_k) along the component until d_k >= stop_at is safely past.
-
-    d_k = k*mu0/12 - (g - 1) - nu_inf - theta2*nu2 - theta3*nu3 with
-    0 <= theta2 <= 1/2 and 0 <= theta3 <= 2/3, so once some k reaches
-    d_k >= stop_at + ceil(nu2/2 + 2nu3/3) no later weight can dip back under
-    stop_at.  (d_k itself is not monotone: dim S_12(SL_2(Z)) = 1 > dim S_14 = 0.)
-    """
-    inv = gamma0_invariants(ctx.N)
-    margin = (inv.nu2 * 3 + inv.nu3 * 4 + 5) // 6  # ceil(nu2/2 + 2*nu3/3)
-    for k in classical_weights(ctx, eps):
-        d = dim_cusp_gamma0(ctx.N, k)
-        if d >= stop_at + margin:
-            return
-        yield k, d
-
-
-def coefficient_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> GhostCoefficient:
-    """Divisor of the i-th coefficient on the component eps (i >= 1)."""
-    if i < 1:
-        raise ValueError(f"coefficient index i = {i} must be at least 1")
-    zeros: Dict[WeightPoint, int] = {}
-    for k, d in _component_dims(ctx, eps, i):
-        if d < i:
-            m = updown_term(dim_pnew(ctx, k) - 1, i - d)
-            if m:
-                zeros[Classical(k)] = m
-    return GhostCoefficient(i, eps, zeros)
-
-
-def delta_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> DeltaDivisor:
-    """Formal difference of consecutive coefficient divisors (g_0 = 1)."""
-    if i < 1:
-        raise ValueError(f"index i = {i} must be at least 1")
-    current = coefficient_divisor(ctx, eps, i).zeros
-    previous = coefficient_divisor(ctx, eps, i - 1).zeros if i > 1 else {}
-    zeros: Dict[WeightPoint, int] = {}
-    poles: Dict[WeightPoint, int] = {}
-    for z in sorted(set(current) | set(previous), key=lambda w: w.k):
-        diff = current.get(z, 0) - previous.get(z, 0)
-        if diff > 0:
-            zeros[z] = diff
-        elif diff < 0:
-            poles[z] = -diff
-    return DeltaDivisor(i, zeros, poles)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +245,19 @@ class GhostSeries:
         """The divisors of g_1..g_upto in turn as {zero: multiplicity} dicts."""
         for zeros in self.divisors(upto):
             yield {kind(k): mult for kind, k, mult in zeros}
+
+
+def _coefficient_zeros(series: GhostSeries, i: int, zero: type) -> Dict[WeightPoint, int]:
+    """{zero(k): m_i(k)} for the zeros of the type in g_i alone, by increasing k:
+    the tents of g_1..g_i with i <= d + ell, each with its up-down term."""
+    return {zero(k): min(i - d, d + ell + 1 - i) for k, d, ell in series.tents(i, zero) if i <= d + ell}
+
+
+def coefficient_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> GhostCoefficient:
+    """Divisor of the i-th coefficient on the component eps (i >= 1)."""
+    if i < 1:
+        raise ValueError(f"coefficient index i = {i} must be at least 1")
+    return GhostCoefficient(i, eps, _coefficient_zeros(GhostSeries(ctx, eps), i, Classical))
 
 
 def lam_values(ctx: PrimeContext, eps: ComponentLabel, upto: int) -> list[int]:

@@ -15,18 +15,15 @@ from ghostseries.dims import dim_cusp_eta8, gamma0_invariants, eta8_weight2_exce
 from ghostseries.modified import (
     Weight2SeedSlopes,
     bundled_seed,
-    modified_boundary_slopes,
     modified_coefficient,
-    modified_multiplicity,
     seed_multiplicities,
 )
 from ghostseries.polygon import (
     classical_ghost_slopes,
-    coefficient_valuation,
     ghost_slopes,
     lower_hull,
 )
-from ghostseries.series import coefficient_divisor, delta_divisor
+from ghostseries.series import coefficient_divisor
 from ghostseries.weightspace import (
     INFINITY,
     Annulus,
@@ -39,6 +36,7 @@ from ghostseries.weightspace import (
     padic_valuation,
     pair_valuation,
 )
+from oracle import coefficient_valuation, delta_divisor, modified_boundary_slopes, modified_multiplicity
 
 CTX21 = PrimeContext(2, 1)
 EPS2 = ComponentLabel(0, 2)

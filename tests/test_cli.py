@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -288,6 +289,23 @@ def test_exit_codes(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: need n_ap >= 1 and burn_in >= 0\n"
+    # ... and before the polygon, which here could not certify (exit 3)
+    for argv, err in (
+        (["--p", "5", "--n-ap", "3"], "--n-ap and --delta must be supplied together"),
+        (["--p", "2"], "the progression structure applies to odd p only"),
+        (["--p", "5", "--n-ap", "0", "--delta", "8"], "need n_ap >= 1 and burn_in >= 0"),
+    ):
+        assert main(["boundary", *argv, "--count", "10000", "--cap", "10", "--ap"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {err}\n"
+    # a conductor base other than p is refused before any power of it is taken
+    started = time.perf_counter()
+    assert main(["slopes", "--p", "7", "--weight", "char:4:3^10000000", "--count", "1"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: conductor base 3 differs from p = 7\n"
 
 
 def test_seed_file_errors_name_the_file(tmp_path, capsys):

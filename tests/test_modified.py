@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,16 +9,16 @@ from ghostseries.modified import (
     Weight2SeedSlopes,
     bundled_seed,
     load_seed,
-    modified_boundary_slopes,
     modified_coefficient,
-    modified_multiplicity,
     regularity_check_p2,
     seed_from_json,
     seed_multiplicities,
 )
 from ghostseries.polygon import ghost_slopes
 from ghostseries.series import GhostSeries, lam_values
-from ghostseries.weightspace import Annulus, Classical, ComponentLabel, EtaEight, ExplicitW, PrimeContext
+from ghostseries.weightspace import Annulus, Classical, ComponentLabel, EtaEight, ExplicitW, PrimeContext, leg_rule
+import oracle
+from oracle import modified_boundary_slopes, modified_multiplicity
 
 HALF = Fraction(1, 2)
 CTX23 = PrimeContext(2, 3)
@@ -84,6 +85,8 @@ def test_seed_multiplicities_examples():
     # integer slopes never contribute
     whole = Weight2SeedSlopes(3, (Fraction(0), Fraction(1)))
     assert seed_multiplicities(whole) == (0, 0)
+    # blocks of three (N = 7): s(2) = (1, 1) after 0 and after 3 zeros
+    assert seed_multiplicities(Weight2SeedSlopes(7, (Fraction(1, 3),) * 3 + (Fraction(2, 3),) * 3)) == (1, 1, 0, 1, 1, 0)
 
 
 def test_positivity_criterion():
@@ -114,7 +117,16 @@ def test_modified_multiplicity_reflection():
         modified_multiplicity(5, 1, 2, seed)
 
 
-def test_modified_coefficient_divisors():
+def _divisor_or_error(build, ctx, i, seed):
+    """The zeros of a modified coefficient, base and extra, in order; or the error text."""
+    try:
+        coef = build(ctx, i, seed)
+    except ValueError as exc:
+        return str(exc)
+    return list(coef.base.zeros.items()), list(coef.extra.items())
+
+
+def test_modified_coefficient_divisors(monkeypatch):
     seed = seed3()
     c1 = modified_coefficient(CTX23, 1, seed)
     assert dict(c1.extra) == {EtaEight(2): 1}
@@ -127,6 +139,31 @@ def test_modified_coefficient_divisors():
     assert dict(c9.extra) == {EtaEight(4): 1}
     with pytest.raises(ValueError):
         modified_coefficient(PrimeContext(3, 1), 1, seed)
+    # the reads equal the reference item by item, error texts included (i = 0,
+    # p = 3, a seed of another N), with every zero table of the package switched
+    # off while the reference runs
+    thirds = Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)))
+    whole = Weight2SeedSlopes(3, (Fraction(0), Fraction(1)))
+    triples = Weight2SeedSlopes(7, (Fraction(1, 3),) * 3 + (Fraction(2, 3),) * 3)
+    cases = [(PrimeContext(2, s.N), i, s) for s in (bundled_seed(3), thirds, whole, triples) for i in range(121)]
+    cases += [(PrimeContext(3, 1), 1, seed), (PrimeContext(2, 5), 1, seed)]
+    got = [_divisor_or_error(modified_coefficient, *case) for case in cases]
+    assert {type(g) for g in got} == {tuple, str}
+    lams = lam_values(CTX23, EPS2, 40)
+    values = GhostSeries(CTX23, EPS2).values(40, leg_rule(Classical(-2), CTX23))
+
+    def no_table(*args):
+        raise AssertionError("a zero table was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghostseries") and hasattr(module, "GhostSeries"):
+            monkeypatch.setattr(module, "GhostSeries", no_table)
+    with pytest.raises(AssertionError, match="zero table"):
+        modified_coefficient(CTX23, 1, seed)
+    assert [_divisor_or_error(oracle.modified_coefficient, *case) for case in cases] == got
+    for i in range(1, 41):
+        assert oracle.delta_divisor(CTX23, EPS2, i).lam == lams[i] - lams[i - 1]
+        assert oracle.coefficient_valuation(oracle.coefficient_divisor(CTX23, EPS2, i), Classical(-2)) == values[i]
 
 
 def test_level_one_extra_is_empty():

@@ -12,7 +12,6 @@ from ghostseries.polygon import (
     SlopeList,
     _tail_clears,
     classical_ghost_slopes,
-    coefficient_valuation,
     ghost_polygon,
     ghost_slopes,
     lower_hull,
@@ -28,6 +27,7 @@ from ghostseries.weightspace import (
     PrimeContext,
     padic_valuation,
 )
+from oracle import coefficient_valuation
 
 CTX21 = PrimeContext(2, 1)
 EPS2 = ComponentLabel(0, 2)

@@ -5,15 +5,14 @@ import pytest
 
 import ghostseries.series
 from ghostseries.dims import dim_pnew, gamma0_invariants
-from ghostseries.modified import Weight2SeedSlopes, bundled_seed, modified_coefficient
-from ghostseries.polygon import coefficient_valuation
-from ghostseries.series import (
-    GhostSeries,
+from ghostseries.modified import Weight2SeedSlopes, bundled_seed
+from ghostseries.series import GhostSeries, lam_deltas, lam_values
+from oracle import (
     _component_dims,
     coefficient_divisor,
+    coefficient_valuation,
     delta_divisor,
-    lam_deltas,
-    lam_values,
+    modified_coefficient,
     multiplicity,
     updown,
     updown_padded,
@@ -154,6 +153,12 @@ def test_coefficient_divisor_rejects_bad_index():
         coefficient_divisor(CTX21, EPS2, 0)
     with pytest.raises(ValueError):
         delta_divisor(CTX21, EPS2, 0)
+    for i in (0, -3):  # the package's read fails as the reference does
+        with pytest.raises(ValueError) as want:
+            coefficient_divisor(CTX21, EPS2, i)
+        with pytest.raises(ValueError) as got:
+            ghostseries.series.coefficient_divisor(CTX21, EPS2, i)
+        assert str(got.value) == str(want.value)
 
 
 # the first five ids are kept fixed, so their test names stay comparable across versions
@@ -248,6 +253,10 @@ def test_tent_walk_matches_dimension_oracle():
                     assert tents == _oracle_tents(ctx, eps, upto), (p, N, eps, upto)
                     if tents and tents[0][0] == 2:
                         weight_two.add(N)
+                # the package's read of one coefficient equals the reference, dict order included
+                for i in (1, 12, 40):
+                    got, want = ghostseries.series.coefficient_divisor(ctx, eps, i), coefficient_divisor(ctx, eps, i)
+                    assert got == want and list(got.zeros.items()) == list(want.zeros.items()), (p, N, eps, i)
     assert {4, 7, 9, 13} <= weight_two
 
 
