@@ -2,18 +2,21 @@
 
 Near the boundary of weight space every coefficient valuation collapses to
 lam(g_i) * v_p(w_kappa), so the normalized polygon is the hull of the pure
-degree points (i, lam(g_i)).  Its slope list is eventually a finite union
-of arithmetic progressions (odd p), which is verified here through the
-interleaving identity slope(j + n_ap) = slope(j) + delta.
+degree points (i, lam(g_i)).  Its increments are proved periodic plus
+linear (``boundary_period``), so a short certified base fixes every later
+slope by slope(j + n) = slope(j) + delta: the progressions of the boundary
+conjectures, which ``ap_check`` verifies on a slope list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Sequence
 
 from .dims import gamma0_invariants
-from .errors import GhostError
+from .errors import CertificationError, GhostError
 from .polygon import DEFAULT_CAP, SlopeList, certified_slopes, ghost_slopes
 from .record import Record
 from .series import GhostSeries
@@ -21,9 +24,37 @@ from .weightspace import Annulus, ComponentLabel, PrimeContext
 
 
 class BoundaryPolygon(Record):
-    """Degree points (i, lam(g_i)), their hull, and the certified w-adic slopes."""
+    """Degree points (i, lam(g_i)) and their hull over the certified base; the w-adic slopes."""
 
     __slots__ = ("component", "points", "polygon", "slopes")
+
+
+def boundary_period(series: GhostSeries, n: int, delta: int) -> tuple[int, int, int]:
+    """(n, delta, b) with lam(Delta_{x+n}) - lam(Delta_x) = delta for every x >= b.
+
+    The conjectured (n, delta) is tried first, else n = L below, which holds
+    by construction; b >= 1 is the least burn-in.  Proof: the second
+    differences of lam(g_i) are the marks of ``series.progressions``.  Let A
+    be their largest start (a + 1 for a single mark, s = 0) and L the lcm of
+    their steps.  At x >= A a mark hits x exactly when it hits x + L, so
+    Delta_{x+L} - Delta_x, the sum of the marks on (x, x + L], is one constant
+    for x >= A - 1.  So g(x) = Delta_{x+n} - Delta_x is L-periodic there, and
+    an exact check of g = delta on [b, x0 + L), x0 = max(A - 1, 1), proves it
+    for every x >= b.
+    """
+    A = max(a + (not s) for a, s, _ in series.progressions)
+    L = lcm(*(s for _, s, _ in series.progressions if s))
+    x0 = max(A - 1, 1)
+    lam = series.lam_upto(x0 + L + max(n, L))
+    d = [0, *map(sub, lam[1:], lam)]  # d[x] = lam(Delta_x)
+    g = list(map(sub, d[n:], d))
+    if g[x0 : x0 + L].count(delta) < L:
+        n, delta = L, d[x0 + L] - d[x0]
+        g = list(map(sub, d[n:], d))
+    b = x0
+    while b > 1 and g[b - 1] == delta:
+        b -= 1
+    return n, delta, b
 
 
 def boundary_polygon(
@@ -34,19 +65,45 @@ def boundary_polygon(
     seed=None,
     cap: int | None = None,
 ) -> BoundaryPolygon:
-    """Hull of (i, lam(g_i)) with the first n slopes certified.
+    """The first n slopes of the hull of (i, lam(g_i)), all certified.
 
-    Passing a weight-2 seed switches to the modified p = 2 series.
+    Passing a weight-2 seed switches to the modified p = 2 series.  With
+    (q, delta, b) from ``boundary_period``, lam(g_{x+q}) = lam(g_x) + delta*x
+    + C for x >= b - 1, so the shear (x, y) -> (x + q, y + delta*x + C) maps
+    those points, and their lower hull, onto the points from b - 1 + q on.
+    A hull vertex v >= b - 1 + q thus gives slope(j) = slope(j - q) + delta
+    for every j > v + q.  So a certified base, the slopes through the end of
+    the edge of slope m, that holds such a v with v + q inside it determines
+    the rest by the shear; ``points`` and ``polygon`` then cover the base
+    only.  Without such a base shorter than n within the cap, the n slopes
+    are certified directly.
     """
     series = GhostSeries(ctx, eps, seed)
-    slopes, poly, points = certified_slopes(
-        series.lam_upto,
-        series.lam_upto,
-        Fraction(1),
-        n,
-        DEFAULT_CAP if cap is None else cap,
-    )
-    return BoundaryPolygon(eps, tuple(points), poly, slopes)
+    cap = DEFAULT_CAP if cap is None else cap
+
+    def certify(count: int) -> BoundaryPolygon:
+        slopes, poly, points = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), count, cap)
+        return BoundaryPolygon(eps, tuple(points), poly, slopes)
+
+    q, delta = (gamma0_invariants(ctx.N).index, 1) if ctx.p == 2 else ap_parameters(ctx)
+    if n > 2 * q + 1:  # else no base is shorter than n
+        q, delta, b = boundary_period(series, q, delta)
+        m = b + 2 * q + 1
+        while m < n:
+            try:
+                base = certify(m)
+            except CertificationError:
+                break
+            xs = [x for x, _ in base.polygon.vertices]
+            end = next(x for x in xs if x >= m)  # the certified edge of slope m ends here
+            if any(b - 1 + q <= v <= end - q for v in xs):
+                out = list(base.polygon.slopes(end))
+                for j in range(end, n):  # out[j] = out[j - q] + delta, built already reduced
+                    s = out[j - q]
+                    out.append(Fraction(s.numerator + delta * s.denominator, s.denominator))
+                return BoundaryPolygon(eps, base.points, base.polygon, SlopeList(tuple(out[:n]), n))
+            m *= 2
+    return certify(n)
 
 
 # ---------------------------------------------------------------------------

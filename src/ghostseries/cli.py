@@ -94,6 +94,12 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
                 raise UsageError(f"conductor in {spec!r} is not a power of p = {ctx.p}")
         if base != ctx.p:
             raise UsageError(f"conductor base {base} differs from p = {ctx.p}")
+        # a slope r / (p^(t-2) (p-1) den) reduces by at most the p-part of its
+        # printable numerator r < 10^digits, so no nonzero slope prints once
+        # p^(t-2) >= 2^(8 digits) > 10^(2 digits); Python < 3.10.7 has no limit
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if digits and (t - 2) * (ctx.p.bit_length() - 1) >= 8 * digits:
+            raise UsageError(f"conductor exponent t = {t} in {spec!r} is too large to print slopes at")
         return CharClassical(k, t)
     m = re.fullmatch(r"eta8:(\d+)", spec)
     if m:

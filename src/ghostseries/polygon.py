@@ -13,7 +13,8 @@ valuation any zero can contribute against the given weight:
 because zeros of the coefficients satisfy v_p(w) >= 1 (>= 3 for p = 2;
 the extra eta_8 zeros of the modified series sit at v_2(w) = 1).  The
 growth of lam(Delta_i) past s/c is checked exactly on a window beyond D
-and extrapolated monotonically past the window.
+and extrapolated monotonically past the window: a proof only where, as in
+``boundary``'s base, a proved period of the increments fits in the window.
 """
 
 from __future__ import annotations

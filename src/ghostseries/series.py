@@ -75,34 +75,33 @@ def _family(row, k: int, dk: int) -> tuple:
     return (k, d0, l0), (dk, d1 - d0, l1 - l0)
 
 
-def _mark_family(marks: list, head: tuple, step: tuple) -> None:
-    """Add the degree marks of one family's tents to ``marks``, dropping those
-    past its end.
+def _family_marks(head: tuple, step: tuple) -> list[tuple[int, int, int]]:
+    """The second differences of lam(g_i) from one family's tents, as
+    progressions (a, s, w): w is added at i = a, a + s, a + 2s, ...
 
-    Tent j is (d + j*dd, ell + j*dell), empty while ell + j*dell < 1, and its
-    four second-difference marks are +1 at d_j + 1, -1 at d_j + ceil(ell_j/2)
-    + 1 and at d_j + floor(ell_j/2) + 2, and +1 at d_j + ell_j + 2.  On the
-    tents of one parity of j each mark steps by a constant, so the family
-    takes eight extended-slice updates.  Every mark of a tent with d_j past
-    the end is past it too, so the slices stop the family exactly.
+    Tent j is (d + j*dd, ell + j*dell), empty while ell + j*dell < 1, with
+    marks +1 at d_j + 1, -1 at d_j + ceil(ell_j/2) + 1 and at d_j +
+    floor(ell_j/2) + 2, and +1 at d_j + ell_j + 2.  Each steps by a constant
+    on one parity of j, so a family gives eight progressions; the single
+    weight-2 tent gives four single marks, s = 0.
     """
     (_, d, ell), (_, dd, dell) = head, step
     if ell < 1:
         if not dell:
-            return
+            return []
         j = (dell - ell) // dell  # the first tent with ell_j >= 1 (dell > 0)
         d, ell = d + j * dd, ell + j * dell
-    stop = len(marks)
-    if not dd:  # the weight-2 tent: a second one would start past the end
-        dd = stop
-    for d, ell in (d, ell), (d + dd, ell + dell):  # the first tent of each parity
-        for a, s, w in (
+    firsts = [(d, ell), (d + dd, ell + dell)] if dd else [(d, ell)]  # the first tent of each parity
+    return [
+        mark
+        for d, ell in firsts
+        for mark in (
             (d + 1, 2 * dd, 1),
             (d + (ell + 1) // 2 + 1, 2 * dd + dell, -1),
             (d + ell // 2 + 2, 2 * dd + dell, -1),
             (d + ell + 2, 2 * (dd + dell), 1),
-        ):
-            marks[a:stop:s] = map(add, marks[a:stop:s], repeat(w))
+        )
+    ]
 
 
 def _classical_families(ctx: PrimeContext, eps: ComponentLabel) -> list:
@@ -164,6 +163,8 @@ class GhostSeries:
         # a fractional block adds, sit at v_2(w) = 1; classical ones at
         # v_p(w) >= 1 (>= 3 for p = 2)
         self.floor_cap = Fraction(1 if ctx.p != 2 or self._families[EtaEight] else 3)
+        # every family's degree marks, as progressions (a, s, w); see _family_marks
+        self.progressions = [m for fams in self._families.values() for f in fams for m in _family_marks(*f)]
         self._lams: list[int] = [0]
 
     def tents(self, upto: int, zero: type = Classical) -> Iterator[tuple[int, int, int]]:
@@ -190,15 +191,16 @@ class GhostSeries:
         leg.  The multiplicity of a tent rises by one on [d + 1, d + ceil(ell/2)]
         and falls by one on [d + floor(ell/2) + 2, d + ell + 1]: these second
         differences, weighted by the leg, are marked and two prefix sums read
-        them out.  The degrees mark whole families by progression slices
-        (``_mark_family``); other legs walk the tents, and are taken only for
-        zeros of g_1..g_upto.
+        them out.  The degrees add each of ``progressions`` as one extended
+        slice, which stops at upto; other legs walk the tents, and are taken
+        only for zeros of g_1..g_upto.
         """
         if leg == 1:
-            marks = [0] * (upto + 1)
-            for families in self._families.values():
-                for head, step in families:
-                    _mark_family(marks, head, step)
+            stop = upto + 1
+            marks = [0] * stop
+            for a, s, w in self.progressions:
+                part = slice(a, stop, s or stop)  # s = 0: the single mark at a
+                marks[part] = map(add, marks[part], repeat(w))
             return list(accumulate(accumulate(marks)))
         spill = upto + 1  # marks past upto land here and never reach a sum
         marks = [0] * (upto + 2)

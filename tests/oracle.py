@@ -4,9 +4,11 @@ Each coefficient divisor is built here as a dict, zero by zero, straight
 from the dimension formulas: d_k = dim S_k(Gamma_0(N)), the p-new
 dimension and the eta_8 dimensions, with no zero table.  These are slow,
 but independent of ``ghostseries.series``' table and its reads, which is
-what makes them a reference.  The one-line ``modified_boundary_slopes``
-wraps the package's boundary polygon for the tests that read the
-modified boundary slopes by tame level.
+what makes them a reference.  ``boundary_slopes_reference`` certifies
+boundary slopes over the whole degree array, with no period and no shear,
+so it checks ``boundary_polygon`` apart from its period proof.  The one-line
+``modified_boundary_slopes`` wraps the package's boundary polygon for the
+tests that read the modified boundary slopes by tame level.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from typing import Dict, Iterator
 from ghostseries.boundary import boundary_polygon
 from ghostseries.dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from ghostseries.modified import ModifiedCoefficient, Weight2SeedSlopes, seed_multiplicities
-from ghostseries.polygon import SlopeList
+from ghostseries.polygon import DEFAULT_CAP, SlopeList, certified_slopes
 from ghostseries.record import Record
-from ghostseries.series import GhostCoefficient
+from ghostseries.series import GhostCoefficient, GhostSeries
 from ghostseries.weightspace import (
     INFINITY,
     Classical,
@@ -184,6 +186,20 @@ def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> 
             if m:
                 extra[EtaEight(k)] = m
     return ModifiedCoefficient(base, extra)
+
+
+def boundary_slopes_reference(
+    ctx: PrimeContext,
+    eps: ComponentLabel,
+    n: int,
+    *,
+    seed: Weight2SeedSlopes | None = None,
+    cap: int = DEFAULT_CAP,
+) -> SlopeList:
+    """First n boundary slopes certified directly: the hull and the window
+    certificate over the whole degree array, with no period and no shear."""
+    series = GhostSeries(ctx, eps, seed)
+    return certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap)[0]
 
 
 def modified_boundary_slopes(

@@ -1,18 +1,25 @@
 import random
 from fractions import Fraction
+from math import lcm
+from operator import sub
 
 import pytest
 
 from ghostseries.boundary import (
     ap_check,
+    boundary_period,
     boundary_polygon,
     halo_profile,
     scan_burn_in,
     ap_parameters,
 )
+from ghostseries.dims import gamma0_invariants
 from ghostseries.errors import GhostError
+from ghostseries.modified import bundled_seed
 from ghostseries.polygon import ghost_slopes
+from ghostseries.series import GhostSeries, lam_deltas
 from ghostseries.weightspace import Annulus, ComponentLabel, PrimeContext, is_prime
+from oracle import boundary_slopes_reference
 
 
 def test_boundary_p2_level1_is_1_2_3():
@@ -31,6 +38,61 @@ def test_boundary_p3_eventual_increments():
     bp = boundary_polygon(PrimeContext(3, 1), ComponentLabel(0, 3), 40)
     diffs = [b - a for a, b in zip(bp.slopes.slopes, bp.slopes.slopes[1:])]
     assert diffs[5:] == [2] * len(diffs[5:])
+
+
+def _components(primes, levels):
+    for p in primes:
+        for N in levels:
+            if N % p:
+                for residue in range(0, max(p - 1, 1), 2):
+                    yield PrimeContext(p, N), ComponentLabel(residue, p)
+
+
+def test_boundary_slopes_match_the_direct_hull():
+    cases = 0
+    for ctx, eps in _components((2, 3, 5, 7, 11, 13), range(1, 13)):
+        for n in (50, 300, 1500):
+            assert boundary_polygon(ctx, eps, n).slopes == boundary_slopes_reference(ctx, eps, n), (ctx, eps, n)
+            cases += 1
+    assert cases == 582
+    ctx, eps, seed = PrimeContext(2, 3), ComponentLabel(0, 2), bundled_seed(3)
+    assert boundary_polygon(ctx, eps, 2000, seed=seed).slopes == boundary_slopes_reference(ctx, eps, 2000, seed=seed)
+
+
+def test_boundary_period_pins_the_degree_increments():
+    components = 0
+    for ctx, eps in _components((2, 3, 5, 7, 11, 13), range(1, 41)):
+        conjectured = (gamma0_invariants(ctx.N).index, 1) if ctx.p == 2 else ap_parameters(ctx)
+        series = GhostSeries(ctx, eps)
+        A = max(a for a, _, _ in series.progressions)
+        L = lcm(*(s for _, s, _ in series.progressions if s))
+        n, delta, b = boundary_period(series, *conjectured)
+        assert (n, delta) == conjectured, (ctx, eps)
+        d = lam_deltas(ctx, eps, A + L + 3 * n)
+        g = list(map(sub, d[n:], d))  # g[x] = lam(Delta_{x+n}) - lam(Delta_x)
+        assert set(g[b : A + L + 2 * n + 1]) == {delta}, (ctx, eps)
+        assert b == 1 or g[b - 1] != delta, (ctx, eps)
+        components += 1
+    assert components == 623
+
+
+def test_boundary_period_falls_back_to_the_common_period():
+    for ctx, eps in _components((3, 5, 7), (1, 2, 5)):
+        series = GhostSeries(ctx, eps)
+        L = lcm(*(s for _, s, _ in series.progressions if s))
+        n_ap, delta_ap = ap_parameters(ctx)
+        n, delta, b = boundary_period(series, n_ap, delta_ap + 1)
+        assert n == L
+        d = lam_deltas(ctx, eps, b + 4 * L)
+        g = list(map(sub, d[L:], d))
+        assert set(g[b : b + 3 * L]) == {delta}, (ctx, eps)
+        assert b == 1 or g[b - 1] != delta, (ctx, eps)
+
+
+def test_boundary_base_stays_short():
+    bp = boundary_polygon(PrimeContext(5, 1), ComponentLabel(0, 5), 100_000, cap=10**7)
+    assert len(bp.slopes) == bp.slopes.certified_count == 100_000
+    assert len(bp.points) < 1000
 
 
 def test_ap_parameters():

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ghostseries.boundary import ap_check, ap_parameters, boundary_polygon, scan_burn_in
-from ghostseries.cli import build_parser, compare, main, parse_weight
+from ghostseries.cli import UsageError, build_parser, compare, main, parse_weight
 from ghostseries.modified import bundled_seed
 from ghostseries.polygon import SlopeList, classical_ghost_slopes, ghost_slopes
 from ghostseries.series import GhostSeries
@@ -306,6 +307,29 @@ def test_exit_codes(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: conductor base 3 differs from p = 7\n"
+
+
+def test_conductor_exponent_bound(capsys, monkeypatch):
+    # an exponent whose slopes could not be printed is refused before any power of p is taken
+    started = time.perf_counter()
+    assert main(["slopes", "--p", "7", "--weight", "char:4:7^1000000", "--count", "1"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: conductor exponent t = 1000000 in 'char:4:7^1000000' is too large to print slopes at\n"
+    # the bound: p^(t-2) >= 2^(8 * 4300) at p = 7 from t = 17202 on, past every printable slope
+    ctx = PrimeContext(7)
+    assert parse_weight("char:4:7^17201", ctx) == CharClassical(4, 17201)
+    with pytest.raises(UsageError):
+        parse_weight("char:4:7^17202", ctx)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)  # no limit: no bound
+    assert parse_weight("char:4:7^1000000", ctx) == CharClassical(4, 1000000)
+    monkeypatch.undo()
+    # a large t whose slopes print is unchanged: the boundary slopes over 7^(t-2) * 6
+    assert main(["slopes", "--p", "7", "--weight", "char:4:7^5089", "--count", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    boundary = boundary_polygon(ctx, ComponentLabel(4, 7), 3).slopes
+    assert [Fraction(e["slope"]["num"], e["slope"]["den"]) for e in doc] == [s / (7**5087 * 6) for s in boundary]
 
 
 def test_seed_file_errors_name_the_file(tmp_path, capsys):
