@@ -8,18 +8,14 @@ serialized as {"num", "den"} integer pairs, never as floats.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
+from importlib import import_module
 
-from .boundary import ap_check, boundary_polygon, check_ap_counts, halo_profile, scan_burn_in, ap_parameters
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ComponentMismatch, ExternalDataError, GhostError, PrecisionError
-from .modified import Weight2SeedSlopes, bundled_seed, json_int, load_seed
-from .modified import modified_coefficient  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
 from .record import Record
 from .series import GhostSeries
@@ -34,6 +30,27 @@ from .weightspace import (
     PrimeContext,
     WeightPoint,
 )
+
+# the names cli reads from the modules only some subcommands run; _need binds each
+# on first use, or on a read from outside, and keeps one already bound (a wrapper)
+_LAZY = {
+    "boundary": ("ap_check", "ap_parameters", "boundary_polygon", "check_ap_counts", "halo_profile", "scan_burn_in"),
+    "modified": ("Weight2SeedSlopes", "bundled_seed", "json_int", "load_seed", "modified_coefficient"),
+}
+
+
+def _need(module: str) -> None:
+    mod = import_module(f".{module}", __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(ValueError):
@@ -138,6 +155,7 @@ def _seed(args, ctx: PrimeContext) -> Weight2SeedSlopes | None:
         return None
     if ctx.p != 2:
         raise UsageError("--modified applies only to p = 2")
+    _need("modified")
     if getattr(args, "seed", None):
         seed = load_seed(args.seed)
         if seed.N != ctx.N:
@@ -187,6 +205,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    import json
     ctx = _context(args)
     inv_n = gamma0_invariants(ctx.N)
     inv_np = gamma0_invariants(ctx.N * ctx.p)
@@ -215,6 +234,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
+    import json
+    _need("boundary")
     ctx = _context(args)
     seed = _seed(args, ctx)
     eps = ComponentLabel(args.component, ctx.p)
@@ -263,6 +284,8 @@ def _halo_csv(profile, n: int) -> str:
 
 
 def _cmd_halo(args) -> int:
+    from pathlib import Path
+    _need("boundary")
     ctx = _context(args)
     seed = _seed(args, ctx)
     intervals = args.interval or [0]
@@ -297,6 +320,7 @@ class ComparisonReport(Record):
 
 def _fixture_slopes(fixture: dict, fixture_name: str) -> list[Fraction]:
     """The slopes a fixture lists, as exact rationals."""
+    _need("modified")
     try:
         return [Fraction(json_int(s["num"]), json_int(s["den"])) for s in fixture["slopes"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -322,6 +346,7 @@ def compare(fixture: dict, computed: SlopeList, fixture_name: str = "<fixture>")
 
 
 def _cmd_compare(args) -> int:
+    import json
     ctx = _context(args)
     seed = _seed(args, ctx)
     weight = parse_weight(args.weight, ctx)

@@ -152,7 +152,12 @@ def _nth_anchor(poly: NewtonPolygon, n: int) -> tuple[Fraction, int, Fraction]:
     raise AssertionError("anchor requested beyond the hull")
 
 
-def _tail_clears(
+def _tail_clears(*args) -> bool:
+    """True when ``_tail_fault`` finds no fault."""
+    return _tail_fault(*args) is None
+
+
+def _tail_fault(
     lam: Sequence[int],
     D: int,
     window_end: int,
@@ -160,12 +165,14 @@ def _tail_clears(
     s: Fraction,
     i0: int,
     y0: int | Fraction,
-) -> bool:
-    """Exact window check plus the monotone extrapolation assertion.
+) -> str | None:
+    """Exact window check plus the monotone extrapolation assertion: the
+    reason of the first failure, or None.
 
-    Each index i of the window must satisfy lam[i] * c > y0 + s * (i - i0)
-    and (lam[i] - lam[i - 1]) * c > s.  Both are multiplied through by the
-    positive denominators of c, s and y0, so the loop compares ints.
+    Each index i of the window must satisfy the line condition lam[i] * c >
+    y0 + s * (i - i0) and the step condition (lam[i] - lam[i - 1]) * c > s,
+    multiplied through by the positive denominators of c, s and y0, so the
+    loop compares ints.
     """
     cn, cd = c.numerator, c.denominator
     sn, sd = s.numerator, s.denominator
@@ -180,12 +187,14 @@ def _tail_clears(
         prev = cur
         line += rise
         deltas.append(step)
-        if cur * lead <= line or step * step_lead <= step_floor:
-            return False
+        if cur * lead <= line:
+            return f"the line condition failed at index {i}"
+        if step * step_lead <= step_floor:
+            return f"the step condition failed at index {i}"
     half = len(deltas) // 2
     if half and min(deltas[half:]) < min(deltas[:half]):
-        return False
-    return True
+        return "the monotone check failed"
+    return None
 
 
 def certified_slopes(
@@ -218,14 +227,15 @@ def certified_slopes(
         points = list(enumerate(values(D)[: D + 1]))
         poly = lower_hull(points)
         flat = poly.slopes(n)
+        fault = f"the hull had {len(flat)} slopes, fewer than {n}"
         if len(flat) >= n:
-            s, i0, y0 = _nth_anchor(poly, n)
-            if _tail_clears(lam, D, window_end, c, s, i0, y0):
+            fault = _tail_fault(lam, D, window_end, c, *_nth_anchor(poly, n))
+            if fault is None:
                 return SlopeList(flat, n), poly, points
         if D >= cap:
             raise CertificationError(
                 f"could not certify {n} slopes within the degree cap {cap}; "
-                "raise the cap (flag --cap or GHOST_CAP)"
+                f"raise the cap (flag --cap or GHOST_CAP); last round D = {D}, window end {window_end}: {fault}"
             )
         D = min(window_end, cap)
 

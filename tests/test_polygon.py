@@ -11,6 +11,7 @@ from ghostseries.polygon import (
     NewtonPolygon,
     SlopeList,
     _tail_clears,
+    _tail_fault,
     classical_ghost_slopes,
     ghost_polygon,
     ghost_slopes,
@@ -239,6 +240,21 @@ def test_59_adic_ordinary_weight():
 def test_certification_cap_failure():
     with pytest.raises(CertificationError):
         ghost_slopes(CTX21, Classical(0), 40, cap=12)
+
+
+def test_certification_error_says_how_far_it_got():
+    with pytest.raises(CertificationError) as failed:
+        ghost_slopes(CTX21, Classical(0), 40, cap=12)
+    assert str(failed.value) == (
+        "could not certify 40 slopes within the degree cap 12; raise the cap (flag --cap or GHOST_CAP); "
+        "last round D = 12, window end 56: the hull had 12 slopes, fewer than 40"
+    )
+    with pytest.raises(CertificationError, match="D = 3, window end 38: the line condition failed at index 4$"):
+        ghost_slopes(CTX21, Classical(0), 3, cap=3)
+    # the other two reasons, on toy windows
+    assert _tail_fault([0, 3], 0, 1, Fraction(1, 2), Fraction(3, 2), 0, -1) == "the step condition failed at index 1"
+    assert _tail_fault([0, 5, 9], 0, 2, Fraction(1), Fraction(0), 0, 0) == "the monotone check failed"
+    assert _tail_fault([0, 5, 10], 0, 2, Fraction(1), Fraction(0), 0, 0) is None
 
 
 def test_cap_below_one_is_rejected():
