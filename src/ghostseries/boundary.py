@@ -34,25 +34,22 @@ def boundary_period(series: GhostSeries, n: int, delta: int) -> tuple[int, int, 
 
     The conjectured (n, delta) is tried first, else n = L below, which holds
     by construction; b >= 1 is the least burn-in.  Proof: the second
-    differences of lam(g_i) are the marks of ``series.progressions``.  Let A
-    be their largest start (a + 1 for a single mark, s = 0) and L the lcm of
-    their steps.  At x >= A a mark hits x exactly when it hits x + L, so
-    Delta_{x+L} - Delta_x, the sum of the marks on (x, x + L], is one constant
-    for x >= A - 1.  So g(x) = Delta_{x+n} - Delta_x is L-periodic there, and
-    an exact check of g = delta on [b, x0 + L), x0 = max(A - 1, 1), proves it
-    for every x >= b.
+    differences of lam(g_i) are the marks of ``series.progressions``; A is
+    their last start (``series.degree_bound``), L the lcm of their steps.  At
+    x >= A a mark hits x exactly when it hits x + L, so Delta_{x+L} - Delta_x,
+    the sum of the marks on (x, x + L], is one constant for x >= A - 1.  So
+    g(x) = Delta_{x+n} - Delta_x is L-periodic there, and an exact check of
+    g = delta on [b, x0 + L), x0 = max(A - 1, 1), proves it for every x >= b.
     """
-    A = max(a + (not s) for a, s, _ in series.progressions)
+    A = series.degree_bound()[0]
     L = lcm(*(s for _, s, _ in series.progressions if s))
     x0 = max(A - 1, 1)
-    lam = series.lam_upto(x0 + L + max(n, L))
+    lam = series.lam_upto(x0 + L + n)
     d = [0, *map(sub, lam[1:], lam)]  # d[x] = lam(Delta_x)
-    g = list(map(sub, d[n:], d))
-    if g[x0 : x0 + L].count(delta) < L:
+    if list(map(sub, d[x0 + n : x0 + L + n], d[x0 : x0 + L])).count(delta) < L:
         n, delta = L, d[x0 + L] - d[x0]
-        g = list(map(sub, d[n:], d))
     b = x0
-    while b > 1 and g[b - 1] == delta:
+    while b > 1 and d[b - 1 + n] - d[b - 1] == delta:
         b -= 1
     return n, delta, b
 
@@ -80,9 +77,10 @@ def boundary_polygon(
     """
     series = GhostSeries(ctx, eps, seed)
     cap = DEFAULT_CAP if cap is None else cap
+    bound = series.degree_bound()
 
     def certify(count: int) -> BoundaryPolygon:
-        slopes, poly, points = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), count, cap)
+        slopes, poly, points = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), count, cap, bound)
         return BoundaryPolygon(eps, tuple(points), poly, slopes)
 
     q, delta = (gamma0_invariants(ctx.N).index, 1) if ctx.p == 2 else ap_parameters(ctx)

@@ -17,7 +17,7 @@ from importlib import import_module
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ComponentMismatch, ExternalDataError, GhostError, PrecisionError
 from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
-from .record import Record
+from .record import Record, json_int
 from .series import GhostSeries
 from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .weightspace import (
@@ -35,7 +35,7 @@ from .weightspace import (
 # on first use, or on a read from outside, and keeps one already bound (a wrapper)
 _LAZY = {
     "boundary": ("ap_check", "ap_parameters", "boundary_polygon", "check_ap_counts", "halo_profile", "scan_burn_in"),
-    "modified": ("Weight2SeedSlopes", "bundled_seed", "json_int", "load_seed", "modified_coefficient"),
+    "modified": ("Weight2SeedSlopes", "bundled_seed", "load_seed", "modified_coefficient"),
 }
 
 
@@ -320,7 +320,6 @@ class ComparisonReport(Record):
 
 def _fixture_slopes(fixture: dict, fixture_name: str) -> list[Fraction]:
     """The slopes a fixture lists, as exact rationals."""
-    _need("modified")
     try:
         return [Fraction(json_int(s["num"]), json_int(s["den"])) for s in fixture["slopes"]]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

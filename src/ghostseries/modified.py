@@ -30,7 +30,7 @@ from typing import Dict, Mapping
 from .dims import dim_cusp_eta8, dim_cusp_gamma0
 from .errors import ExternalDataError
 from .polygon import certified_slopes  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
-from .record import Record, init
+from .record import Record, init, json_int
 from .series import GhostCoefficient, GhostSeries, _coefficient_zeros, coefficient_divisor
 from .weightspace import ComponentLabel, EtaEight, PrimeContext, WeightPoint
 
@@ -70,13 +70,6 @@ class Weight2SeedSlopes(Record):
     @property
     def dimension(self) -> int:
         return len(self.slopes)
-
-
-def json_int(x) -> int:
-    """An integer read from parsed JSON; a float or a boolean is refused, never truncated."""
-    if isinstance(x, (bool, float)):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return int(x)
 
 
 def seed_from_json(obj: dict) -> Weight2SeedSlopes:

@@ -12,14 +12,15 @@ valuation any zero can contribute against the given weight:
 
 because zeros of the coefficients satisfy v_p(w) >= 1 (>= 3 for p = 2;
 the extra eta_8 zeros of the modified series sit at v_2(w) = 1).  The
-growth of lam(Delta_i) past s/c is checked exactly on a window beyond D
-and extrapolated monotonically past the window: a proof only where, as in
-``boundary``'s base, a proved period of the increments fits in the window.
+line condition is checked exactly on a window beyond D, long enough that
+the linear bound lam(Delta_i) >= alpha*i - beta of
+``GhostSeries.degree_bound`` carries it to every later index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 from typing import Callable, Sequence
 
 from .dims import dim_cusp_gamma0
@@ -147,53 +148,25 @@ def _nth_anchor(poly: NewtonPolygon, n: int) -> tuple[Fraction, int, Fraction]:
     for edge, (slope, mult) in enumerate(poly.slope_pairs()):
         covered += mult
         if covered >= n:
-            x, y = poly.vertices[edge + 1]
-            return slope, x, y
+            return (slope, *poly.vertices[edge + 1])
     raise AssertionError("anchor requested beyond the hull")
 
 
-def _tail_clears(*args) -> bool:
-    """True when ``_tail_fault`` finds no fault."""
-    return _tail_fault(*args) is None
-
-
 def _tail_fault(
-    lam: Sequence[int],
-    D: int,
-    window_end: int,
-    c: Fraction,
-    s: Fraction,
-    i0: int,
-    y0: int | Fraction,
+    lam: Sequence[int], D: int, window_end: int, c: Fraction, s: Fraction, i0: int, y0: int | Fraction
 ) -> str | None:
-    """Exact window check plus the monotone extrapolation assertion: the
-    reason of the first failure, or None.
-
-    Each index i of the window must satisfy the line condition lam[i] * c >
-    y0 + s * (i - i0) and the step condition (lam[i] - lam[i - 1]) * c > s,
-    multiplied through by the positive denominators of c, s and y0, so the
-    loop compares ints.
+    """Why the first index i of (D, window_end] fails the line condition
+    lam[i] * c > y0 + s * (i - i0), or None.  The condition is multiplied
+    through by the positive denominators of c, s and y0, so ints are compared.
     """
     cn, cd = c.numerator, c.denominator
     sn, sd = s.numerator, s.denominator
     yn, yd = y0.numerator, y0.denominator
     lead, line, rise = cn * sd * yd, yn * cd * sd + sn * cd * yd * (D - i0), sn * cd * yd
-    step_lead, step_floor = cn * sd, sn * cd
-    deltas: list[int] = []
-    prev = lam[D]
     for i in range(D + 1, window_end + 1):
-        cur = lam[i]
-        step = cur - prev
-        prev = cur
         line += rise
-        deltas.append(step)
-        if cur * lead <= line:
+        if lam[i] * lead <= line:
             return f"the line condition failed at index {i}"
-        if step * step_lead <= step_floor:
-            return f"the step condition failed at index {i}"
-    half = len(deltas) // 2
-    if half and min(deltas[half:]) < min(deltas[:half]):
-        return "the monotone check failed"
     return None
 
 
@@ -203,16 +176,22 @@ def certified_slopes(
     c: Fraction,
     n: int,
     cap: int,
+    bound: tuple[int, Fraction, Fraction],
 ) -> tuple[SlopeList, NewtonPolygon, list[tuple[int, ExtendedRational]]]:
     """First n hull slopes with a truncation certificate.
 
     Grows the truncation degree D (doubling, up to ``cap``) until the hull
-    over indices 0..D has n slopes and every coefficient on the window
-    (D, 2D + 32] provably clears the supporting line at the n-th slope.
-    Each round asks ``lam_upto`` for the degrees through the window end
-    first, then ``values(D)`` for the point values of indices 0..D (at
-    least), so a caller whose values are the degrees builds one degree
-    array per round.
+    over indices 0..D has n slopes and every coefficient past D provably
+    clears the supporting line y0 + s(i - i0) at the n-th slope.  Each round
+    asks ``lam_upto`` for the degrees through 2D + 32 first, then
+    ``values(D)`` for the point values of indices 0..D (at least), so a
+    caller whose values are the degrees builds one degree array per round.
+
+    With (A, alpha, beta) = ``bound`` from ``GhostSeries.degree_bound``, the
+    line condition c*lam(g_i) > y0 + s(i - i0) is checked exactly on (D, W],
+    W = max(2D + 32, A - 1, ceil((s/c + beta)/alpha) - 1).  Each i > W has
+    i >= A, so c*lam(Delta_i) >= c(alpha*(W + 1) - beta) >= s: the gap
+    c*lam(g_i) - y0 - s(i - i0), positive at W, never falls after it.
     """
     if n < 1:
         raise ValueError("at least one slope must be requested")
@@ -220,6 +199,7 @@ def certified_slopes(
         raise ValueError(f"the degree cap must be at least 1, got {cap}")
     if c <= 0:
         raise ValueError("the valuation floor c must be positive")
+    A, alpha, beta = bound
     D = min(max(2 * n, 16), cap)
     while True:
         window_end = 2 * D + 32
@@ -229,7 +209,11 @@ def certified_slopes(
         flat = poly.slopes(n)
         fault = f"the hull had {len(flat)} slopes, fewer than {n}"
         if len(flat) >= n:
-            fault = _tail_fault(lam, D, window_end, c, *_nth_anchor(poly, n))
+            s, i0, y0 = _nth_anchor(poly, n)
+            W = max(window_end, A - 1, ceil((s / c + beta) / alpha) - 1)
+            if W > window_end:
+                window_end, lam = W, lam_upto(W)
+            fault = _tail_fault(lam, D, window_end, c, s, i0, y0)
             if fault is None:
                 return SlopeList(flat, n), poly, points
         if D >= cap:
@@ -237,7 +221,7 @@ def certified_slopes(
                 f"could not certify {n} slopes within the degree cap {cap}; "
                 f"raise the cap (flag --cap or GHOST_CAP); last round D = {D}, window end {window_end}: {fault}"
             )
-        D = min(window_end, cap)
+        D = min(2 * D + 32, cap)
 
 
 def _valuation_floor(ctx: PrimeContext, kappa: WeightPoint, cap_val: Fraction) -> Fraction:
@@ -268,12 +252,9 @@ def ghost_polygon(
     series = GhostSeries(ctx, weight_component(kappa, ctx), seed)
     c = _valuation_floor(ctx, kappa, series.floor_cap)
     leg = leg_rule(kappa, ctx)  # every zero of the series lies on the component of kappa
+    cap = DEFAULT_CAP if cap is None else cap
     slopes, poly, _ = certified_slopes(
-        lambda D: series.values(D, leg),
-        series.lam_upto,
-        c,
-        n,
-        DEFAULT_CAP if cap is None else cap,
+        lambda D: series.values(D, leg), series.lam_upto, c, n, cap, series.degree_bound()
     )
     return slopes, poly
 

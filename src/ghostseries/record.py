@@ -58,3 +58,10 @@ class Record:
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+def json_int(x) -> int:
+    """An integer read from parsed JSON; a float or a boolean is refused, never truncated."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)

@@ -167,6 +167,28 @@ class GhostSeries:
         self.progressions = [m for fams in self._families.values() for f in fams for m in _family_marks(*f)]
         self._lams: list[int] = [0]
 
+    def degree_bound(self) -> tuple[int, Fraction, Fraction]:
+        """(A, alpha, beta) with lam(Delta_x) >= alpha*x - beta for every x >= A.
+
+        lam(Delta_x) sums the marks (a, s, w) of ``progressions`` on [1, x]; A
+        is their last start (a + 1 for a single mark, s = 0).  At x >= A a mark
+        with s > 0 hits floor((x - a)/s) + 1 times, between (x - a + 1)/s and
+        (x - a + s)/s: the low end for w > 0, the high end for w < 0 give beta.
+        """
+        marks = self.progressions
+        A = max(a + (not s) for a, s, _ in marks)
+        L = lcm(*(s for _, s, _ in marks if s))
+        alpha = beta = 0
+        for a, s, w in marks:
+            if s:
+                alpha += w * (L // s)
+                beta += w * (a - 1 if w > 0 else a - s) * (L // s)
+            else:
+                beta -= w * L
+        if alpha <= 0:
+            raise AssertionError("the degree increments must grow linearly")
+        return A, Fraction(alpha, L), Fraction(beta, L)
+
     def tents(self, upto: int, zero: type = Classical) -> Iterator[tuple[int, int, int]]:
         """(k, d, ell) for each zero of the type in g_1..g_upto, by increasing k.
 

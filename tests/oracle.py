@@ -199,7 +199,7 @@ def boundary_slopes_reference(
     """First n boundary slopes certified directly: the hull and the window
     certificate over the whole degree array, with no period and no shear."""
     series = GhostSeries(ctx, eps, seed)
-    return certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap)[0]
+    return certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap, series.degree_bound())[0]
 
 
 def modified_boundary_slopes(

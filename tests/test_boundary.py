@@ -15,7 +15,7 @@ from ghostseries.boundary import (
 )
 from ghostseries.dims import gamma0_invariants
 from ghostseries.errors import GhostError
-from ghostseries.modified import bundled_seed
+from ghostseries.modified import Weight2SeedSlopes, bundled_seed
 from ghostseries.polygon import ghost_slopes
 from ghostseries.series import GhostSeries, lam_deltas
 from ghostseries.weightspace import Annulus, ComponentLabel, PrimeContext, is_prime
@@ -74,6 +74,32 @@ def test_boundary_period_pins_the_degree_increments():
         assert b == 1 or g[b - 1] != delta, (ctx, eps)
         components += 1
     assert components == 623
+
+
+def test_degree_bound_holds_past_the_last_mark():
+    # lam(Delta_x) >= alpha*x - beta for x >= A, with alpha the progression ratio
+    # delta/n_ap (1/mu_0 at p = 2); eta_8 families add marks but no growth
+    seeds = (
+        bundled_seed(3),
+        Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))),
+        Weight2SeedSlopes(3, (Fraction(0), Fraction(1))),
+    )
+    cases = [(ctx, eps, None) for ctx, eps in _components((2, 3, 5, 7, 11, 13), range(1, 41))]
+    cases += [(PrimeContext(2, seed.N), ComponentLabel(0, 2), seed) for seed in seeds]
+    betas = []
+    for ctx, eps, seed in cases:
+        series = GhostSeries(ctx, eps, seed)
+        A, alpha, beta = series.degree_bound()
+        mu0 = gamma0_invariants(ctx.N).index
+        assert alpha == (Fraction(1, mu0) if ctx.p == 2 else Fraction(*ap_parameters(ctx)[::-1])), (ctx, eps)
+        q = lcm(alpha.denominator, beta.denominator)  # compare in ints
+        a, b = int(alpha * q), int(beta * q)
+        lams = series.lam_upto(A + 3000)
+        assert all((lams[x] - lams[x - 1]) * q >= a * x - b for x in range(A, A + 3001)), (ctx, eps, seed)
+        betas.append(beta)
+    assert len(betas) == 626
+    assert max(betas[:623]) <= 24  # the components
+    assert max(betas[623:]) < 30  # the seeds: each eta_8 family adds about 4
 
 
 def test_boundary_period_falls_back_to_the_common_period():

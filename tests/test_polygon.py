@@ -1,17 +1,19 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghostseries.boundary import boundary_polygon
 from ghostseries.errors import CertificationError, PrecisionError
 from ghostseries.polygon import (
     NewtonPolygon,
     SlopeList,
-    _tail_clears,
     _tail_fault,
+    certified_slopes,
     classical_ghost_slopes,
     ghost_polygon,
     ghost_slopes,
@@ -128,27 +130,18 @@ def test_newton_polygon_rejects_collinear_vertices():
 
 def _tail_clears_reference(lam, D, window_end, c, s, i0, y0):
     """The window check in Fraction arithmetic."""
-    deltas = []
-    for i in range(D + 1, window_end + 1):
-        step = lam[i] - lam[i - 1]
-        deltas.append(step)
-        if not (lam[i] * c > y0 + s * (i - i0)):
-            return False
-        if not (step * c > s):
-            return False
-    half = len(deltas) // 2
-    return not (half and min(deltas[half:]) < min(deltas[:half]))
+    return all(lam[i] * c > y0 + s * (i - i0) for i in range(D + 1, window_end + 1))
 
 
 def test_tail_check_is_strict_at_equality():
     # lam[1] * c == y0 + s * (1 - i0): 4/3 == 5/6 + 1/2
     c, s = Fraction(1, 3), Fraction(1, 2)
-    assert not _tail_clears([0, 4], 0, 1, c, s, 0, Fraction(5, 6))
-    assert _tail_clears([0, 4], 0, 1, c, s, 0, Fraction(4, 6))
-    # step * c == s: 3 * 1/2 == 3/2, with the line well below
+    assert _tail_fault([0, 4], 0, 1, c, s, 0, Fraction(5, 6)) is not None
+    assert _tail_fault([0, 4], 0, 1, c, s, 0, Fraction(4, 6)) is None
+    # step * c == s: 3 * 1/2 == 3/2, with the line well below; only the line counts
     c = Fraction(1, 2)
-    assert not _tail_clears([0, 3], 0, 1, c, Fraction(3, 2), 0, -1)
-    assert _tail_clears([0, 3], 0, 1, c, Fraction(7, 5), 0, -1)
+    assert _tail_fault([0, 3], 0, 1, c, Fraction(3, 2), 0, -1) is None
+    assert _tail_fault([0, 3], 0, 1, c, Fraction(7, 5), 0, -1) is None
 
 
 def test_tail_check_matches_fraction_reference():
@@ -164,7 +157,7 @@ def test_tail_check_matches_fraction_reference():
         s = Fraction(rng.randrange(-3, 12), rng.randrange(1, 4))
         i0 = rng.randrange(0, D + 1)
         y0 = rng.choice([rng.randrange(-5, 10), Fraction(rng.randrange(-10, 20), rng.randrange(1, 4))])
-        got = _tail_clears(lam, D, window_end, c, s, i0, y0)
+        got = _tail_fault(lam, D, window_end, c, s, i0, y0) is None
         assert got == _tail_clears_reference(lam, D, window_end, c, s, i0, y0)
         outcomes.add(got)
     assert outcomes == {True, False}
@@ -251,10 +244,29 @@ def test_certification_error_says_how_far_it_got():
     )
     with pytest.raises(CertificationError, match="D = 3, window end 38: the line condition failed at index 4$"):
         ghost_slopes(CTX21, Classical(0), 3, cap=3)
-    # the other two reasons, on toy windows
-    assert _tail_fault([0, 3], 0, 1, Fraction(1, 2), Fraction(3, 2), 0, -1) == "the step condition failed at index 1"
-    assert _tail_fault([0, 5, 9], 0, 2, Fraction(1), Fraction(0), 0, 0) == "the monotone check failed"
+    # a small step or a falling one is no fault: only the line condition is checked
+    assert _tail_fault([0, 3], 0, 1, Fraction(1, 2), Fraction(3, 2), 0, -1) is None
+    assert _tail_fault([0, 5, 9], 0, 2, Fraction(1), Fraction(0), 0, 0) is None
     assert _tail_fault([0, 5, 10], 0, 2, Fraction(1), Fraction(0), 0, 0) is None
+
+
+def test_a_proved_tail_certifies_later_never_earlier():
+    # both failed the old per-step condition inside the window (at index 41 and
+    # at 79); the degree bound needs only the line, and the slopes are the uncapped ones
+    ctx, kappa = PrimeContext(11, 12), CharClassical(4, 3)
+    assert ghost_slopes(ctx, kappa, 3, cap=40) == ghost_slopes(ctx, kappa, 3)
+    ctx, eps = PrimeContext(31, 6), ComponentLabel(6, 31)
+    assert boundary_polygon(ctx, eps, 10, cap=60).slopes == boundary_polygon(ctx, eps, 10).slopes
+
+
+def test_the_window_reaches_the_degree_bound():
+    # lam(Delta_i) = i through i = 100, then 0: the line of the 10th slope,
+    # 10i - 45, meets lam = 5050 at i = 510, far past 2D + 32 = 72
+    lam = list(accumulate([0] + [i if i <= 100 else 0 for i in range(1, 1200)]))
+    window = (lambda upto: lam, lambda upto: lam, Fraction(1), 10, 20)
+    with pytest.raises(CertificationError, match="window end 999: the line condition failed at index 510$"):
+        certified_slopes(*window, (0, Fraction(1, 100), Fraction(0)))  # W = 10/alpha - 1
+    assert len(certified_slopes(*window, (0, Fraction(1, 10), Fraction(0)))[0]) == 10  # W = 99
 
 
 def test_cap_below_one_is_rejected():

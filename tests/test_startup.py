@@ -76,8 +76,14 @@ def test_importing_the_package_loads_no_submodule():
             {"ghostseries.modified"},
             {"ghostseries.boundary"},
         ),
+        (
+            ["compare", "--p", "2", "--fixture", str(ROOT / "fixtures" / "annulus_half_2adic.json"),
+             "--weight", "annulus:0:1/2", "--count", "10"],
+            {"ghostseries.polygon", "json"},
+            {"ghostseries.boundary", "ghostseries.modified"},
+        ),
     ],
-    ids=["slopes", "boundary", "modified"],
+    ids=["slopes", "boundary", "modified", "compare"],
 )
 def test_a_request_imports_only_the_modules_it_runs(argv, present, absent):
     loaded = _loaded_after(f"from ghostseries import cli; assert cli.main({argv!r}) == 0")
