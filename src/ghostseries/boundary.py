@@ -11,6 +11,7 @@ conjectures, which ``ap_check`` verifies on a slope list.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from operator import sub
 from typing import Sequence
@@ -24,9 +25,22 @@ from .weightspace import Annulus, ComponentLabel, PrimeContext
 
 
 class BoundaryPolygon(Record):
-    """Degree points (i, lam(g_i)) and their hull over the certified base; the w-adic slopes."""
+    """Degree points (i, lam(g_i)) and their hull over the certified base; the w-adic slopes.
 
-    __slots__ = ("component", "points", "polygon", "slopes")
+    ``shear`` is (q, delta, b, start): ``boundary_period`` proved the period
+    (q, delta) from the burn-in b, and the shear built slope(j) = slope(j - q)
+    + delta for every j >= start.  It is None when the slopes were certified
+    directly.
+    """
+
+    __slots__ = ("component", "points", "polygon", "slopes", "shear")
+
+    def settled(self, n_ap: int, delta) -> int | None:
+        """The position from which slope(j + n_ap) = slope(j) + delta holds by
+        construction, start - q when (n_ap, delta) is the proved period, else None."""
+        if self.shear is None or self.shear[:2] != (n_ap, delta):
+            return None
+        return self.shear[3] - n_ap
 
 
 def boundary_period(series: GhostSeries, n: int, delta: int) -> tuple[int, int, int]:
@@ -81,7 +95,7 @@ def boundary_polygon(
 
     def certify(count: int) -> BoundaryPolygon:
         slopes, poly, points = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), count, cap, bound)
-        return BoundaryPolygon(eps, tuple(points), poly, slopes)
+        return BoundaryPolygon(eps, tuple(points), poly, slopes, None)
 
     q, delta = (gamma0_invariants(ctx.N).index, 1) if ctx.p == 2 else ap_parameters(ctx)
     if n > 2 * q + 1:  # else no base is shorter than n
@@ -95,13 +109,30 @@ def boundary_polygon(
             xs = [x for x, _ in base.polygon.vertices]
             end = next(x for x in xs if x >= m)  # the certified edge of slope m ends here
             if any(b - 1 + q <= v <= end - q for v in xs):
-                out = list(base.polygon.slopes(end))
-                for j in range(end, n):  # out[j] = out[j - q] + delta, built already reduced
-                    s = out[j - q]
-                    out.append(Fraction(s.numerator + delta * s.denominator, s.denominator))
-                return BoundaryPolygon(eps, base.points, base.polygon, SlopeList(tuple(out[:n]), n))
+                slopes = SlopeList(_shear(base.polygon.slopes(end), q, delta, n), n)
+                return BoundaryPolygon(eps, base.points, base.polygon, slopes, (q, delta, b, end))
             m *= 2
     return certify(n)
+
+
+def _shear(head: tuple[Fraction, ...], q: int, delta: int, n: int) -> tuple[Fraction, ...]:
+    """``head`` extended to n slopes by slope(j) = slope(j - q) + delta.
+
+    The last q slopes of ``head`` are read once, as runs of equal values with
+    their numerator and denominator.  Each later period adds delta to every
+    run: a/d + delta = (a + delta*d)/d keeps the denominator and stays reduced.
+    So each run makes one Fraction per period, from one int when d = 1.
+    """
+    runs = [(s.numerator, s.denominator, len(list(run))) for s, run in groupby(head[len(head) - q :])]
+    out = list(head)
+    shift = 0
+    while len(out) < n:
+        shift += delta
+        for a, d, length in runs:
+            s = Fraction(a + shift) if d == 1 else Fraction(a + shift * d, d)
+            out += [s] * length
+    del out[n:]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +170,18 @@ def check_ap_counts(n_ap: int, burn_in: int) -> None:
         raise ValueError("need n_ap >= 1 and burn_in >= 0")
 
 
-def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions) -> int | None:
+def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions: range) -> int | None:
     """The first j of ``positions`` with slope(j + n_ap) != slope(j) + delta, or None.
 
-    Each slope is read once as numerator and denominator; the identity is
-    then compared on integers, cross-multiplied by the positive denominators.
+    The slopes the positions reach are read once as numerator and denominator;
+    the identity is then compared on integers, cross-multiplied by the
+    positive denominators.
     """
     delta = Fraction(delta)
     dn, dd = delta.numerator, delta.denominator
-    nums = [s.numerator for s in slopes]
-    dens = [s.denominator for s in slopes]
+    read = slopes[: max(positions[0], positions[-1]) + n_ap + 1] if positions else ()
+    nums = [s.numerator for s in read]
+    dens = [s.denominator for s in read]
     for j in positions:
         a, b = dens[j], dens[j + n_ap]
         if (nums[j + n_ap] * a - nums[j] * b) * dd != dn * a * b:
@@ -156,11 +189,13 @@ def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions) -> int
     return None
 
 
-def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APReport:
+def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int, settled: int | None = None) -> APReport:
     """Verify slope(j + n_ap) = slope(j) + delta for all j >= burn_in.
 
     Positions are 0-based; the first ``burn_in`` slopes are excluded.  The
-    slopes must be certified through the checked range.
+    slopes must be certified through the checked range.  Positions from
+    ``settled`` on are known to hold, by the shear (``BoundaryPolygon.settled``)
+    or by the ``scan_burn_in`` that found ``burn_in``, and are not read.
     """
     check_ap_counts(n_ap, burn_in)
     total = len(slopes)
@@ -171,14 +206,21 @@ def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APRe
             f"insufficient certified slopes: have {total}, "
             f"need more than {burn_in + n_ap}"
         )
-    first_violation = _first_break(slopes, n_ap, delta, range(burn_in, total - n_ap))
+    stop = total - n_ap if settled is None else min(total - n_ap, settled)
+    first_violation = _first_break(slopes, n_ap, delta, range(burn_in, stop))
     return APReport(n_ap, Fraction(delta), burn_in, total, first_violation)
 
 
-def scan_burn_in(slopes: Sequence[Fraction], n_ap: int, delta, max_burn_in: int) -> int | None:
-    """Smallest burn-in <= max_burn_in that verifies, or None."""
+def scan_burn_in(
+    slopes: Sequence[Fraction], n_ap: int, delta, max_burn_in: int, settled: int | None = None
+) -> int | None:
+    """Smallest burn-in <= max_burn_in that verifies, or None.
+
+    Positions from ``settled`` on are known to hold and are not read.
+    """
     check_ap_counts(n_ap, max_burn_in)
-    last_bad = _first_break(slopes, n_ap, delta, range(len(slopes) - n_ap - 1, -1, -1))
+    stop = len(slopes) - n_ap if settled is None else min(len(slopes) - n_ap, settled)
+    last_bad = _first_break(slopes, n_ap, delta, range(stop - 1, -1, -1))
     burn = 0 if last_bad is None else last_bad + 1
     return burn if burn <= max_burn_in else None
 

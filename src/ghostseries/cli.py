@@ -66,11 +66,13 @@ _ZERO_TYPES = {Classical: "classical", EtaEight: "eta8"}  # the "type" of a zero
 
 # one slope entry, {"index", "slope": {"num", "den"}, "certified"}, laid out as by json.dumps(indent=2)
 _SLOPE_ENTRY = '{\n  "index": %d,\n  "slope": {\n    "num": %d,\n    "den": %d\n  },\n  "certified": %s\n}'
+# the "ap_report" of a boundary document, laid out likewise; n_ap and delta are ints
+_AP_REPORT = ',\n  "ap_report": {\n    "n_ap": %d,\n    "delta": {\n      "num": %d,\n      "den": 1\n    },\n%s    "verified": %s\n  }'
 
 
 def _write_slopes(write, slopes: SlopeList, indent: str = "") -> None:
     """Write the slope entries as the JSON array json.dumps(..., indent=2)
-    prints at the nesting ``indent``, one entry per ``write`` call."""
+    prints at the nesting ``indent``, one ``write`` call per 4,096 entries."""
     if not slopes.slopes:
         write("[]")
         return
@@ -78,8 +80,9 @@ def _write_slopes(write, slopes: SlopeList, indent: str = "") -> None:
     entry = pad + _SLOPE_ENTRY.replace("\n", "\n" + pad)
     cert = slopes.certified_count
     sep = "[\n"
-    for j, s in enumerate(slopes.slopes):
-        write(sep + entry % (j + 1, s.numerator, s.denominator, "true" if j < cert else "false"))
+    for lo in range(0, len(slopes), 4096):
+        chunk = enumerate(slopes.slopes[lo : lo + 4096], lo)
+        write(sep + ",\n".join([entry % (j + 1, s.numerator, s.denominator, "true" if j < cert else "false") for j, s in chunk]))
         sep = ",\n"
     write("\n" + indent + "]")
 
@@ -196,6 +199,8 @@ def _cmd_series(args) -> int:
     ctx = _context(args)
     seed = _seed(args, ctx)
     series = GhostSeries(ctx, ComponentLabel(args.component, ctx.p), seed)
+    if args.up_to < 0:
+        raise UsageError("--up-to must be at least 0")
     write = sys.stdout.write
     for i, zeros in enumerate(series.divisors(args.up_to), start=1):
         # the line json.dumps({"i", "lambda", "zeros": [{"type", "k", "mult"}, ...]}) prints
@@ -234,7 +239,6 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    import json
     _need("boundary")
     ctx = _context(args)
     seed = _seed(args, ctx)
@@ -249,20 +253,15 @@ def _cmd_boundary(args) -> int:
             n_ap, delta = ap_parameters(ctx)
         check_ap_counts(n_ap, args.burn_in_max)
     result = boundary_polygon(ctx, eps, args.count, seed=seed, cap=cap)
-    ap_report = None
-    if args.ap:
-        burn = scan_burn_in(result.slopes, n_ap, delta, args.burn_in_max)
-        if burn is None:
-            ap_report = {"n_ap": n_ap, "delta": _rat(delta), "verified": False}
-        else:
-            report = ap_check(result.slopes, n_ap, delta, burn)
-            ap_report = {
-                "n_ap": report.n_ap,
-                "delta": _rat(report.delta),
-                "burn_in": report.burn_in,
-                "verified_through": report.verified_through,
-                "verified": report.verified,
-            }
+    ap_report = ""
+    if args.ap:  # the positions from result.settled on hold by the shear, and from burn on by the scan
+        burn = scan_burn_in(result.slopes, n_ap, delta, args.burn_in_max, result.settled(n_ap, delta))
+        found, verified = "", "false"
+        if burn is not None:
+            report = ap_check(result.slopes, n_ap, delta, burn, burn)
+            found = '    "burn_in": %d,\n    "verified_through": %d,\n' % (burn, report.verified_through)
+            verified = "true" if report.verified else "false"
+        ap_report = _AP_REPORT % (n_ap, delta, found, verified)
     # the document json.dumps(..., indent=2) prints, with the slopes streamed
     write = sys.stdout.write
     write(
@@ -270,9 +269,7 @@ def _cmd_boundary(args) -> int:
         % (ctx.p, ctx.N, eps.residue, "true" if seed is not None else "false")
     )
     _write_slopes(write, result.slopes, "  ")
-    if ap_report is not None:
-        write(',\n  "ap_report": ' + json.dumps(ap_report, indent=2).replace("\n", "\n  "))
-    write("\n}\n")
+    write(ap_report + "\n}\n")
     return 0
 
 

@@ -20,7 +20,9 @@ the linear bound lam(Delta_i) >= alpha*i - beta of
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby, pairwise
 from math import ceil
+from operator import attrgetter
 from typing import Callable, Sequence
 
 from .dims import dim_cusp_gamma0
@@ -83,19 +85,14 @@ class SlopeList(Record):
     __slots__ = ("slopes", "certified_count")
 
     def __init__(self, slopes: tuple[Fraction, ...], certified_count: int) -> None:
-        if any(b < a for a, b in zip(slopes, slopes[1:])):
+        pairs = pairwise(zip(map(attrgetter("numerator"), slopes), map(attrgetter("denominator"), slopes)))
+        if any(c * b < a * d for (a, b), (c, d) in pairs):  # c/d < a/b, cross-multiplied
             raise AssertionError("slope lists are nondecreasing")
         init(self, "slopes", slopes)
         init(self, "certified_count", certified_count)
 
     def pairs(self) -> tuple[tuple[Fraction, int], ...]:
-        out: list[tuple[Fraction, int]] = []
-        for s in self.slopes:
-            if out and out[-1][0] == s:
-                out[-1] = (s, out[-1][1] + 1)
-            else:
-                out.append((s, 1))
-        return tuple(out)
+        return tuple((s, len(list(run))) for s, run in groupby(self.slopes))
 
     def __len__(self) -> int:
         return len(self.slopes)

@@ -6,9 +6,11 @@ dimension and the eta_8 dimensions, with no zero table.  These are slow,
 but independent of ``ghostseries.series``' table and its reads, which is
 what makes them a reference.  ``boundary_slopes_reference`` certifies
 boundary slopes over the whole degree array, with no period and no shear,
-so it checks ``boundary_polygon`` apart from its period proof.  The one-line
-``modified_boundary_slopes`` wraps the package's boundary polygon for the
-tests that read the modified boundary slopes by tame level.
+so it checks ``boundary_polygon`` apart from its period proof, and
+``ap_report_reference`` runs both progression scans over every slope, so it
+checks the CLI's report apart from the positions the shear settles.  The
+one-line ``modified_boundary_slopes`` wraps the package's boundary polygon
+for the tests that read the modified boundary slopes by tame level.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterator
 
-from ghostseries.boundary import boundary_polygon
+from ghostseries.boundary import ap_check, boundary_polygon, scan_burn_in
 from ghostseries.dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from ghostseries.modified import ModifiedCoefficient, Weight2SeedSlopes, seed_multiplicities
 from ghostseries.polygon import DEFAULT_CAP, SlopeList, certified_slopes
@@ -200,6 +202,17 @@ def boundary_slopes_reference(
     certificate over the whole degree array, with no period and no shear."""
     series = GhostSeries(ctx, eps, seed)
     return certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap, series.degree_bound())[0]
+
+
+def ap_report_reference(slopes: SlopeList, n_ap: int, delta: int, max_burn_in: int) -> dict:
+    """The "ap_report" of ``boundary --ap``: the burn-in from ``scan_burn_in``
+    and the check from ``ap_check``, each reading every slope."""
+    report = {"n_ap": n_ap, "delta": {"num": delta, "den": 1}}
+    burn = scan_burn_in(slopes, n_ap, delta, max_burn_in)
+    if burn is None:
+        return {**report, "verified": False}
+    checked = ap_check(slopes, n_ap, delta, burn)
+    return {**report, "burn_in": burn, "verified_through": checked.verified_through, "verified": checked.verified}
 
 
 def modified_boundary_slopes(

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import ghostseries.cli
 from ghostseries.boundary import ap_check, ap_parameters, boundary_polygon, scan_burn_in
 from ghostseries.cli import UsageError, build_parser, compare, main, parse_weight
+from ghostseries.errors import GhostError
 from ghostseries.modified import bundled_seed
 from ghostseries.polygon import SlopeList, classical_ghost_slopes, ghost_slopes
 from ghostseries.series import GhostSeries
@@ -20,6 +22,7 @@ from ghostseries.weightspace import (
     ExplicitW,
     PrimeContext,
 )
+from oracle import ap_report_reference
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -134,6 +137,59 @@ def test_boundary_command_user_supplied_ap(capsys):
     assert code == 0
     assert json.loads(out)["ap_report"]["verified"] is True
     assert main(["boundary", "--p", "3", "--count", "20", "--ap", "--n-ap", "2"]) == 2
+
+
+def test_ap_report_matches_the_full_scan(capsys, monkeypatch):
+    # the report reads only the positions the shear did not settle; the reference reads every one
+    polygons = {}
+
+    def polygon(ctx, eps, n, **kwargs):  # each polygon once, for all the report options
+        if (ctx, eps, n) not in polygons:
+            polygons[ctx, eps, n] = boundary_polygon(ctx, eps, n, **kwargs)
+        return polygons[ctx, eps, n]
+
+    monkeypatch.setattr(ghostseries.cli, "boundary_polygon", polygon)
+    settles = []  # the positions the report took as settled by the shear
+    monkeypatch.setattr(ghostseries.cli, "scan_burn_in", lambda *args: settles.append(args[4]) or scan_burn_in(*args))
+    parser = build_parser()
+    cases = [
+        (PrimeContext(p, N), ComponentLabel(residue, p), n)
+        for p in (3, 5, 7, 11, 13)
+        for N in range(1, 13)
+        if N % p
+        for residue in range(0, p - 1, 2)
+        for n in (50, 300, 1500)
+    ] + [(PrimeContext(5, 1), ComponentLabel(0, 5), 10_000)]
+    settled = refused = 0
+    for ctx, eps, n in cases:
+        q, delta = ap_parameters(ctx)
+        argv = ["boundary", "--p", str(ctx.p), "--N", str(ctx.N), "--component", str(eps.residue), "--count", str(n)]
+        options = [(q, delta, m, []) for m in (0, 5, 100)]
+        options += [(a, d, 100, ["--n-ap", str(a), "--delta", str(d)]) for a, d in ((1, 8), (2 * q, 2 * delta))]
+        for n_ap, d, max_burn_in, extra in options:
+            args = parser.parse_args(argv + ["--ap", "--burn-in-max", str(max_burn_in)] + extra)
+            bp = polygon(ctx, eps, n)
+            proved = bp.shear is not None and bp.shear[:2] == (n_ap, d)
+            try:
+                expected = ap_report_reference(bp.slopes, n_ap, d, max_burn_in)
+            except GhostError as exc:  # no step left to check past the burn-in
+                with pytest.raises(GhostError) as raised:
+                    ghostseries.cli._cmd_boundary(args)
+                assert str(raised.value) == str(exc)
+                refused += 1
+            else:
+                assert ghostseries.cli._cmd_boundary(args) == 0
+                out = capsys.readouterr().out
+                report = json.loads("{" + out[out.rindex('\n  "ap_report": ') :])["ap_report"]
+                assert report == expected, (ctx, eps, n, extra)
+            assert settles.pop() == (bp.shear[3] - n_ap if proved else None)
+            settled += proved
+    assert len(cases) == 565 and 600 < settled < 5 * len(cases) and 0 < refused < 5 * len(cases)
+    # too few slopes for one progression step: ap_check still refuses, with exit 2
+    assert main(["boundary", "--p", "5", "--count", "3", "--ap"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: insufficient certified slopes: have 3, need more than 5\n"
 
 
 def test_halo_command_stdout(capsys):
@@ -257,6 +313,12 @@ def test_exit_codes(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: --cap must be at least 1")
+    # a negative --up-to is a usage error; --up-to 0 prints no row
+    assert main(["series", "--p", "2", "--up-to", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --up-to must be at least 0\n"
+    assert run(capsys, ["series", "--p", "2", "--up-to", "0"]) == (0, "")
     # a seed file without --modified is a usage error, not silently ignored
     assert main(["boundary", "--p", "2", "--N", "3", "--seed", "bad.json"]) == 2
     captured = capsys.readouterr()

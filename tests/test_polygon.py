@@ -171,6 +171,18 @@ def test_slope_list_bookkeeping():
         SlopeList((Fraction(2), Fraction(1)), 2)
 
 
+def test_slope_list_order_check_on_ints():
+    # the check cross-multiplies numerators by the positive denominators
+    for drop in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 3), Fraction(-1, 2)), (Fraction(2), Fraction(3, 2))):
+        with pytest.raises(AssertionError, match="^slope lists are nondecreasing$"):
+            SlopeList(drop, 2)
+    for rising in ((Fraction(-1, 2), Fraction(0), Fraction(1, 3)), (Fraction(1, 3),) * 4 + (Fraction(2, 5),) * 3, ()):
+        assert SlopeList(rising, len(rising)).slopes == rising
+    sheared = boundary_polygon(PrimeContext(5, 1), ComponentLabel(0, 5), 300_000, cap=10**7)
+    assert sheared.shear is not None
+    assert SlopeList(sheared.slopes.slopes, 300_000) == sheared.slopes
+
+
 # ---------------------------------------------------------------------------
 # coefficient valuations
 

@@ -68,8 +68,8 @@ def test_importing_the_package_loads_no_submodule():
         ),
         (
             ["boundary", "--p", "5", "--count", "40", "--ap", "--burn-in-max", "5"],
-            {"ghostseries.boundary", "json"},
-            {"ghostseries.modified"},
+            {"ghostseries.boundary"},
+            {"ghostseries.modified", "json"},
         ),
         (
             ["slopes", "--p", "2", "--N", "3", "--modified", "--weight", "k=0", "--count", "3"],
