@@ -29,18 +29,13 @@ class BoundaryPolygon(Record):
 
     ``shear`` is (q, delta, b, start): ``boundary_period`` proved the period
     (q, delta) from the burn-in b, and the shear built slope(j) = slope(j - q)
-    + delta for every j >= start.  It is None when the slopes were certified
+    + delta for every j >= start, so the progression check with (q, delta)
+    holds by construction at every position from start - q on and needs only
+    the slopes before start.  It is None when the slopes were certified
     directly.
     """
 
     __slots__ = ("component", "points", "polygon", "slopes", "shear")
-
-    def settled(self, n_ap: int, delta) -> int | None:
-        """The position from which slope(j + n_ap) = slope(j) + delta holds by
-        construction, start - q when (n_ap, delta) is the proved period, else None."""
-        if self.shear is None or self.shear[:2] != (n_ap, delta):
-            return None
-        return self.shear[3] - n_ap
 
 
 def boundary_period(series: GhostSeries, n: int, delta: int) -> tuple[int, int, int]:
@@ -173,15 +168,13 @@ def check_ap_counts(n_ap: int, burn_in: int) -> None:
 def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions: range) -> int | None:
     """The first j of ``positions`` with slope(j + n_ap) != slope(j) + delta, or None.
 
-    The slopes the positions reach are read once as numerator and denominator;
-    the identity is then compared on integers, cross-multiplied by the
-    positive denominators.
+    The slopes are read once as numerator and denominator; the identity is
+    then compared on integers, cross-multiplied by the positive denominators.
     """
     delta = Fraction(delta)
     dn, dd = delta.numerator, delta.denominator
-    read = slopes[: max(positions[0], positions[-1]) + n_ap + 1] if positions else ()
-    nums = [s.numerator for s in read]
-    dens = [s.denominator for s in read]
+    nums = [s.numerator for s in slopes]
+    dens = [s.denominator for s in slopes]
     for j in positions:
         a, b = dens[j], dens[j + n_ap]
         if (nums[j + n_ap] * a - nums[j] * b) * dd != dn * a * b:
@@ -189,13 +182,12 @@ def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions: range)
     return None
 
 
-def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int, settled: int | None = None) -> APReport:
+def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APReport:
     """Verify slope(j + n_ap) = slope(j) + delta for all j >= burn_in.
 
     Positions are 0-based; the first ``burn_in`` slopes are excluded.  The
-    slopes must be certified through the checked range.  Positions from
-    ``settled`` on are known to hold, by the shear (``BoundaryPolygon.settled``)
-    or by the ``scan_burn_in`` that found ``burn_in``, and are not read.
+    slopes must be certified through the checked range, and at least one
+    step must be left to check.
     """
     check_ap_counts(n_ap, burn_in)
     total = len(slopes)
@@ -206,21 +198,14 @@ def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int, settled
             f"insufficient certified slopes: have {total}, "
             f"need more than {burn_in + n_ap}"
         )
-    stop = total - n_ap if settled is None else min(total - n_ap, settled)
-    first_violation = _first_break(slopes, n_ap, delta, range(burn_in, stop))
+    first_violation = _first_break(slopes, n_ap, delta, range(burn_in, total - n_ap))
     return APReport(n_ap, Fraction(delta), burn_in, total, first_violation)
 
 
-def scan_burn_in(
-    slopes: Sequence[Fraction], n_ap: int, delta, max_burn_in: int, settled: int | None = None
-) -> int | None:
-    """Smallest burn-in <= max_burn_in that verifies, or None.
-
-    Positions from ``settled`` on are known to hold and are not read.
-    """
+def scan_burn_in(slopes: Sequence[Fraction], n_ap: int, delta, max_burn_in: int) -> int | None:
+    """Smallest burn-in <= max_burn_in that verifies, or None."""
     check_ap_counts(n_ap, max_burn_in)
-    stop = len(slopes) - n_ap if settled is None else min(len(slopes) - n_ap, settled)
-    last_bad = _first_break(slopes, n_ap, delta, range(stop - 1, -1, -1))
+    last_bad = _first_break(slopes, n_ap, delta, range(len(slopes) - n_ap - 1, -1, -1))
     burn = 0 if last_bad is None else last_bad + 1
     return burn if burn <= max_burn_in else None
 

@@ -32,7 +32,8 @@ from .weightspace import (
 )
 
 # the names cli reads from the modules only some subcommands run; _need binds each
-# on first use, or on a read from outside, and keeps one already bound (a wrapper)
+# on first use, or on a read from outside, and keeps one already bound (a wrapper);
+# ap_check is tracer-pinned: cli does not call it, but perfbench/tracer.py wraps cli.ap_check
 _LAZY = {
     "boundary": ("ap_check", "ap_parameters", "boundary_polygon", "check_ap_counts", "halo_profile", "scan_burn_in"),
     "modified": ("Weight2SeedSlopes", "bundled_seed", "load_seed", "modified_coefficient"),
@@ -254,14 +255,16 @@ def _cmd_boundary(args) -> int:
         check_ap_counts(n_ap, args.burn_in_max)
     result = boundary_polygon(ctx, eps, args.count, seed=seed, cap=cap)
     ap_report = ""
-    if args.ap:  # the positions from result.settled on hold by the shear, and from burn on by the scan
-        burn = scan_burn_in(result.slopes, n_ap, delta, args.burn_in_max, result.settled(n_ap, delta))
-        found, verified = "", "false"
-        if burn is not None:
-            report = ap_check(result.slopes, n_ap, delta, burn, burn)
-            found = '    "burn_in": %d,\n    "verified_through": %d,\n' % (burn, report.verified_through)
-            verified = "true" if report.verified else "false"
-        ap_report = _AP_REPORT % (n_ap, delta, found, verified)
+    if args.ap:
+        slopes, total = result.slopes.slopes, len(result.slopes)
+        if total <= n_ap:
+            raise GhostError(f"insufficient certified slopes: have {total}, need more than {n_ap}")
+        if result.shear is not None and result.shear[:2] == (n_ap, delta):
+            slopes = slopes[: result.shear[3]]  # the shear settles every position from start - q on
+        burn = scan_burn_in(slopes, n_ap, delta, args.burn_in_max)
+        verified = burn is not None and burn + n_ap < total  # and the burn-in leaves a step to check
+        found = '    "burn_in": %d,\n    "verified_through": %d,\n' % (burn, total) if verified else ""
+        ap_report = _AP_REPORT % (n_ap, delta, found, "true" if verified else "false")
     # the document json.dumps(..., indent=2) prints, with the slopes streamed
     write = sys.stdout.write
     write(

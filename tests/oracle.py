@@ -206,10 +206,12 @@ def boundary_slopes_reference(
 
 def ap_report_reference(slopes: SlopeList, n_ap: int, delta: int, max_burn_in: int) -> dict:
     """The "ap_report" of ``boundary --ap``: the burn-in from ``scan_burn_in``
-    and the check from ``ap_check``, each reading every slope."""
+    and the check from ``ap_check``, each reading every slope.  The report
+    verifies only when the least burn-in is at most ``max_burn_in`` and leaves
+    a step to check; ``ap_check`` refuses a list of at most n_ap slopes."""
     report = {"n_ap": n_ap, "delta": {"num": delta, "den": 1}}
     burn = scan_burn_in(slopes, n_ap, delta, max_burn_in)
-    if burn is None:
+    if burn is None or burn + n_ap >= len(slopes) > n_ap:
         return {**report, "verified": False}
     checked = ap_check(slopes, n_ap, delta, burn)
     return {**report, "burn_in": burn, "verified_through": checked.verified_through, "verified": checked.verified}

@@ -129,8 +129,6 @@ def test_boundary_polygon_records_its_shear():
         assert bp.shear[:3] == boundary_period(GhostSeries(ctx, eps), q, delta)
         start, s = bp.shear[3], bp.slopes.slopes
         assert start < 2000 and all(s[j] == s[j - q] + delta for j in range(start, 2000))
-        assert bp.settled(q, delta) == start - q
-        assert bp.settled(2 * q, 2 * delta) is bp.settled(q, delta + 1) is None
         assert repr(bp).endswith(f"shear={bp.shear!r})")
 
 
@@ -217,31 +215,6 @@ def test_ap_check_matches_fraction_reference():
             assert report.first_violation == expected, (list(slopes), n_ap, delta, burn_in)
             violations += expected is not None
     assert violations > 1000  # the planted and shifted cases do fail
-
-
-def test_ap_scans_skip_the_settled_positions():
-    rng = random.Random(14)
-    for _ in range(300):
-        n_ap = rng.randint(1, 5)
-        delta = Fraction(rng.randint(0, 9), rng.choice([1, 2, 3]))
-        slopes = [Fraction(rng.randint(0, 30), rng.randint(1, 4)) for _ in range(n_ap)]
-        total = rng.randint(n_ap + 1, 60)
-        for j in range(n_ap, total):
-            slopes.append(slopes[j - n_ap] + delta)
-        settled = rng.randint(0, total - n_ap)
-        for _ in range(rng.choice([0, 1, 2])):  # violations before the settled positions only
-            if settled:
-                slopes[rng.randrange(settled)] += Fraction(1, 2)
-        # a slope the scans may not read is None
-        unread = slopes[: settled + n_ap] + [None] * (total - settled - n_ap)
-        for max_burn_in in (0, 3, total):
-            assert scan_burn_in(unread, n_ap, delta, max_burn_in, settled) == _burn_in_reference(
-                slopes, n_ap, delta, max_burn_in
-            )
-        for burn_in in range(0, total - n_ap):
-            report = ap_check(unread, n_ap, delta, burn_in, settled)
-            assert report.first_violation == _first_violation_reference(slopes, n_ap, delta, burn_in)
-            assert report.verified_through == total
 
 
 def test_ap_structure_odd_primes():

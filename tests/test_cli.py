@@ -149,8 +149,8 @@ def test_ap_report_matches_the_full_scan(capsys, monkeypatch):
         return polygons[ctx, eps, n]
 
     monkeypatch.setattr(ghostseries.cli, "boundary_polygon", polygon)
-    settles = []  # the positions the report took as settled by the shear
-    monkeypatch.setattr(ghostseries.cli, "scan_burn_in", lambda *args: settles.append(args[4]) or scan_burn_in(*args))
+    scanned = []  # the number of slopes the report's scan was given
+    monkeypatch.setattr(ghostseries.cli, "scan_burn_in", lambda *args: scanned.append(len(args[0])) or scan_burn_in(*args))
     parser = build_parser()
     cases = [
         (PrimeContext(p, N), ComponentLabel(residue, p), n)
@@ -165,31 +165,36 @@ def test_ap_report_matches_the_full_scan(capsys, monkeypatch):
         q, delta = ap_parameters(ctx)
         argv = ["boundary", "--p", str(ctx.p), "--N", str(ctx.N), "--component", str(eps.residue), "--count", str(n)]
         options = [(q, delta, m, []) for m in (0, 5, 100)]
-        options += [(a, d, 100, ["--n-ap", str(a), "--delta", str(d)]) for a, d in ((1, 8), (2 * q, 2 * delta))]
+        overrides = ((1, 8), (2 * q, 2 * delta), (q, delta), (1, 0), (q, delta + 1))
+        options += [(a, d, 100, ["--n-ap", str(a), "--delta", str(d)]) for a, d in overrides]
         for n_ap, d, max_burn_in, extra in options:
             args = parser.parse_args(argv + ["--ap", "--burn-in-max", str(max_burn_in)] + extra)
             bp = polygon(ctx, eps, n)
             proved = bp.shear is not None and bp.shear[:2] == (n_ap, d)
             try:
                 expected = ap_report_reference(bp.slopes, n_ap, d, max_burn_in)
-            except GhostError as exc:  # no step left to check past the burn-in
+            except GhostError as exc:  # at most n_ap slopes: not one progression step
                 with pytest.raises(GhostError) as raised:
                     ghostseries.cli._cmd_boundary(args)
-                assert str(raised.value) == str(exc)
+                assert str(raised.value) == str(exc) and not scanned
                 refused += 1
             else:
                 assert ghostseries.cli._cmd_boundary(args) == 0
                 out = capsys.readouterr().out
                 report = json.loads("{" + out[out.rindex('\n  "ap_report": ') :])["ap_report"]
                 assert report == expected, (ctx, eps, n, extra)
-            assert settles.pop() == (bp.shear[3] - n_ap if proved else None)
+                assert scanned.pop() == (bp.shear[3] if proved else len(bp.slopes))
             settled += proved
-    assert len(cases) == 565 and 600 < settled < 5 * len(cases) and 0 < refused < 5 * len(cases)
-    # too few slopes for one progression step: ap_check still refuses, with exit 2
+    assert len(cases) == 565 and 600 < settled < 8 * len(cases) and 0 < refused < 8 * len(cases)
+    # too few slopes for one progression step: still refused, with exit 2
     assert main(["boundary", "--p", "5", "--count", "3", "--ap"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: insufficient certified slopes: have 3, need more than 5\n"
+    # the last violation is at position 48 of 50: the least burn-in, 49, leaves no step to check
+    code, out = run(capsys, ["boundary", "--p", "3", "--count", "50", "--ap", "--n-ap", "1", "--delta", "8"])
+    assert code == 0 and json.loads(out)["ap_report"] == {"n_ap": 1, "delta": {"num": 8, "den": 1}, "verified": False}
+    assert scan_burn_in(polygon(PrimeContext(3, 1), ComponentLabel(0, 3), 50).slopes, 1, 8, 100) == 49
 
 
 def test_halo_command_stdout(capsys):
