@@ -18,9 +18,9 @@ _EXPORTS = {name: module for module, names in (
     ("modified", "ModifiedCoefficient Weight2SeedSlopes bundled_seed load_seed modified_coefficient "
                  "regularity_check_p2 seed_multiplicities"),
     ("polygon", "DEFAULT_CAP NewtonPolygon SlopeList classical_ghost_slopes ghost_polygon ghost_slopes lower_hull"),
-    ("series", "GhostCoefficient GhostSeries coefficient_divisor lam_deltas lam_values"),
+    ("series", "GhostCoefficient GhostSeries coefficient_divisor"),
     ("weightspace", "INFINITY Annulus CharClassical Classical ComponentLabel EtaEight ExplicitW PrimeContext "
-                    "classical_pair_valuation component_of pair_valuation weight_component weight_valuation"),
+                    "component_of pair_valuation weight_component weight_valuation"),
 ) for name in names.split()}
 __all__ = list(_EXPORTS)
 

@@ -49,8 +49,8 @@ DEFAULT_CAP = 10_000
 class NewtonPolygon(Record):
     """Lower convex hull, stored as its minimal vertex list.
 
-    Vertex values keep the type of the points: int for degree points,
-    Fraction for valuations.  Edge slopes are Fractions, computed once.
+    Vertex values keep the type of the points: Fractions at annulus and
+    character weights, else ints.  Edge slopes are Fractions, computed once.
     """
 
     __slots__ = ("vertices", "_edges")

@@ -16,15 +16,16 @@ and 0 otherwise, with d_k = dim S_k(Gamma_0(N)) and d_k^new the p-new
 dimension at level Np.  In particular m_i(k) > 0 exactly when
 d_k < i < d_k + d_k^new.  The eta_8 zeros of the modified p = 2 series
 are tents of the same shape; both kinds come in arithmetic progressions,
-so the degrees lam(g_i) are built a progression at a time, with no walk
-over single tents.
+so the degrees lam(g_i) and the valuations at a weight, sums of legs that
+depend only on the level v_p(k - a) of each zero, are built a progression
+at a time, with no walk over single tents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import lcm
+from itertools import accumulate, count, repeat
+from math import gcd, lcm
 from operator import add
 from typing import Dict, Iterator, Mapping
 
@@ -35,6 +36,7 @@ from .weightspace import (
     Classical,
     ComponentLabel,
     EtaEight,
+    LegRule,
     PrimeContext,
     WeightPoint,
     classical_weights,
@@ -76,21 +78,17 @@ def _family(row, k: int, dk: int) -> tuple:
 
 
 def _family_marks(head: tuple, step: tuple) -> list[tuple[int, int, int]]:
-    """The second differences of lam(g_i) from one family's tents, as
-    progressions (a, s, w): w is added at i = a, a + s, a + 2s, ...
+    """The second differences of lam(g_i) from the tents of a family that
+    starts at a nonempty one, as progressions (a, s, w): w is added at
+    i = a, a + s, a + 2s, ...
 
-    Tent j is (d + j*dd, ell + j*dell), empty while ell + j*dell < 1, with
-    marks +1 at d_j + 1, -1 at d_j + ceil(ell_j/2) + 1 and at d_j +
-    floor(ell_j/2) + 2, and +1 at d_j + ell_j + 2.  Each steps by a constant
-    on one parity of j, so a family gives eight progressions; the single
-    weight-2 tent gives four single marks, s = 0.
+    Tent j is (d + j*dd, ell + j*dell) with marks +1 at d_j + 1,
+    -1 at d_j + ceil(ell_j/2) + 1 and at d_j + floor(ell_j/2) + 2, and +1 at
+    d_j + ell_j + 2.  Each steps by a constant on one parity of j, so a
+    family gives eight progressions; the single weight-2 tent gives four
+    single marks, s = 0.
     """
     (_, d, ell), (_, dd, dell) = head, step
-    if ell < 1:
-        if not dell:
-            return []
-        j = (dell - ell) // dell  # the first tent with ell_j >= 1 (dell > 0)
-        d, ell = d + j * dd, ell + j * dell
     firsts = [(d, ell), (d + dd, ell + dell)] if dd else [(d, ell)]  # the first tent of each parity
     return [
         mark
@@ -102,6 +100,20 @@ def _family_marks(head: tuple, step: tuple) -> list[tuple[int, int, int]]:
             (d + ell + 2, 2 * (dd + dell), 1),
         )
     ]
+
+
+def _level_family(head: tuple, step: tuple, a: int = 0, q: int = 1) -> tuple | None:
+    """The nonempty tents (ell >= 1) of a family with q | k - a, again a
+    family, or None if there are none.  Tent t has k = k0 + t*dk; q | k - a
+    picks one class of t mod q/gcd(dk, q), which exists iff gcd(dk, q)
+    divides a - k0.  With q = 1: the family from its first nonempty tent."""
+    (k, d, ell), (dk, dd, dell) = head, step
+    g = gcd(dk, q)
+    if (a - k) % g or ell < 1 and not dell:
+        return None
+    r, first = q // g, (dell - ell) // dell if ell < 1 else 0  # the first nonempty tent
+    t = first + ((a - k) // g * pow(dk // g, -1, r) - first) % r
+    return (k + t * dk, d + t * dd, ell + t * dell), (r * dk, r * dd, r * dell)
 
 
 def _classical_families(ctx: PrimeContext, eps: ComponentLabel) -> list:
@@ -164,7 +176,8 @@ class GhostSeries:
         # v_p(w) >= 1 (>= 3 for p = 2)
         self.floor_cap = Fraction(1 if ctx.p != 2 or self._families[EtaEight] else 3)
         # every family's degree marks, as progressions (a, s, w); see _family_marks
-        self.progressions = [m for fams in self._families.values() for f in fams for m in _family_marks(*f)]
+        nonempty = [_level_family(*f) for fams in self._families.values() for f in fams]
+        self.progressions = [m for f in nonempty if f for m in _family_marks(*f)]
         self._lams: list[int] = [0]
 
     def degree_bound(self) -> tuple[int, Fraction, Fraction]:
@@ -204,45 +217,59 @@ class GhostSeries:
                 t[0], t[1], t[2] = k + dk, d + dd, ell + dell
             live = [t for t in live if t[4] and t[1] < upto]
 
-    def values(self, upto: int, leg=1) -> list:
+    def values(self, upto: int, leg: LegRule | None = None) -> list:
         """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
 
-        ``leg`` is 1, for the degrees lam(g_i), or a function of the zero kind
-        and k: ``weightspace.leg_rule(kappa, ctx)`` gives the valuations
-        v_p(g_i(w_kappa)), +Infinity wherever a zero of g_i has an infinite
-        leg.  The multiplicity of a tent rises by one on [d + 1, d + ceil(ell/2)]
-        and falls by one on [d + floor(ell/2) + 2, d + ell + 1]: these second
-        differences, weighted by the leg, are marked and two prefix sums read
-        them out.  The degrees add each of ``progressions`` as one extended
-        slice, which stops at upto; other legs walk the tents, and are taken
-        only for zeros of g_1..g_upto.
+        With no ``leg``, the degrees lam(g_i).  With ``weightspace.leg_rule(kappa,
+        ctx)``, the valuations v_p(g_i(w_kappa)): +Infinity wherever a zero of
+        g_i has an infinite leg, and all ``Fraction`` values if a leg is not an
+        int.  A tent's multiplicity rises by one on [d + 1, d + ceil(ell/2)] and
+        falls by one on [d + floor(ell/2) + 2, d + ell + 1].  These second
+        differences, as weighted progressions (a, s, w), ``progressions`` or
+        ``_level_marks``, are each added as one extended slice, which stops at
+        upto, and two prefix sums read them out.
         """
-        if leg == 1:
-            stop = upto + 1
-            marks = [0] * stop
-            for a, s, w in self.progressions:
-                part = slice(a, stop, s or stop)  # s = 0: the single mark at a
-                marks[part] = map(add, marks[part], repeat(w))
-            return list(accumulate(accumulate(marks)))
-        spill = upto + 1  # marks past upto land here and never reach a sum
-        marks = [0] * (upto + 2)
-        hits = [0] * (upto + 2)  # first differences of the count of infinite legs
-        for zero in self._families:
-            for k, d, ell in self.tents(upto, zero):
-                w = leg(zero, k)
-                if w is INFINITY:
-                    hits[d + 1] += 1
-                    hits[min(d + ell + 1, spill)] -= 1
-                else:
-                    marks[d + 1] += w
-                    marks[min(d + (ell + 1) // 2 + 1, spill)] -= w
-                    marks[min(d + ell // 2 + 2, spill)] -= w
-                    marks[min(d + ell + 2, spill)] += w
-        out = list(accumulate(accumulate(marks[:spill])))
-        for i, count in enumerate(accumulate(hits[:spill])):
-            if count:
-                out[i] = INFINITY
+        stop = upto + 1
+        marks, den, infinite = (self.progressions, 1, ()) if leg is None else self._level_marks(upto, leg)
+        out = [0] * stop
+        for a, s, w in marks:
+            part = slice(a, stop, s or stop)  # s = 0: the single mark at a
+            out[part] = map(add, out[part], repeat(w))
+        out = list(accumulate(accumulate(out)))
+        if den > 1:
+            out = [Fraction(v, den) for v in out]
+        for d, ell in infinite:
+            out[d + 1 : d + ell + 1] = repeat(INFINITY, min(ell, upto - d))
         return out
+
+    def _level_marks(self, upto: int, leg: LegRule) -> tuple[list, int, list]:
+        """The marks (a, s, w) of the legs of g_1..g_upto scaled by den, den,
+        and the tents (d, ell) of infinite leg, by levels.
+
+        An own zero at level j = v_p(k - a) has the leg min(top, e + j), the
+        sum of the rises of the levels i <= j.  Level i holds the families of
+        ``_level_family`` at q = p^i; the other kind has one level, of leg
+        ``other``.  A kind's levels stop at a rise of 0, when no zero is left,
+        or when only tents at k = a are left: those of infinite leg.  The rule
+        is called on each level's least-k zero, so a ``PrecisionError`` names
+        the least-k zero whose leg the weight does not determine.
+        """
+        den = lcm(*(Fraction(x).denominator for x in (leg.top, leg.other) if x is not INFINITY))
+        marks, infinite = [], []
+        for kind, families in self._families.items():
+            top, below = (leg.top if kind is leg.own else leg.other), 0
+            for i in count():
+                rise = min(top, leg.e + i) - below
+                live = [f for f in (_level_family(*f, leg.a, leg.p**i) for f in families) if f and f[0][1] < upto]
+                if not (rise and live):
+                    break
+                leg(kind, min(head[0] for head, _ in live))
+                if top is INFINITY and all(k == leg.a and (not dd or d + dd >= upto) for (k, d, _), (_, dd, _) in live):
+                    infinite += [(d, ell) for (_, d, ell), _ in live]
+                    break
+                below += rise
+                marks += [(a, s, w * int(rise * den)) for f in live for a, s, w in _family_marks(*f)]
+        return marks, den, infinite
 
     def lam_upto(self, upto: int) -> list[int]:
         """[lam(g_i) for i = 0..] through at least upto; the longest one is cached."""
@@ -282,17 +309,3 @@ def coefficient_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> Ghost
     if i < 1:
         raise ValueError(f"coefficient index i = {i} must be at least 1")
     return GhostCoefficient(i, eps, _coefficient_zeros(GhostSeries(ctx, eps), i, Classical))
-
-
-def lam_values(ctx: PrimeContext, eps: ComponentLabel, upto: int) -> list[int]:
-    """[lam(g_i) for i = 0..upto]."""
-    out = GhostSeries(ctx, eps).values(upto)
-    if any(v < 0 for v in out):
-        raise AssertionError("negative degree; divisor bookkeeping broke")
-    return out
-
-
-def lam_deltas(ctx: PrimeContext, eps: ComponentLabel, upto: int) -> list[int]:
-    """[lam(Delta_i) for i = 0..upto]: first differences of the degrees."""
-    lams = GhostSeries(ctx, eps).values(upto)
-    return [0] + [b - a for a, b in zip(lams, lams[1:])]

@@ -60,10 +60,6 @@ INFINITY = _PlusInfinity()
 ExtendedRational = Union[int, Fraction, _PlusInfinity]
 
 
-def is_finite(value: ExtendedRational) -> bool:
-    return value is not INFINITY
-
-
 def padic_valuation(n: int, p: int) -> int:
     """v_p of a nonzero integer."""
     if n == 0:
@@ -291,44 +287,49 @@ def weight_component(a: WeightPoint, ctx: PrimeContext) -> ComponentLabel:
 # ---------------------------------------------------------------------------
 # valuations
 
-def classical_pair_valuation(k: int, k2: int, ctx: PrimeContext) -> ExtendedRational:
-    """v_p(w_k - w_k') for two even integer weights on one component.
+class LegRule(Record):
+    """The legs v_p(w_kappa - w_z) of one weight against the zeros z = kind(k).
 
-    Returns 2 + v_2(k - k') for p = 2, 1 + v_p(k - k') for odd p, and
-    +Infinity when the weights coincide.
+    A zero of kind ``own`` has the leg min(top, e + v_p(k - a)), ``top`` at
+    k = a: it depends only on the level v_p(k - a).  A zero of the other
+    kind has the leg ``other``.  A w-value known mod p^m only (else ``m`` is
+    None) leaves a leg of m or more undetermined: ``PrecisionError``.
     """
-    if component_of(k, ctx) != component_of(k2, ctx):
-        raise ComponentMismatch(
-            f"weights {k} and {k2} lie on different components mod {ctx.p - 1}"
-        )
-    return leg_rule(Classical(k), ctx)(Classical, k2)
+
+    __slots__ = ("p", "own", "a", "e", "top", "other", "m")
+
+    def __call__(self, zero: type, k: int) -> ExtendedRational:
+        if zero is not self.own:
+            v = self.other
+        elif k == self.a:
+            v = self.top
+        else:
+            v = min(self.top, self.e + padic_valuation(k - self.a, self.p))
+        p, m = self.p, self.m
+        if m is not None and not v < m:
+            raise PrecisionError(f"w-value known mod {p}^{m} only: v_{p}(w - w_z) >= {m} is not determined (zero at k = {k})")
+        return v
 
 
-def leg_rule(kappa: WeightPoint, ctx: PrimeContext):
-    """(zero kind, k) -> v_p(w_kappa - w_z) for the zero z = kind(k) on the component of kappa.
+def leg_rule(kappa: WeightPoint, ctx: PrimeContext) -> LegRule:
+    """The :class:`LegRule` of kappa, its component unchecked (:func:`pair_valuation`
+    checks it; a series reads only the zeros of its own component).
 
-    The weight is read once, here, and its component is not checked:
-    :func:`pair_valuation` is the checked form, and a series walks only
-    zeros of the component it was built for.  An annulus leg is the lesser
-    of its radius and its center's leg; a character weight has one
-    ``Fraction`` leg for every zero.
-
-    Every other weight has w + 1 = +-gen^a, with the sign of the zeros of
-    one kind.  Against that kind the leg is the int e + v_p(k - a), e =
-    v_p(gen - 1), and +Infinity at k = a; against the other kind (p = 2:
-    5^k + 5^k' is 2 mod 4) it is 1.  A w-value known mod p^m gives a mod
-    p^(m - e), and a leg of m or more is then not determined.
+    An annulus caps its center's legs at its radius v (strict ultrametric:
+    v is not an integer and they are); a character weight has the one leg
+    v_p(zeta - 1) < 1.  Every other weight has w + 1 = +-gen^a, with the sign
+    of the zeros of one kind: against it the leg is the int e + v_p(k - a),
+    e = v_p(gen - 1), +Infinity at k = a; against the other kind (p = 2:
+    5^k + 5^k' is 2 mod 4) it is 1.  w known mod p^m gives a mod p^(m - e).
     """
     p, kind, m = ctx.p, kappa.__class__, None
     e = 2 if p == 2 else 1
     if kind is Annulus:
-        # strict ultrametric: v is not an integer and the other leg is
-        v, center = kappa.v, leg_rule(Classical(kappa.center), ctx)
-        return lambda zero, k: min(v, center(zero, k))
+        return LegRule(p, Classical, kappa.center, e, kappa.v, min(kappa.v, 1), None)
     if kind is CharClassical:
         # v_p(zeta - 1) < 1 <= v_p(gamma^(k-z) - 1), so the root of unity wins
         v = Fraction(1, p ** (kappa.t - 2) * (p - 1))
-        return lambda zero, k: v
+        return LegRule(p, Classical, kappa.k, e, v, v, None)
     if kind is Classical or kind is EtaEight:
         own, a = kind, kappa.k
     elif kind is ExplicitW:
@@ -349,22 +350,7 @@ def leg_rule(kappa: WeightPoint, ctx: PrimeContext):
             a, t, g = a + digit * p ** j, t * pow(g, digit, mod) % mod, pow(g, p, mod)
     else:
         raise TypeError(f"not a weight point: {kappa!r}")
-
-    def leg(zero: type, k: int) -> ExtendedRational:
-        if zero is not own:
-            v = 1
-        elif k == a:
-            v = INFINITY
-        else:
-            v = e + padic_valuation(k - a, p)
-        if m is not None and not v < m:
-            raise PrecisionError(
-                f"w-value known mod {p}^{m} only: v_{p}(w - w_z) >= {m} "
-                f"is not determined (zero at k = {k})"
-            )
-        return v
-
-    return leg
+    return LegRule(p, own, a, e, INFINITY, 1, m)
 
 
 def pair_valuation(a: WeightPoint, z: Classical | EtaEight, ctx: PrimeContext) -> ExtendedRational:

@@ -4,7 +4,9 @@ Each coefficient divisor is built here as a dict, zero by zero, straight
 from the dimension formulas: d_k = dim S_k(Gamma_0(N)), the p-new
 dimension and the eta_8 dimensions, with no zero table.  These are slow,
 but independent of ``ghostseries.series``' table and its reads, which is
-what makes them a reference.  ``boundary_slopes_reference`` certifies
+what makes them a reference.  ``values_reference`` walks the tents one by
+one and calls the leg once per zero, so it checks the progressions that
+``GhostSeries.values`` adds.  ``boundary_slopes_reference`` certifies
 boundary slopes over the whole degree array, with no period and no shear,
 so it checks ``boundary_polygon`` apart from its period proof, and
 ``ap_report_reference`` runs both progression scans over every slope, so it
@@ -16,6 +18,7 @@ for the tests that read the modified boundary slopes by tame level.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Iterator
 
 from ghostseries.boundary import ap_check, boundary_polygon, scan_burn_in
@@ -33,7 +36,6 @@ from ghostseries.weightspace import (
     PrimeContext,
     WeightPoint,
     classical_weights,
-    is_finite,
     leg_rule,
     weight_component,
 )
@@ -242,7 +244,33 @@ def coefficient_valuation(coef, kappa: WeightPoint) -> ExtendedRational:
         if not isinstance(zero, (Classical, EtaEight)):
             raise TypeError(f"coefficient zeros are Classical or EtaEight points, not {zero!r}")
         v = leg(zero.__class__, zero.k)
-        if not is_finite(v):
+        if v is INFINITY:
             return INFINITY
         total += mult * v
     return total
+
+
+def values_reference(series: GhostSeries, upto: int, leg) -> list:
+    """[sum over the zeros z of g_i of m_i(z) * leg(kind, k), for i = 0..upto]
+    by the per-tent walk: ``leg`` is any function of the zero kind and k, and
+    is called once per zero of g_1..g_upto, classical zeros by increasing k
+    first.  A value is +Infinity wherever a zero of g_i has an infinite leg."""
+    spill = upto + 1  # marks past upto land here and never reach a sum
+    marks = [0] * (upto + 2)
+    hits = [0] * (upto + 2)  # first differences of the count of infinite legs
+    for zero in (Classical, EtaEight):
+        for k, d, ell in series.tents(upto, zero):
+            w = leg(zero, k)
+            if w is INFINITY:
+                hits[d + 1] += 1
+                hits[min(d + ell + 1, spill)] -= 1
+            else:
+                marks[d + 1] += w
+                marks[min(d + (ell + 1) // 2 + 1, spill)] -= w
+                marks[min(d + ell // 2 + 2, spill)] -= w
+                marks[min(d + ell + 2, spill)] += w
+    out = list(accumulate(accumulate(marks[:spill])))
+    for i, count in enumerate(accumulate(hits[:spill])):
+        if count:
+            out[i] = INFINITY
+    return out

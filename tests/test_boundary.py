@@ -17,7 +17,7 @@ from ghostseries.dims import gamma0_invariants
 from ghostseries.errors import GhostError
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
 from ghostseries.polygon import ghost_slopes
-from ghostseries.series import GhostSeries, lam_deltas
+from ghostseries.series import GhostSeries
 from ghostseries.weightspace import Annulus, ComponentLabel, PrimeContext, is_prime
 from oracle import boundary_slopes_reference
 
@@ -68,7 +68,8 @@ def test_boundary_period_pins_the_degree_increments():
         L = lcm(*(s for _, s, _ in series.progressions if s))
         n, delta, b = boundary_period(series, *conjectured)
         assert (n, delta) == conjectured, (ctx, eps)
-        d = lam_deltas(ctx, eps, A + L + 3 * n)
+        lams = series.values(A + L + 3 * n)
+        d = [0, *map(sub, lams[1:], lams)]
         g = list(map(sub, d[n:], d))  # g[x] = lam(Delta_{x+n}) - lam(Delta_x)
         assert set(g[b : A + L + 2 * n + 1]) == {delta}, (ctx, eps)
         assert b == 1 or g[b - 1] != delta, (ctx, eps)
@@ -109,7 +110,8 @@ def test_boundary_period_falls_back_to_the_common_period():
         n_ap, delta_ap = ap_parameters(ctx)
         n, delta, b = boundary_period(series, n_ap, delta_ap + 1)
         assert n == L
-        d = lam_deltas(ctx, eps, b + 4 * L)
+        lams = series.values(b + 4 * L)
+        d = [0, *map(sub, lams[1:], lams)]
         g = list(map(sub, d[L:], d))
         assert set(g[b : b + 3 * L]) == {delta}, (ctx, eps)
         assert b == 1 or g[b - 1] != delta, (ctx, eps)

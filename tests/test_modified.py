@@ -15,7 +15,7 @@ from ghostseries.modified import (
     seed_multiplicities,
 )
 from ghostseries.polygon import ghost_slopes
-from ghostseries.series import GhostSeries, lam_values
+from ghostseries.series import GhostSeries
 from ghostseries.weightspace import Annulus, Classical, ComponentLabel, EtaEight, ExplicitW, PrimeContext, leg_rule
 import oracle
 from oracle import modified_boundary_slopes, modified_multiplicity
@@ -149,7 +149,7 @@ def test_modified_coefficient_divisors(monkeypatch):
     cases += [(PrimeContext(3, 1), 1, seed), (PrimeContext(2, 5), 1, seed)]
     got = [_divisor_or_error(modified_coefficient, *case) for case in cases]
     assert {type(g) for g in got} == {tuple, str}
-    lams = lam_values(CTX23, EPS2, 40)
+    lams = GhostSeries(CTX23, EPS2).values(40)
     values = GhostSeries(CTX23, EPS2).values(40, leg_rule(Classical(-2), CTX23))
 
     def no_table(*args):
@@ -175,7 +175,7 @@ def test_level_one_extra_is_empty():
 
 def test_extra_degree_growth():
     modified = GhostSeries(CTX23, EPS2, seed3()).lam_upto(200)
-    extra = [m - b for m, b in zip(modified, lam_values(CTX23, EPS2, 200))]
+    extra = [m - b for m, b in zip(modified, GhostSeries(CTX23, EPS2).values(200))]
     # one extra zero per weight: indices d_k - 1 = 4k - 7, k = 2, 3, 4, ...
     assert sum(extra) == 50
     assert all((extra[i] == 1) == (i % 4 == 1) for i in range(1, 201))
@@ -218,7 +218,7 @@ def test_whole_slope_seed_is_the_plain_series():
     for kappa in (Annulus(0, Fraction(5, 2)), ExplicitW(20, 8)):
         plain = ghost_slopes(CTX23, kappa, 8, cap=12)
         assert ghost_slopes(CTX23, kappa, 8, seed=whole, cap=12) == plain
-    assert GhostSeries(CTX23, EPS2, whole).lam_upto(60) == lam_values(CTX23, EPS2, 60)
+    assert GhostSeries(CTX23, EPS2, whole).lam_upto(60) == GhostSeries(CTX23, EPS2).values(60)
 
 
 def test_regularity_check():

@@ -1,12 +1,13 @@
 from collections import Counter
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
 import ghostseries.series
 from ghostseries.dims import dim_pnew, gamma0_invariants
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
-from ghostseries.series import GhostSeries, lam_deltas, lam_values
+from ghostseries.series import GhostSeries
 from oracle import (
     _component_dims,
     coefficient_divisor,
@@ -16,6 +17,7 @@ from oracle import (
     multiplicity,
     updown,
     updown_padded,
+    values_reference,
 )
 from ghostseries.weightspace import (
     INFINITY,
@@ -104,15 +106,17 @@ def test_lam_arrays_agree_with_divisors():
     for (p, N) in [(2, 1), (2, 3), (3, 1), (5, 2)]:
         ctx = PrimeContext(p, N)
         eps = ComponentLabel(0, p)
-        lams = lam_values(ctx, eps, 60)
-        deltas = lam_deltas(ctx, eps, 60)
+        lams = GhostSeries(ctx, eps).values(60)
+        deltas = [0, *map(sub, lams[1:], lams)]
+        assert min(lams) >= 0
         for i in range(1, 61):
             assert lams[i] == coefficient_divisor(ctx, eps, i).lam
             assert deltas[i] == delta_divisor(ctx, eps, i).lam
 
 
 def test_p3_delta_degrees_are_exactly_2i():
-    deltas = lam_deltas(PrimeContext(3, 1), ComponentLabel(0, 3), 100)
+    lams = GhostSeries(PrimeContext(3, 1), ComponentLabel(0, 3)).values(100)
+    deltas = [0, *map(sub, lams[1:], lams)]
     assert all(deltas[i] == 2 * i for i in range(1, 101))
 
 
@@ -128,7 +132,8 @@ def test_delta_degree_estimate_bound():
             ctx = PrimeContext(p, N)
             mu0 = gamma0_invariants(N).index
             for res in range(0, max(p - 2, 1), 2):
-                deltas = lam_deltas(ctx, ComponentLabel(res, p), 100)
+                lams = GhostSeries(ctx, ComponentLabel(res, p)).values(100)
+                deltas = [0, *map(sub, lams[1:], lams)]
                 for i in range(1, 101):
                     dev = abs(
                         Fraction(deltas[i])
@@ -141,7 +146,8 @@ def test_delta_degree_estimate_bound():
 
 def test_superlinear_degree_growth():
     for (p, N) in [(2, 1), (2, 3), (3, 1), (5, 1)]:
-        lams = lam_values(PrimeContext(p, N), ComponentLabel(0, p), 200)
+        lams = GhostSeries(PrimeContext(p, N), ComponentLabel(0, p)).values(200)
+        assert min(lams) >= 0
         ratios = [Fraction(lams[i], i) for i in range(1, 201)]
         tail = ratios[30:]
         assert all(b >= a for a, b in zip(tail, tail[1:]))
@@ -196,6 +202,8 @@ def test_coefficient_divisor_rejects_bad_index():
         pytest.param(
             PrimeContext(5, 1), ExplicitW((pow(6, -4, 5**20) - 1) % 5**20, 20, residue=0), None, id="explicit-p5"
         ),
+        # 14 is a zero of g_1: the legs rise through four levels and stop at 9/2, never +Infinity
+        pytest.param(PrimeContext(3, 1), Annulus(14, Fraction(9, 2)), None, id="annulus-on-a-zero"),
     ],
 )
 def test_zero_table_matches_divisor_oracle(ctx, kappa, seed):
@@ -213,7 +221,7 @@ def test_zero_table_matches_divisor_oracle(ctx, kappa, seed):
     want = [0] + [coefficient_valuation(coef, kappa) for coef in oracle]
     degrees = [0] + [coef.lam for coef in oracle]
     for upto in range(D + 1):  # every truncation, so the clipping at upto is covered
-        assert series.values(upto, leg) == want[: upto + 1]
+        assert values_reference(series, upto, leg) == want[: upto + 1]
         assert series.values(upto, leg_rule(kappa, ctx)) == want[: upto + 1]
         assert series.values(upto) == degrees[: upto + 1]
     if kappa in (Classical(14), EtaEight(3)):
@@ -295,8 +303,8 @@ def _one(kind, k):
 
 
 def test_degree_array_matches_tent_walk():
-    # values(upto) adds whole progressions of tents; a leg of 1 takes the
-    # per-tent walk.  p = 1009 (one class of huge ell) runs every component
+    # values(upto) adds whole progressions of tents; the reference takes the
+    # per-tent walk with a leg of 1.  p = 1009 (one class of huge ell) runs every component
     # on three levels: N = 7 has nu3 > 0 and N = 13 nu2 > 0
     uptos = (0, 1, 2, 3, 12, 40, 400, 2000)
     seeds = (
@@ -312,21 +320,42 @@ def test_degree_array_matches_tent_walk():
                 cases += [GhostSeries(ctx, ComponentLabel(r, p)) for r in range(0, max(p - 1, 1), 2)]
     for series in cases:
         for upto in uptos:
-            assert series.values(upto) == series.values(upto, _one), (series._families, upto)
+            assert series.values(upto) == values_reference(series, upto, _one), (series._families, upto)
 
 
 @pytest.mark.parametrize(
-    "ctx, seed", [(PrimeContext(5, 1), None), (PrimeContext(2, 3), bundled_seed(3))], ids=["p5", "p2-modified"]
+    "ctx, seed, kappas",
+    [
+        pytest.param(
+            PrimeContext(5, 1),
+            None,
+            (Classical(12), Annulus(0, Fraction(7, 2)), ExplicitW((pow(6, -4, 5**20) - 1) % 5**20, 20, residue=0)),
+            id="p5",
+        ),
+        pytest.param(
+            PrimeContext(2, 3),
+            bundled_seed(3),
+            (Classical(14), Annulus(0, Fraction(5, 2)), ExplicitW((-pow(5, -2, 2**40) - 1) % 2**40, 40)),
+            id="p2-modified",
+        ),
+    ],
 )
-def test_degree_array_takes_no_tent_walk(monkeypatch, ctx, seed):
+def test_degree_array_takes_no_tent_walk(monkeypatch, ctx, seed, kappas):
+    # the degrees and the valuations at a weight (a zero weight, with
+    # infinite legs; an annulus; a w-value) all add progressions
+    D = 300
     series = GhostSeries(ctx, ComponentLabel(0, ctx.p), seed)
-    small = series.values(300, _one)
+    small = values_reference(series, D, _one)
+    rules = [leg_rule(kappa, ctx) for kappa in kappas]
+    want = [values_reference(series, D, rule) for rule in rules]
+    assert INFINITY in want[0] and INFINITY not in want[1]
 
     def no_walk(*args):
         raise AssertionError("the degree array walked the tents")
 
     monkeypatch.setattr(GhostSeries, "tents", no_walk)
     big = series.values(100_000)
-    assert len(big) == 100_001 and big[:301] == small
+    assert len(big) == 100_001 and big[: D + 1] == small
+    assert [series.values(D, rule) for rule in rules] == want
     with pytest.raises(AssertionError, match="walked the tents"):
-        series.values(300, _one)
+        values_reference(series, D, _one)

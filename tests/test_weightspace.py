@@ -13,7 +13,6 @@ from ghostseries.weightspace import (
     EtaEight,
     ExplicitW,
     PrimeContext,
-    classical_pair_valuation,
     component_of,
     leg_rule,
     padic_valuation,
@@ -64,15 +63,15 @@ def test_weight_point_validation():
 
 def test_classical_pair_valuation_examples():
     ctx2 = PrimeContext(2, 1)
-    assert classical_pair_valuation(14, 26, ctx2) == 4  # 2 + v_2(12)
-    assert classical_pair_valuation(14, 14, ctx2) is INFINITY
+    assert pair_valuation(Classical(14), Classical(26), ctx2) == 4  # 2 + v_2(12)
+    assert pair_valuation(Classical(14), Classical(14), ctx2) is INFINITY
     # odd-p rule 1 + v_p(k - k'), with the binomial-expansion oracle
     ctx3 = PrimeContext(3, 1)
-    assert classical_pair_valuation(2, 20, ctx3) == 3
+    assert pair_valuation(Classical(2), Classical(20), ctx3) == 3
     oracle = padic_valuation((1 + 3) ** 18 - 1, 3)
-    assert classical_pair_valuation(2, 20, ctx3) == oracle
+    assert pair_valuation(Classical(2), Classical(20), ctx3) == oracle
     with pytest.raises(ComponentMismatch):
-        classical_pair_valuation(2, 4, PrimeContext(5))
+        pair_valuation(Classical(2), Classical(4), PrimeContext(5))
 
 
 def test_pair_valuation_examples():
@@ -144,7 +143,7 @@ def test_explicit_w_generator_convention_is_irrelevant():
         w0 = (pow(gen, 10, 3 ** 25) - 1) % 3 ** 25
         a = ExplicitW(w0, 25, residue=0, generator=gen)
         for z in (4, 16, 28):
-            assert pair_valuation(a, Classical(z), ctx) == classical_pair_valuation(10, z, ctx)
+            assert pair_valuation(a, Classical(z), ctx) == pair_valuation(Classical(10), Classical(z), ctx)
     with pytest.raises(ValueError):
         pair_valuation(ExplicitW(12, 10, residue=0, generator=10), Classical(4), ctx)
 
