@@ -132,10 +132,6 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
     raise UsageError(f"cannot parse weight specification {spec!r}")
 
 
-def _context(args) -> PrimeContext:
-    return PrimeContext(args.p, args.N)
-
-
 def _cap(args) -> int:
     if args.cap is not None:
         cap, source = args.cap, "--cap"
@@ -182,9 +178,7 @@ def _mode_slopes(args, ctx: PrimeContext, seed, weight: WeightPoint) -> SlopeLis
     return classical_ghost_slopes(ctx, weight.k, args.mode, seed=seed, cap=_cap(args))
 
 
-def _cmd_slopes(args) -> int:
-    ctx = _context(args)
-    seed = _seed(args, ctx)
+def _cmd_slopes(args, ctx: PrimeContext, seed) -> int:
     slopes = _mode_slopes(args, ctx, seed, parse_weight(args.weight, ctx))
     if args.format == "csv":
         print("index,slope,certified")
@@ -196,23 +190,20 @@ def _cmd_slopes(args) -> int:
     return 0
 
 
-def _cmd_series(args) -> int:
-    ctx = _context(args)
-    seed = _seed(args, ctx)
+def _cmd_series(args, ctx: PrimeContext, seed) -> int:
     series = GhostSeries(ctx, ComponentLabel(args.component, ctx.p), seed)
     if args.up_to < 0:
         raise UsageError("--up-to must be at least 0")
-    write = sys.stdout.write
+    write, lam = sys.stdout.write, series.lam_upto(args.up_to)
     for i, zeros in enumerate(series.divisors(args.up_to), start=1):
         # the line json.dumps({"i", "lambda", "zeros": [{"type", "k", "mult"}, ...]}) prints
         items = ", ".join([f'{{"type": "{_ZERO_TYPES[kind]}", "k": {k}, "mult": {m}}}' for kind, k, m in zeros])
-        write(f'{{"i": {i}, "lambda": {sum([m for _, _, m in zeros])}, "zeros": [{items}]}}\n')
+        write(f'{{"i": {i}, "lambda": {lam[i]}, "zeros": [{items}]}}\n')
     return 0
 
 
-def _cmd_dims(args) -> int:
+def _cmd_dims(args, ctx: PrimeContext, seed) -> int:
     import json
-    ctx = _context(args)
     inv_n = gamma0_invariants(ctx.N)
     inv_np = gamma0_invariants(ctx.N * ctx.p)
 
@@ -239,10 +230,8 @@ def _cmd_dims(args) -> int:
     return 0
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args, ctx: PrimeContext, seed) -> int:
     _need("boundary")
-    ctx = _context(args)
-    seed = _seed(args, ctx)
     eps = ComponentLabel(args.component, ctx.p)
     cap = _cap(args)
     if args.ap:  # the progression arguments are checked before any slope is computed
@@ -283,11 +272,9 @@ def _halo_csv(profile, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_halo(args) -> int:
+def _cmd_halo(args, ctx: PrimeContext, seed) -> int:
     from pathlib import Path
     _need("boundary")
-    ctx = _context(args)
-    seed = _seed(args, ctx)
     intervals = args.interval or [0]
     if len(intervals) > 1 and not args.out_dir:
         raise UsageError("--out-dir is required when sampling several intervals")
@@ -344,10 +331,8 @@ def compare(fixture: dict, computed: SlopeList, fixture_name: str = "<fixture>")
     return ComparisonReport(fixture_name, computed, compared, diffs, first_mismatch, truncated)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, ctx: PrimeContext, seed) -> int:
     import json
-    ctx = _context(args)
-    seed = _seed(args, ctx)
     weight = parse_weight(args.weight, ctx)
     with open(args.fixture, "r", encoding="utf-8") as handle:
         try:
@@ -378,13 +363,54 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-def _add_common(sub, modified: bool = True) -> None:
-    sub.add_argument("--p", type=int, required=True, help="the prime p")
-    sub.add_argument("--N", type=int, default=1, help="tame level N coprime to p")
-    sub.add_argument("--cap", type=int, default=None, help="truncation degree cap (default 10000, env GHOST_CAP)")
-    if modified:
-        sub.add_argument("--modified", action="store_true", help="use the modified p=2 series")
-        sub.add_argument("--seed", type=str, default=None, help="weight-2 slope seed file (JSON)")
+_PRIME = (  # the options of every subcommand
+    ("--p", dict(type=int, required=True, help="the prime p")),
+    ("--N", dict(type=int, default=1, help="tame level N coprime to p")),
+    ("--cap", dict(type=int, default=None, help="truncation degree cap (default 10000, env GHOST_CAP)")),
+)
+_SEEDED = _PRIME + (  # and of every subcommand but dims
+    ("--modified", dict(action="store_true", help="use the modified p=2 series")),
+    ("--seed", dict(type=str, default=None, help="weight-2 slope seed file (JSON)")),
+)
+_MODE = ("--mode", dict(choices=["tame", "full", "overconvergent"], default="overconvergent"))
+
+# each subcommand once: its help, its handler and its options in --help order
+_COMMANDS = {
+    "slopes": ("slopes of the Newton polygon at a weight", _cmd_slopes, _SEEDED + (
+        ("--weight", dict(required=True, help="weight spec, e.g. k=0 or annulus:0:1/2")),
+        ("--count", dict(type=int, default=None, help="number of slopes")),
+        _MODE,
+        ("--format", dict(choices=["json", "csv"], default="json")),
+    )),
+    "series": ("coefficient divisors as JSON lines", _cmd_series, _SEEDED + (
+        ("--up-to", dict(type=int, required=True, help="largest coefficient index")),
+        ("--component", dict(type=int, default=0, help="even residue mod p-1")),
+    )),
+    "dims": ("dimension tables and curve invariants", _cmd_dims, _PRIME + (
+        ("--k-max", dict(type=int, default=30)),
+    )),
+    "boundary": ("w-adic slopes of the boundary polygon", _cmd_boundary, _SEEDED + (
+        ("--count", dict(type=int, default=50)),
+        ("--component", dict(type=int, default=0)),
+        ("--ap", dict(action="store_true", help="attach an arithmetic-progression report (odd p)")),
+        ("--burn-in-max", dict(type=int, default=100)),
+        ("--n-ap", dict(type=int, default=None, help="override the progression count")),
+        ("--delta", dict(type=int, default=None, help="override the common difference")),
+    )),
+    "halo": ("slope rows over annuli r < v < r+1 as CSV", _cmd_halo, _SEEDED + (
+        ("--center", dict(type=int, default=0, help="even integer center k0")),
+        ("--interval", dict(type=int, action="append", help="interval r (repeatable)")),
+        ("--samples", dict(type=int, default=3)),
+        ("--count", dict(type=int, default=20)),
+        ("--out-dir", dict(type=str, default=None, help="write one CSV per interval here")),
+    )),
+    "compare": ("compare computed slopes against a fixture file", _cmd_compare, _SEEDED + (
+        ("--fixture", dict(required=True)),
+        ("--weight", dict(required=True)),
+        ("--count", dict(type=int, default=None)),
+        _MODE,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,64 +420,22 @@ def build_parser() -> argparse.ArgumentParser:
         "boundary polygons and halo profiles, all in exact rational arithmetic.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("slopes", help="slopes of the Newton polygon at a weight")
-    _add_common(sp)
-    sp.add_argument("--weight", required=True, help="weight spec, e.g. k=0 or annulus:0:1/2")
-    sp.add_argument("--count", type=int, default=None, help="number of slopes")
-    sp.add_argument("--mode", choices=["tame", "full", "overconvergent"], default="overconvergent")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.set_defaults(func=_cmd_slopes)
-
-    sp = subs.add_parser("series", help="coefficient divisors as JSON lines")
-    _add_common(sp)
-    sp.add_argument("--up-to", type=int, required=True, help="largest coefficient index")
-    sp.add_argument("--component", type=int, default=0, help="even residue mod p-1")
-    sp.set_defaults(func=_cmd_series)
-
-    sp = subs.add_parser("dims", help="dimension tables and curve invariants")
-    _add_common(sp, modified=False)
-    sp.add_argument("--k-max", type=int, default=30)
-    sp.set_defaults(func=_cmd_dims)
-
-    sp = subs.add_parser("boundary", help="w-adic slopes of the boundary polygon")
-    _add_common(sp)
-    sp.add_argument("--count", type=int, default=50)
-    sp.add_argument("--component", type=int, default=0)
-    sp.add_argument("--ap", action="store_true", help="attach an arithmetic-progression report (odd p)")
-    sp.add_argument("--burn-in-max", type=int, default=100)
-    sp.add_argument("--n-ap", type=int, default=None, help="override the progression count")
-    sp.add_argument("--delta", type=int, default=None, help="override the common difference")
-    sp.set_defaults(func=_cmd_boundary)
-
-    sp = subs.add_parser("halo", help="slope rows over annuli r < v < r+1 as CSV")
-    _add_common(sp)
-    sp.add_argument("--center", type=int, default=0, help="even integer center k0")
-    sp.add_argument("--interval", type=int, action="append", help="interval r (repeatable)")
-    sp.add_argument("--samples", type=int, default=3)
-    sp.add_argument("--count", type=int, default=20)
-    sp.add_argument("--out-dir", type=str, default=None, help="write one CSV per interval here")
-    sp.set_defaults(func=_cmd_halo)
-
-    sp = subs.add_parser("compare", help="compare computed slopes against a fixture file")
-    _add_common(sp)
-    sp.add_argument("--fixture", required=True)
-    sp.add_argument("--weight", required=True)
-    sp.add_argument("--count", type=int, default=None)
-    sp.add_argument("--mode", choices=["tame", "full", "overconvergent"], default="overconvergent")
-    sp.set_defaults(func=_cmd_compare)
-
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        sp.set_defaults(func=handler)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        ctx = PrimeContext(args.p, args.N)
+        return args.func(args, ctx, _seed(args, ctx))
     except (PrecisionError, CertificationError, ExternalDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

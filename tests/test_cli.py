@@ -175,11 +175,11 @@ def test_ap_report_matches_the_full_scan(capsys, monkeypatch):
                 expected = ap_report_reference(bp.slopes, n_ap, d, max_burn_in)
             except GhostError as exc:  # at most n_ap slopes: not one progression step
                 with pytest.raises(GhostError) as raised:
-                    ghostseries.cli._cmd_boundary(args)
+                    ghostseries.cli._cmd_boundary(args, ctx, None)
                 assert str(raised.value) == str(exc) and not scanned
                 refused += 1
             else:
-                assert ghostseries.cli._cmd_boundary(args) == 0
+                assert ghostseries.cli._cmd_boundary(args, ctx, None) == 0
                 out = capsys.readouterr().out
                 report = json.loads("{" + out[out.rindex('\n  "ap_report": ') :])["ap_report"]
                 assert report == expected, (ctx, eps, n, extra)
