@@ -10,11 +10,11 @@ conjectures, which ``ap_check`` verifies on a slope list.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import groupby
 from math import lcm
 from operator import sub
-from typing import Sequence
 
 from .dims import gamma0_invariants
 from .errors import CertificationError, GhostError

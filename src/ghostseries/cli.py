@@ -7,12 +7,12 @@ serialized as {"num", "den"} integer pairs, never as floats.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from fractions import Fraction
 from importlib import import_module
+from types import SimpleNamespace
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ComponentMismatch, ExternalDataError, GhostError, PrecisionError
@@ -413,7 +413,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every subcommand; ``main`` builds it only for
+    help and usage errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ghostseries",
         description="Exact slope predictions from the ghost series: Newton polygons, "
@@ -428,11 +431,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read from ``_COMMANDS``,
+    for argv that argparse reads the same way: a subcommand, then its exact
+    option strings, each value one that argparse cannot take for an option.
+    None for anything else (help, abbreviations, ``--opt=value``, an unknown,
+    missing or bad option or value); argparse then parses and reports it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    spec = {flag: (flag.lstrip("-").replace("-", "_"), kwargs) for flag, kwargs in options}
+    values = {dest: kwargs.get("default", False if kwargs.get("action") == "store_true" else None)
+              for dest, kwargs in spec.values()}
+    seen, tokens = set(), iter(argv[1:])
+    for flag in tokens:
+        if flag not in spec:
+            return None
+        seen.add(flag)
+        dest, kwargs = spec[flag]
+        action = kwargs.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        # argparse takes a value starting with "-" for an option, unless it reads as a negative number
+        if value is None or value.startswith("-") and not value[1:].isdecimal():
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = (values[dest] or []) + [value] if action == "append" else value
+    if any(kwargs.get("required") and flag not in seen for flag, kwargs in options):
+        return None
+    return SimpleNamespace(command=argv[0], func=handler, **values)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else 0
     try:
         ctx = PrimeContext(args.p, args.N)
         return args.func(args, ctx, _seed(args, ctx))

@@ -23,9 +23,9 @@ must be supplied (the N = 3 list {1/2, 1/2} ships as package data).
 from __future__ import annotations
 
 import json
-import pkgutil
+import os
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Dict, Mapping
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0
 from .errors import ExternalDataError
@@ -100,7 +100,10 @@ def bundled_seed(N: int) -> Weight2SeedSlopes:
     if N == 1:
         return Weight2SeedSlopes(1, ())
     if N == 3:
-        return seed_from_json(json.loads(pkgutil.get_data(__package__, "data/eta8_seed_N3.json")))
+        # package data through this module's loader, as pkgutil.get_data reads it, without
+        # importing pkgutil (and with it typing) into a request
+        data = __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "data", "eta8_seed_N3.json"))
+        return seed_from_json(json.loads(data))
     raise ExternalDataError(
         f"no bundled weight-2 slope data for N = {N}; supply a seed file"
     )
@@ -147,7 +150,7 @@ class ModifiedCoefficient(Record):
 
     @property
     def zeros(self) -> Mapping[WeightPoint, int]:
-        merged: Dict[WeightPoint, int] = dict(self.base.zeros)
+        merged: dict[WeightPoint, int] = dict(self.base.zeros)
         merged.update(self.extra)
         return merged
 

@@ -19,11 +19,11 @@ the linear bound lam(Delta_i) >= alpha*i - beta of
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import groupby, pairwise
 from math import ceil
 from operator import attrgetter
-from typing import Callable, Sequence
 
 from .dims import dim_cusp_gamma0
 from .errors import CertificationError, PrecisionError

@@ -23,11 +23,11 @@ at a time, with no walk over single tents.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import accumulate, count, repeat
 from math import gcd, lcm
 from operator import add
-from typing import Dict, Iterator, Mapping
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew
 from .record import Record, init
@@ -282,7 +282,7 @@ class GhostSeries:
         order of the reference oracles: classical zeros by increasing k, then
         eta_8 zeros by increasing k.  One walk over the live tents; no zero
         object is built."""
-        starts: Dict[int, list] = {}
+        starts: dict[int, list] = {}
         for g, kind in enumerate(self._families):
             for k, d, ell in self.tents(upto, kind):
                 starts.setdefault(d + 1, []).append((g, k, d, ell, kind))
@@ -292,13 +292,13 @@ class GhostSeries:
             # the up-down term s_{i-d}(ell), for 1 <= i - d <= ell
             yield [(kind, k, i - d if 2 * (i - d) <= ell else d + ell + 1 - i) for _, k, d, ell, kind in live]
 
-    def rows(self, upto: int) -> Iterator[Dict[WeightPoint, int]]:
+    def rows(self, upto: int) -> Iterator[dict[WeightPoint, int]]:
         """The divisors of g_1..g_upto in turn as {zero: multiplicity} dicts."""
         for zeros in self.divisors(upto):
             yield {kind(k): mult for kind, k, mult in zeros}
 
 
-def _coefficient_zeros(series: GhostSeries, i: int, zero: type) -> Dict[WeightPoint, int]:
+def _coefficient_zeros(series: GhostSeries, i: int, zero: type) -> dict[WeightPoint, int]:
     """{zero(k): m_i(k)} for the zeros of the type in g_i alone, by increasing k:
     the tents of g_1..g_i with i <= d + ell, each with its up-down term."""
     return {zero(k): min(i - d, d + ell + 1 - i) for k, d, ell in series.tents(i, zero) if i <= d + ell}

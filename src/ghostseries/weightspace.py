@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
 from .errors import ComponentMismatch, PrecisionError
 from .record import Record, init
@@ -57,7 +56,7 @@ class _PlusInfinity:
 
 INFINITY = _PlusInfinity()
 
-ExtendedRational = Union[int, Fraction, _PlusInfinity]
+ExtendedRational = int | Fraction | _PlusInfinity
 
 
 def padic_valuation(n: int, p: int) -> int:
@@ -240,7 +239,7 @@ class ExplicitW(Record):
         init(self, "generator", generator)
 
 
-WeightPoint = Union[Classical, EtaEight, CharClassical, Annulus, ExplicitW]
+WeightPoint = Classical | EtaEight | CharClassical | Annulus | ExplicitW
 
 def default_generator(p: int) -> int:
     return 5 if p == 2 else 1 + p

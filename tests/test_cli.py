@@ -1,14 +1,19 @@
+import ast
+import io
 import json
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghostseries.cli
 from ghostseries.boundary import ap_check, ap_parameters, boundary_polygon, scan_burn_in
-from ghostseries.cli import UsageError, build_parser, compare, main, parse_weight
+from ghostseries.cli import _COMMANDS, UsageError, _plain_args, build_parser, compare, main, parse_weight
 from ghostseries.errors import GhostError
 from ghostseries.modified import bundled_seed
 from ghostseries.polygon import SlopeList, classical_ghost_slopes, ghost_slopes
@@ -443,6 +448,81 @@ def test_parser_help_lists_subcommands():
     text = parser.format_help()
     for name in ("slopes", "series", "dims", "boundary", "halo", "compare"):
         assert name in text
+
+
+# ---------------------------------------------------------------------------
+# the plain parse: argparse's namespace for well-formed argv, None otherwise
+
+_PARSER = build_parser()
+_NAMES = list(_COMMANDS)
+_FLAGS = sorted({flag for _, _, options in _COMMANDS.values() for flag, _ in options})
+_CHOICES = sorted({c for _, _, options in _COMMANDS.values() for _, kwargs in options for c in kwargs.get("choices", ())})
+_ODD = ["-h", "--help", "--cou", "--p=2", "--", "-", ""]
+_VALUES = ["0", "2", "-1", "-1.5", "+3", "1_0", "x", "k=0", "annulus:0:1/2", *_CHOICES, "xml"]
+_TOKENS = _NAMES + _FLAGS + _ODD + _VALUES
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for ``argv``, or None where it exits."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(_PARSER.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _chunk(flag, kwargs):
+    """One option with a value that fits it or any token; a flag alone when it takes none."""
+    if kwargs.get("action") == "store_true":
+        return st.just((flag,))
+    if "choices" in kwargs:
+        fits = kwargs["choices"]
+    elif kwargs.get("type") is int:
+        fits = ["0", "2", "-1", "+3", "1_0"]
+    else:
+        fits = ["k=0", "annulus:0:1/2", "x", ""]
+    return st.tuples(st.just(flag), st.sampled_from(fits) | st.sampled_from(_TOKENS))
+
+
+def _argv_for(name):
+    """argv for subcommand ``name``: its required options and some others, now
+    and then a stray token, in any order."""
+    options = _COMMANDS[name][2]
+    required = st.tuples(*[_chunk(flag, kwargs) for flag, kwargs in options if kwargs.get("required")])
+    other = st.one_of(*[_chunk(flag, kwargs) for flag, kwargs in options], st.tuples(st.sampled_from(_TOKENS)))
+    chunks = st.tuples(required, st.lists(other, max_size=6)).flatmap(lambda c: st.permutations([*c[0], *c[1]]))
+    return chunks.map(lambda c: [name] + [token for chunk in c for token in chunk])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=8), st.sampled_from(_NAMES).flatmap(_argv_for)))
+def test_plain_parse_agrees_with_argparse(argv):
+    plain, expected = _plain_args(argv), _argparse_vars(argv)
+    if expected is None:
+        assert plain is None
+    else:
+        assert plain is None or vars(plain) == expected
+
+
+def _written_argvs():
+    """The argv lists spelled out in this file and in test_startup.py, a call
+    such as ``str(fixture)`` read as a file name; lists with ``*`` are skipped."""
+    here = Path(__file__).resolve().parent
+    for name in ("test_cli.py", "test_startup.py"):
+        for node in ast.walk(ast.parse((here / name).read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.List) and node.elts and isinstance(node.elts[0], ast.Constant)):
+                continue
+            if node.elts[0].value in _COMMANDS and all(isinstance(e, (ast.Constant, ast.Call)) for e in node.elts):
+                yield [e.value if isinstance(e, ast.Constant) else "file.json" for e in node.elts]
+
+
+def test_plain_parse_reads_every_request_in_the_tests():
+    requests = [argv for argv in _written_argvs() if _argparse_vars(argv) is not None]
+    assert len(requests) >= 30
+    for argv in requests:
+        plain = _plain_args(argv)
+        assert plain is not None, argv
+        assert vars(plain) == _argparse_vars(argv), argv
 
 
 # ---------------------------------------------------------------------------

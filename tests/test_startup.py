@@ -28,13 +28,16 @@ def _fresh(code: str) -> str:
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The package submodules, json and pathlib in sys.modules after ``code`` runs."""
+    """The package submodules and the standard modules a request should not
+    need unless it runs them (json, pathlib, argparse, gettext, typing) in
+    sys.modules after ``code`` runs."""
     probe = (
         "import sys, io\n"
         "out, sys.stdout = sys.stdout, io.StringIO()\n"
         f"{code}\n"
         "sys.stdout = out\n"
-        "print(sorted(m for m in sys.modules if m.startswith('ghostseries.') or m in ('json', 'pathlib')))"
+        "print(sorted(m for m in sys.modules if m.startswith('ghostseries.')"
+        " or m in ('json', 'pathlib', 'argparse', 'gettext', 'typing')))"
     )
     return set(ast.literal_eval(_fresh(probe)))
 
@@ -58,35 +61,45 @@ def test_importing_the_package_loads_no_submodule():
     assert _loaded_after("import ghostseries") == set()
 
 
+_UNLOADED = {"argparse", "gettext", "typing"}  # modules a well-formed request never loads
+
+
 @pytest.mark.parametrize(
-    "argv, present, absent",
+    "argv, code, present, absent",
     [
         (
             ["slopes", "--p", "2", "--weight", "k=0", "--count", "3"],
+            0,
             {"ghostseries.polygon"},
-            {"ghostseries.boundary", "ghostseries.modified", "json", "pathlib"},
+            {"ghostseries.boundary", "ghostseries.modified", "json", "pathlib"} | _UNLOADED,
         ),
         (
             ["boundary", "--p", "5", "--count", "40", "--ap", "--burn-in-max", "5"],
+            0,
             {"ghostseries.boundary"},
-            {"ghostseries.modified", "json"},
+            {"ghostseries.modified", "json"} | _UNLOADED,
         ),
         (
             ["slopes", "--p", "2", "--N", "3", "--modified", "--weight", "k=0", "--count", "3"],
+            0,
             {"ghostseries.modified"},
-            {"ghostseries.boundary"},
+            {"ghostseries.boundary"} | _UNLOADED,
         ),
         (
             ["compare", "--p", "2", "--fixture", str(ROOT / "fixtures" / "annulus_half_2adic.json"),
              "--weight", "annulus:0:1/2", "--count", "10"],
+            0,
             {"ghostseries.polygon", "json"},
-            {"ghostseries.boundary", "ghostseries.modified"},
+            {"ghostseries.boundary", "ghostseries.modified"} | _UNLOADED,
         ),
+        # help and usage errors are argparse's own
+        (["slopes", "--help"], 0, {"argparse"}, {"ghostseries.boundary", "ghostseries.modified"}),
+        (["slopes", "--p", "2"], 2, {"argparse"}, {"ghostseries.boundary", "ghostseries.modified"}),
     ],
-    ids=["slopes", "boundary", "modified", "compare"],
+    ids=["slopes", "boundary", "modified", "compare", "help", "usage-error"],
 )
-def test_a_request_imports_only_the_modules_it_runs(argv, present, absent):
-    loaded = _loaded_after(f"from ghostseries import cli; assert cli.main({argv!r}) == 0")
+def test_a_request_imports_only_the_modules_it_runs(argv, code, present, absent):
+    loaded = _loaded_after(f"from ghostseries import cli; assert cli.main({argv!r}) == {code}")
     assert present <= loaded
     assert not absent & loaded
 
