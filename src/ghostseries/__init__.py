@@ -15,7 +15,7 @@ _EXPORTS = {name: module for module, names in (
                  "scan_burn_in"),
     ("dims", "Gamma0Invariants dim_cusp_eta8 dim_cusp_gamma0 dim_pnew eta8_weight2_excess gamma0_invariants"),
     ("errors", "CertificationError ComponentMismatch ExternalDataError GhostError PrecisionError"),
-    ("modified", "ModifiedCoefficient Weight2SeedSlopes bundled_seed load_seed modified_coefficient "
+    ("modified", "Weight2SeedSlopes bundled_seed load_seed modified_coefficient "
                  "regularity_check_p2 seed_multiplicities"),
     ("polygon", "DEFAULT_CAP NewtonPolygon SlopeList classical_ghost_slopes ghost_polygon ghost_slopes lower_hull"),
     ("series", "GhostCoefficient GhostSeries coefficient_divisor"),

@@ -4,17 +4,19 @@ For odd tame level N > 1 the spaces S_k(Gamma_1(8N), eta_8^{+-}) carry
 repeated fractional slopes that the plain series cannot see.  The fix
 multiplies extra zeros at the weights z^k eta_8^{+-} into the coefficients.
 All extra multiplicities are pinned down by the weight-2 slope list
-nu_1(2) <= ... <= nu_d(2) of U_2 on S_2(Gamma_1(8N), eta_8^+):
+nu_1(2) <= ... <= nu_d(2) of U_2 on S_2(Gamma_1(8N), eta_8^+), through its
+fractional blocks alone, ``Weight2SeedSlopes.blocks``: the runs (b, mu) of
+mu > 1 equal non-integer slopes from position b + 1,
 
-    m_i(2) = s_i(mu_i - 1, beta_i - 1)  if nu_i(2) is not an integer, else 0,
+    m_i(2) = s_{i - b}(mu - 1)  for b < i < b + mu in a block, else 0,
 
-with mu_i the multiplicity and beta_i the first index of nu_i(2), and every
-weight reflects down to weight 2:
+and every weight reflects down to weight 2:
 
     m_i(k) = m_{d_k - i}(2)  for 1 <= i < d_k,  d_k = dim S_k(Gamma_1(8N), eta_8^{+-}).
 
 At k = 2 the reflection holds too: the seed is symmetric around 1/2, so
 its fractional blocks, and with them m_i(2), are symmetric under i -> d_2 - i.
+A modified coefficient is a ``series.GhostCoefficient``, eta_8 zeros last.
 
 The weight-2 slope list is the one input this package cannot compute; it
 must be supplied (the N = 3 list {1/2, 1/2} ships as package data).
@@ -24,15 +26,14 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Mapping
 from fractions import Fraction
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0
 from .errors import ExternalDataError
 from .polygon import certified_slopes  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .record import Record, init, json_int
-from .series import GhostCoefficient, GhostSeries, _coefficient_zeros, coefficient_divisor
-from .weightspace import ComponentLabel, EtaEight, PrimeContext, WeightPoint
+from .series import GhostCoefficient, GhostSeries
+from .weightspace import ComponentLabel, PrimeContext
 
 
 class Weight2SeedSlopes(Record):
@@ -70,6 +71,13 @@ class Weight2SeedSlopes(Record):
     @property
     def dimension(self) -> int:
         return len(self.slopes)
+
+    @property
+    def blocks(self) -> list[tuple[int, int]]:
+        """[(b, mu)] for each run of mu > 1 equal fractional slopes from position b + 1."""
+        slopes = self.slopes
+        runs = [(slopes.index(nu), slopes.count(nu)) for nu in dict.fromkeys(slopes) if nu.denominator != 1]
+        return [(b, mu) for b, mu in runs if mu > 1]
 
 
 def seed_from_json(obj: dict) -> Weight2SeedSlopes:
@@ -113,57 +121,20 @@ def bundled_seed(N: int) -> Weight2SeedSlopes:
 # extra multiplicities
 
 def seed_multiplicities(seed: Weight2SeedSlopes) -> tuple[int, ...]:
-    """m_i(2) for i = 1..d: the up-down pattern of each fractional block.
+    """m_i(2) for i = 1..d: the up-down pattern s(mu - 1) of each block (b, mu).
 
     Entry i is positive exactly when the i-th and (i+1)-st seed slopes agree
     and lie strictly between 0 and 1.
     """
-    slopes = seed.slopes
-    out = []
-    for i in range(1, len(slopes) + 1):
-        nu = slopes[i - 1]
-        if nu.denominator == 1:
-            out.append(0)
-            continue
-        mu, beta = slopes.count(nu), slopes.index(nu) + 1
-        j = i - beta + 1  # the place of i in the up-down pattern s(mu - 1), after beta - 1 zeros
-        out.append(min(j, mu - j) if j < mu else 0)
+    out = [0] * seed.dimension
+    for b, mu in seed.blocks:
+        out[b : b + mu - 1] = [min(j, mu - j) for j in range(1, mu)]
     return tuple(out)
 
 
-class ModifiedCoefficient(Record):
-    """A plain coefficient divisor plus its extra eta_8 zeros."""
-
-    __slots__ = ("base", "extra")
-
-    def __init__(self, base: GhostCoefficient, extra: Mapping[WeightPoint, int] | None = None) -> None:
-        init(self, "base", base)
-        init(self, "extra", {} if extra is None else extra)
-
-    @property
-    def index(self) -> int:
-        return self.base.index
-
-    @property
-    def component(self) -> ComponentLabel:
-        return self.base.component
-
-    @property
-    def zeros(self) -> Mapping[WeightPoint, int]:
-        merged: dict[WeightPoint, int] = dict(self.base.zeros)
-        merged.update(self.extra)
-        return merged
-
-    @property
-    def lam(self) -> int:
-        return self.base.lam + sum(self.extra.values())
-
-
-def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> ModifiedCoefficient:
-    """Divisor of the i-th modified coefficient (p = 2, N odd)."""
-    eps = ComponentLabel(0, 2)
-    series = GhostSeries(ctx, eps, seed)  # rejects p != 2 and a seed of another N
-    return ModifiedCoefficient(coefficient_divisor(ctx, eps, i), _coefficient_zeros(series, i, EtaEight))
+def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> GhostCoefficient:
+    """Divisor of the i-th modified coefficient (p = 2, N odd): classical zeros, then eta_8 zeros."""
+    return GhostSeries(ctx, ComponentLabel(0, 2), seed).coefficient(i)  # p and N are checked before i
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ The i-th coefficient is a divisor: a finite map from integer weights (the
 zeros) to positive multiplicities.  Expanding the product into a
 polynomial is never needed; evaluating the series at a weight only
 requires valuations of the individual factors.  :class:`GhostSeries` holds
-all zeros of one component as one table and derives every array from it;
-:func:`coefficient_divisor` reads a single coefficient's divisor off it.
+all zeros of one component as one table and derives every array from it
+and, with ``coefficient``, any one :class:`GhostCoefficient`, plain or modified.
 
 The multiplicity of the zero w_k in the i-th coefficient is the up-down
 pattern s(d_k^new - 1) shifted past d_k leading zeros:
@@ -47,7 +47,7 @@ from .weightspace import (
 # divisors
 
 class GhostCoefficient(Record):
-    """Divisor of the i-th coefficient on one component: zeros with multiplicity."""
+    """Divisor of the i-th coefficient on one component: zeros with multiplicity, classical ones first."""
 
     __slots__ = ("index", "component", "zeros")
 
@@ -60,6 +60,17 @@ class GhostCoefficient(Record):
     def lam(self) -> int:
         """Total degree: the sum of all zero multiplicities."""
         return sum(self.zeros.values())
+
+    @property
+    def base(self) -> GhostCoefficient:
+        """The coefficient of the plain series: the classical zeros alone."""
+        classical = {z: m for z, m in self.zeros.items() if type(z) is Classical}
+        return GhostCoefficient(self.index, self.component, classical)
+
+    @property
+    def extra(self) -> dict[WeightPoint, int]:
+        """The eta_8 zeros of the modified series."""
+        return {z: m for z, m in self.zeros.items() if type(z) is EtaEight}
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +147,14 @@ def _classical_families(ctx: PrimeContext, eps: ComponentLabel) -> list:
 def _eta8_families(seed) -> list:
     """The eta_8 zeros of the modified series as families, one per seed block.
 
-    The block of mu > 1 equal fractional seed slopes from position b + 1 is
-    the weight-2 tent (2, b, ell), ell = mu - 1, and weight k reflects it to
-    (k, d_k - b - ell - 1, ell), d_k = dim S_k(Gamma_1(8N), eta_8^{+-}) being
-    linear in k.  The symmetric seed maps its blocks onto themselves under
-    b -> d_2 - b - ell - 1, so the family (k, b + d_k - d_2, ell), k >= 2,
-    holds the reflections of one block and, at k = 2, the tent of another.
+    The block (b, mu) of ``seed.blocks`` is the weight-2 tent (2, b, mu - 1), and
+    weight k reflects it to (k, d_k - b - mu, mu - 1), d_k = dim S_k(Gamma_1(8N),
+    eta_8^{+-}) being linear in k.  The symmetric seed maps its blocks onto
+    themselves under b -> d_2 - b - mu, so the family (k, b + d_k - d_2, mu - 1),
+    k >= 2, holds the reflections of one block and, at k = 2, the tent of another.
     """
-    slopes = seed.slopes
     _, step = _family(lambda k: (dim_cusp_eta8(seed.N, k, 1 if k % 2 == 0 else -1), 0), 2, 1)
-    return [
-        ((2, slopes.index(nu), slopes.count(nu) - 1), step)
-        for nu in dict.fromkeys(slopes)
-        if nu.denominator != 1 and slopes.count(nu) > 1
-    ]
+    return [((2, b, mu - 1), step) for b, mu in seed.blocks]
 
 
 class GhostSeries:
@@ -160,7 +165,7 @@ class GhostSeries:
     weight-2 seed adds the eta_8 zeros of the modified p = 2 series as tents
     of the same kind; the table holds each kind as a few families.  Every
     consumer reads it: ``values`` for the degrees and the valuations at a
-    weight, ``rows`` for the divisors.
+    weight, ``rows`` for the divisors, ``coefficient`` for one of them.
     """
 
     def __init__(self, ctx: PrimeContext, eps: ComponentLabel, seed=None):
@@ -169,6 +174,7 @@ class GhostSeries:
                 raise ValueError("the modified series exists only for p = 2")
             if ctx.N != seed.N:
                 raise ValueError(f"seed belongs to N = {seed.N}, not N = {ctx.N}")
+        self.component = eps
         eta8 = _eta8_families(seed) if seed is not None else []
         self._families = {Classical: _classical_families(ctx, eps), EtaEight: eta8}
         # the least valuation of w_z over the zeros z: eta_8 zeros, which only
@@ -297,15 +303,18 @@ class GhostSeries:
         for zeros in self.divisors(upto):
             yield {kind(k): mult for kind, k, mult in zeros}
 
-
-def _coefficient_zeros(series: GhostSeries, i: int, zero: type) -> dict[WeightPoint, int]:
-    """{zero(k): m_i(k)} for the zeros of the type in g_i alone, by increasing k:
-    the tents of g_1..g_i with i <= d + ell, each with its up-down term."""
-    return {zero(k): min(i - d, d + ell + 1 - i) for k, d, ell in series.tents(i, zero) if i <= d + ell}
+    def coefficient(self, i: int) -> GhostCoefficient:
+        """g_i alone (i >= 1): the tents of g_1..g_i with i <= d + ell, each with its
+        up-down term, both kinds in one pass, classical ones by increasing k first."""
+        if i < 1:
+            raise ValueError(f"coefficient index i = {i} must be at least 1")
+        zeros = {kind(k): min(i - d, d + ell + 1 - i) for kind in self._families
+                 for k, d, ell in self.tents(i, kind) if i <= d + ell}
+        return GhostCoefficient(i, self.component, zeros)
 
 
 def coefficient_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> GhostCoefficient:
     """Divisor of the i-th coefficient on the component eps (i >= 1)."""
-    if i < 1:
+    if i < 1:  # before the table, which refuses a component of another prime
         raise ValueError(f"coefficient index i = {i} must be at least 1")
-    return GhostCoefficient(i, eps, _coefficient_zeros(GhostSeries(ctx, eps), i, Classical))
+    return GhostSeries(ctx, eps).coefficient(i)

@@ -332,7 +332,7 @@ def leg_rule(kappa: WeightPoint, ctx: PrimeContext) -> LegRule:
     if kind is Classical or kind is EtaEight:
         own, a = kind, kappa.k
     elif kind is ExplicitW:
-        gen = _check_generator(kappa.generator or default_generator(p), p)
+        gen = _check_generator(default_generator(p) if kappa.generator is None else kappa.generator, p)
         if kappa.w0 % p != 0:
             raise ValueError(f"w0 = {kappa.w0} is not in the open unit disc (p must divide w0)")
         m, mod = kappa.m, p ** kappa.m

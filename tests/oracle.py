@@ -23,7 +23,7 @@ from typing import Dict, Iterator
 
 from ghostseries.boundary import ap_check, boundary_polygon, scan_burn_in
 from ghostseries.dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
-from ghostseries.modified import ModifiedCoefficient, Weight2SeedSlopes, seed_multiplicities
+from ghostseries.modified import Weight2SeedSlopes, seed_multiplicities
 from ghostseries.polygon import DEFAULT_CAP, SlopeList, certified_slopes
 from ghostseries.record import Record
 from ghostseries.series import GhostCoefficient, GhostSeries
@@ -170,7 +170,7 @@ def _eta8_dims(N: int):
         k += 1
 
 
-def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> ModifiedCoefficient:
+def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> GhostCoefficient:
     """Divisor of the i-th modified coefficient (p = 2, N odd).
 
     Extra zeros only occur while d_k <= i + d_2, so the scan is finite.
@@ -189,7 +189,7 @@ def modified_coefficient(ctx: PrimeContext, i: int, seed: Weight2SeedSlopes) -> 
             m = modified_multiplicity(ctx.N, i, k, seed)
             if m:
                 extra[EtaEight(k)] = m
-    return ModifiedCoefficient(base, extra)
+    return GhostCoefficient(i, base.component, {**base.zeros, **extra})
 
 
 def boundary_slopes_reference(

@@ -75,18 +75,24 @@ def test_seed_refuses_inexact_entries(obj):
 
 
 def test_seed_multiplicities_examples():
+    # each seed's fractional blocks (b, mu): mu > 1 equal slopes from position b + 1
     assert seed_multiplicities(seed3()) == (1, 0)
+    assert seed3().blocks == [(0, 2)]
     assert seed_multiplicities(Weight2SeedSlopes(1, ())) == ()
     # two fractional blocks (dim 4 happens at N = 5): mu = 2, beta = 1
     # contributes s(1, 0) = (1, 0, ...) and mu = 2, beta = 3 contributes
     # s(1, 2) = (0, 0, 1, 0, ...)
     thirds = Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)))
     assert seed_multiplicities(thirds) == (1, 0, 1, 0)
+    assert thirds.blocks == [(0, 2), (2, 2)]
     # integer slopes never contribute
     whole = Weight2SeedSlopes(3, (Fraction(0), Fraction(1)))
     assert seed_multiplicities(whole) == (0, 0)
+    assert whole.blocks == []
     # blocks of three (N = 7): s(2) = (1, 1) after 0 and after 3 zeros
-    assert seed_multiplicities(Weight2SeedSlopes(7, (Fraction(1, 3),) * 3 + (Fraction(2, 3),) * 3)) == (1, 1, 0, 1, 1, 0)
+    triples = Weight2SeedSlopes(7, (Fraction(1, 3),) * 3 + (Fraction(2, 3),) * 3)
+    assert seed_multiplicities(triples) == (1, 1, 0, 1, 1, 0)
+    assert triples.blocks == [(0, 3), (3, 3)]
 
 
 def test_positivity_criterion():
@@ -118,12 +124,12 @@ def test_modified_multiplicity_reflection():
 
 
 def _divisor_or_error(build, ctx, i, seed):
-    """The zeros of a modified coefficient, base and extra, in order; or the error text."""
+    """The zeros of a modified coefficient, all of them, base and extra, in order; or the error text."""
     try:
         coef = build(ctx, i, seed)
     except ValueError as exc:
         return str(exc)
-    return list(coef.base.zeros.items()), list(coef.extra.items())
+    return list(coef.zeros.items()), list(coef.base.zeros.items()), list(coef.extra.items())
 
 
 def test_modified_coefficient_divisors(monkeypatch):

@@ -4,6 +4,7 @@ from operator import sub
 
 import pytest
 
+import ghostseries.modified
 import ghostseries.series
 from ghostseries.dims import dim_pnew, gamma0_invariants
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
@@ -167,6 +168,28 @@ def test_coefficient_divisor_rejects_bad_index():
         assert str(got.value) == str(want.value)
 
 
+def test_one_zero_table_per_coefficient_read(monkeypatch):
+    builds = []
+    build = GhostSeries.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(GhostSeries, "__init__", counted)
+    for i in (1, 5, 40):
+        builds.clear()
+        ghostseries.modified.modified_coefficient(PrimeContext(2, 3), i, bundled_seed(3))
+        assert len(builds) == 1, i
+        builds.clear()
+        ghostseries.series.coefficient_divisor(CTX21, EPS2, i)
+        assert len(builds) == 1, i
+    builds.clear()
+    with pytest.raises(ValueError, match="index"):
+        ghostseries.series.coefficient_divisor(PrimeContext(3, 1), EPS2, 0)
+    assert not builds  # the index is checked before the table, which refuses a component of p = 2 at p = 3
+
+
 # the first five ids are kept fixed, so their test names stay comparable across versions
 @pytest.mark.parametrize(
     "ctx, kappa, seed",
@@ -265,6 +288,7 @@ def test_tent_walk_matches_dimension_oracle():
                 for i in (1, 12, 40):
                     got, want = ghostseries.series.coefficient_divisor(ctx, eps, i), coefficient_divisor(ctx, eps, i)
                     assert got == want and list(got.zeros.items()) == list(want.zeros.items()), (p, N, eps, i)
+                    assert got.extra == {} and got.base == got  # a plain coefficient has classical zeros only
     assert {4, 7, 9, 13} <= weight_two
 
 

@@ -144,8 +144,9 @@ def test_explicit_w_generator_convention_is_irrelevant():
         a = ExplicitW(w0, 25, residue=0, generator=gen)
         for z in (4, 16, 28):
             assert pair_valuation(a, Classical(z), ctx) == pair_valuation(Classical(10), Classical(z), ctx)
-    with pytest.raises(ValueError):
-        pair_valuation(ExplicitW(12, 10, residue=0, generator=10), Classical(4), ctx)
+    for gen in (10, 0):  # 0 is refused as 1 is, not read as "no generator given"
+        with pytest.raises(ValueError):
+            pair_valuation(ExplicitW(12, 10, residue=0, generator=gen), Classical(4), ctx)
 
 
 def _w_coordinate(kind, k, gen, mod):
