@@ -5,7 +5,7 @@ zeros) to positive multiplicities.  Expanding the product into a
 polynomial is never needed; evaluating the series at a weight only
 requires valuations of the individual factors.  :class:`GhostSeries` holds
 all zeros of one component as one table and derives every array from it
-and, with ``coefficient``, any one :class:`GhostCoefficient`, plain or modified.
+and, with ``divisor``, the zeros of any one coefficient, plain or modified.
 
 The multiplicity of the zero w_k in the i-th coefficient is the up-down
 pattern s(d_k^new - 1) shifted past d_k leading zeros:
@@ -18,18 +18,20 @@ d_k < i < d_k + d_k^new.  The eta_8 zeros of the modified p = 2 series
 are tents of the same shape; both kinds come in arithmetic progressions,
 so the degrees lam(g_i) and the valuations at a weight, sums of legs that
 depend only on the level v_p(k - a) of each zero, are built a progression
-at a time, with no walk over single tents.
+at a time, and each divisor by arithmetic, with no walk over single tents.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
+from types import MappingProxyType
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew
+from .errors import CertificationError
 from .record import Record, init
 from .weightspace import (
     INFINITY,
@@ -47,14 +49,25 @@ from .weightspace import (
 # divisors
 
 class GhostCoefficient(Record):
-    """Divisor of the i-th coefficient on one component: zeros with multiplicity, classical ones first."""
+    """Divisor of the i-th coefficient on one component: zeros with multiplicity, classical ones first.
+
+    ``zeros`` is a read-only copy: equal to the dict, hashed over its items, pickled as a dict."""
 
     __slots__ = ("index", "component", "zeros")
 
     def __init__(self, index: int, component: ComponentLabel, zeros: Mapping[WeightPoint, int] | None = None) -> None:
         init(self, "index", index)
         init(self, "component", component)
-        init(self, "zeros", {} if zeros is None else zeros)
+        init(self, "zeros", MappingProxyType({} if zeros is None else dict(zeros)))
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.component, frozenset(self.zeros.items())))
+
+    def __repr__(self) -> str:
+        return f"GhostCoefficient(index={self.index!r}, component={self.component!r}, zeros={dict(self.zeros)!r})"
+
+    def __reduce__(self):
+        return GhostCoefficient, (self.index, self.component, dict(self.zeros))
 
     @property
     def lam(self) -> int:
@@ -165,7 +178,7 @@ class GhostSeries:
     weight-2 seed adds the eta_8 zeros of the modified p = 2 series as tents
     of the same kind; the table holds each kind as a few families.  Every
     consumer reads it: ``values`` for the degrees and the valuations at a
-    weight, ``rows`` for the divisors, ``coefficient`` for one of them.
+    weight, ``divisor`` for the zeros of one g_i (``rows``, ``coefficient``).
     """
 
     def __init__(self, ctx: PrimeContext, eps: ComponentLabel, seed=None):
@@ -208,21 +221,6 @@ class GhostSeries:
             raise AssertionError("the degree increments must grow linearly")
         return A, Fraction(alpha, L), Fraction(beta, L)
 
-    def tents(self, upto: int, zero: type = Classical) -> Iterator[tuple[int, int, int]]:
-        """(k, d, ell) for each zero of the type in g_1..g_upto, by increasing k.
-
-        The families step side by side, one term each in turn, and each stops
-        at its first d >= upto.  Tents with ell < 1 are empty and skipped.
-        """
-        live = [[*head, *step] for head, step in self._families[zero] if head[1] < upto]
-        while live:
-            for t in live:
-                k, d, ell, dk, dd, dell = t
-                if ell >= 1:
-                    yield k, d, ell
-                t[0], t[1], t[2] = k + dk, d + dd, ell + dell
-            live = [t for t in live if t[4] and t[1] < upto]
-
     def values(self, upto: int, leg: LegRule | None = None) -> list:
         """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
 
@@ -237,7 +235,10 @@ class GhostSeries:
         """
         stop = upto + 1
         marks, den, infinite = (self.progressions, 1, ()) if leg is None else self._level_marks(upto, leg)
-        out = [0] * stop
+        try:
+            out = [0] * stop
+        except (MemoryError, OverflowError):
+            raise CertificationError(f"the series arrays through index {upto} do not fit in memory") from None
         for a, s, w in marks:
             part = slice(a, stop, s or stop)  # s = 0: the single mark at a
             out[part] = map(add, out[part], repeat(w))
@@ -283,20 +284,34 @@ class GhostSeries:
             self._lams = self.values(upto)
         return self._lams
 
+    def divisor(self, i: int) -> list[tuple[type, int, int]]:
+        """[(zero type, k, m_i(k)) for each zero of g_i], classical zeros by increasing k first.
+
+        Tent t of a family, head (k, d, ell) and step (dk, dd, dell), is live in
+        g_i iff d_t = d + t*dd < i <= d_t + ell + t*dell: an interval of t.  Its
+        multiplicity min(i - d_t, d_t + ell_t + 1 - i) is the second term, rising
+        with t, while t*(2dd + dell) < (i - d) - (d + ell + 1 - i), then the first.
+        Two seed blocks' eta_8 families share their k, never at one i (disjoint runs).
+        """
+        out = []
+        for kind, families in self._families.items():
+            zeros = []
+            for (k, d, ell), (dk, dd, dell) in families:
+                up, down = i - d, d + ell + 1 - i
+                if not dd:  # the single weight-2 tent
+                    zeros += [(kind, k, min(up, down))] if 0 < up <= ell else []
+                    continue
+                rise = dd + dell
+                lo, hi = max(0, -((down - 1) // rise)), -(-up // dd)
+                mid = min(max(-((down - up) // (dd + rise)), lo), hi)
+                mults = chain(range(down + lo * rise, down + mid * rise, rise), range(up - mid * dd, 0, -dd))
+                zeros += zip(repeat(kind), range(k + lo * dk, k + hi * dk, dk), mults)
+            out += sorted(zeros, key=itemgetter(1))
+        return out
+
     def divisors(self, upto: int) -> Iterator[list[tuple[type, int, int]]]:
-        """[(zero type, k, m_i(k)) for each zero of g_i] for i = 1..upto, in the
-        order of the reference oracles: classical zeros by increasing k, then
-        eta_8 zeros by increasing k.  One walk over the live tents; no zero
-        object is built."""
-        starts: dict[int, list] = {}
-        for g, kind in enumerate(self._families):
-            for k, d, ell in self.tents(upto, kind):
-                starts.setdefault(d + 1, []).append((g, k, d, ell, kind))
-        live: list[tuple[int, int, int, int, type]] = []
-        for i in range(1, upto + 1):
-            live = sorted([t for t in live if t[2] + t[3] >= i] + starts.pop(i, []))
-            # the up-down term s_{i-d}(ell), for 1 <= i - d <= ell
-            yield [(kind, k, i - d if 2 * (i - d) <= ell else d + ell + 1 - i) for _, k, d, ell, kind in live]
+        """``divisor(i)`` for i = 1..upto."""
+        return map(self.divisor, range(1, upto + 1))
 
     def rows(self, upto: int) -> Iterator[dict[WeightPoint, int]]:
         """The divisors of g_1..g_upto in turn as {zero: multiplicity} dicts."""
@@ -304,13 +319,10 @@ class GhostSeries:
             yield {kind(k): mult for kind, k, mult in zeros}
 
     def coefficient(self, i: int) -> GhostCoefficient:
-        """g_i alone (i >= 1): the tents of g_1..g_i with i <= d + ell, each with its
-        up-down term, both kinds in one pass, classical ones by increasing k first."""
+        """g_i alone (i >= 1), from ``divisor(i)``."""
         if i < 1:
             raise ValueError(f"coefficient index i = {i} must be at least 1")
-        zeros = {kind(k): min(i - d, d + ell + 1 - i) for kind in self._families
-                 for k, d, ell in self.tents(i, kind) if i <= d + ell}
-        return GhostCoefficient(i, self.component, zeros)
+        return GhostCoefficient(i, self.component, {kind(k): mult for kind, k, mult in self.divisor(i)})
 
 
 def coefficient_divisor(ctx: PrimeContext, eps: ComponentLabel, i: int) -> GhostCoefficient:

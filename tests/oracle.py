@@ -4,11 +4,14 @@ Each coefficient divisor is built here as a dict, zero by zero, straight
 from the dimension formulas: d_k = dim S_k(Gamma_0(N)), the p-new
 dimension and the eta_8 dimensions, with no zero table.  These are slow,
 but independent of ``ghostseries.series``' table and its reads, which is
-what makes them a reference.  ``values_reference`` walks the tents one by
-one and calls the leg once per zero, so it checks the progressions that
-``GhostSeries.values`` adds.  ``boundary_slopes_reference`` certifies
-boundary slopes over the whole degree array, with no period and no shear,
-so it checks ``boundary_polygon`` apart from its period proof, and
+what makes them a reference.  ``tents`` steps each family of the
+package's table one tent at a time, by addition, as no code in the package
+does; the tests check it against the dimension formulas.
+``values_reference`` walks those tents and calls the leg once per zero, so
+it checks the progressions that ``GhostSeries.values`` adds.
+``boundary_slopes_reference`` certifies boundary slopes over the whole
+degree array, with no period and no shear, so it checks
+``boundary_polygon`` apart from its period proof, and
 ``ap_report_reference`` runs both progression scans over every slope, so it
 checks the CLI's report apart from the positions the shear settles.  The
 one-line ``modified_boundary_slopes`` wraps the package's boundary polygon
@@ -250,6 +253,22 @@ def coefficient_valuation(coef, kappa: WeightPoint) -> ExtendedRational:
     return total
 
 
+def tents(series: GhostSeries, upto: int, zero: type = Classical) -> Iterator[tuple[int, int, int]]:
+    """(k, d, ell) for each zero of the type in g_1..g_upto, by increasing k.
+
+    The families of ``series`` step side by side, one term each in turn, and
+    each stops at its first d >= upto.  Tents with ell < 1 are empty and skipped.
+    """
+    live = [[*head, *step] for head, step in series._families[zero] if head[1] < upto]
+    while live:
+        for t in live:
+            k, d, ell, dk, dd, dell = t
+            if ell >= 1:
+                yield k, d, ell
+            t[0], t[1], t[2] = k + dk, d + dd, ell + dell
+        live = [t for t in live if t[4] and t[1] < upto]
+
+
 def values_reference(series: GhostSeries, upto: int, leg) -> list:
     """[sum over the zeros z of g_i of m_i(z) * leg(kind, k), for i = 0..upto]
     by the per-tent walk: ``leg`` is any function of the zero kind and k, and
@@ -259,7 +278,7 @@ def values_reference(series: GhostSeries, upto: int, leg) -> list:
     marks = [0] * (upto + 2)
     hits = [0] * (upto + 2)  # first differences of the count of infinite legs
     for zero in (Classical, EtaEight):
-        for k, d, ell in series.tents(upto, zero):
+        for k, d, ell in tents(series, upto, zero):
             w = leg(zero, k)
             if w is INFINITY:
                 hits[d + 1] += 1

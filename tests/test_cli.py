@@ -310,6 +310,17 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["slopes", "--p", "3", "--weight", "k=0", "--count", "1", "--modified"]) == 2
     # certification failure maps to 3
     assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "40", "--cap", "12"]) == 3
+    capsys.readouterr()
+    # so does a degree array too long to build: the tail window (slopes) and the period
+    # proof (boundary) read the degrees through A - 1, A growing like p*lcm(12, p - 1)
+    for argv in (
+        ["slopes", "--p", "1000000000039", "--weight", "k=0", "--count", "3"],  # past an index-sized int
+        ["boundary", "--p", "1000000000039", "--count", "300"],
+        ["slopes", "--p", "1000000007", "--weight", "k=0", "--count", "3"],  # past the memory an array can ask for
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: the series arrays through index "), argv
     # precision failure maps to 3
     assert main(["slopes", "--p", "2", "--weight", "w:0:prec=2", "--count", "1"]) == 3
     # argparse usage failures exit 2

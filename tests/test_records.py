@@ -12,6 +12,7 @@ from ghostseries.boundary import APReport
 from ghostseries.dims import Gamma0Invariants, gamma0_invariants
 from ghostseries.modified import Weight2SeedSlopes
 from ghostseries.polygon import NewtonPolygon
+from ghostseries.series import GhostCoefficient
 from ghostseries.weightspace import (
     Annulus,
     CharClassical,
@@ -38,6 +39,12 @@ VALUES = [
         Weight2SeedSlopes(N=3, slopes=[Fraction(1, 2), "1/2"]),
         "Weight2SeedSlopes(N=3, slopes=(Fraction(1, 2), Fraction(1, 2)))",
         "slopes",
+    ),
+    (
+        GhostCoefficient(5, ComponentLabel(0, 2), {Classical(8): 1, EtaEight(3): 2}),
+        GhostCoefficient(index=5, component=ComponentLabel(0, 2), zeros=[(Classical(8), 1), (EtaEight(3), 2)]),
+        "GhostCoefficient(index=5, component=ComponentLabel(residue=0, p=2), zeros={Classical(k=8): 1, EtaEight(k=3): 2})",
+        "zeros",
     ),
 ]
 
@@ -111,3 +118,17 @@ def test_cli_import_leaves_dataclass_machinery_out():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_coefficient_zeros_are_read_only():
+    zeros = {Classical(4): 1, EtaEight(3): 2}
+    coef = GhostCoefficient(3, ComponentLabel(0, 2), zeros)
+    zeros[Classical(6)] = 1  # the record keeps its own copy
+    with pytest.raises(TypeError):
+        coef.zeros[Classical(4)] = 5
+    assert coef.lam == 3 and coef.zeros == {Classical(4): 1, EtaEight(3): 2}
+    # equal in any order, with an equal hash; the items keep their order
+    twin = GhostCoefficient(3, ComponentLabel(0, 2), {EtaEight(3): 2, Classical(4): 1})
+    assert coef == twin and hash(coef) == hash(twin) and list(twin.zeros) == [EtaEight(3), Classical(4)]
+    assert coef != GhostCoefficient(3, ComponentLabel(0, 2), {Classical(4): 1})
+    assert type(pickle.loads(pickle.dumps(coef)).zeros) is type(coef.zeros)

@@ -6,6 +6,7 @@ import pytest
 
 import ghostseries.modified
 import ghostseries.series
+import oracle
 from ghostseries.dims import dim_pnew, gamma0_invariants
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
 from ghostseries.series import GhostSeries
@@ -36,6 +37,12 @@ from ghostseries.weightspace import (
 
 CTX21 = PrimeContext(2, 1)
 EPS2 = ComponentLabel(0, 2)
+# the bundled seed, a seed of two fractional blocks and one with none
+SEEDS = (
+    bundled_seed(3),
+    Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))),
+    Weight2SeedSlopes(3, (Fraction(0), Fraction(1))),
+)
 
 
 def test_updown_patterns():
@@ -280,16 +287,23 @@ def test_tent_walk_matches_dimension_oracle():
                 eps = ComponentLabel(residue, p)
                 series = GhostSeries(ctx, eps)
                 for upto in (1, 12, 40, 400):
-                    tents = list(series.tents(upto))
+                    tents = list(oracle.tents(series, upto))
                     assert tents == _oracle_tents(ctx, eps, upto), (p, N, eps, upto)
                     if tents and tents[0][0] == 2:
                         weight_two.add(N)
                 # the package's read of one coefficient equals the reference, dict order included
-                for i in (1, 12, 40):
+                for i in (1, 12, 40, 400):
                     got, want = ghostseries.series.coefficient_divisor(ctx, eps, i), coefficient_divisor(ctx, eps, i)
                     assert got == want and list(got.zeros.items()) == list(want.zeros.items()), (p, N, eps, i)
                     assert got.extra == {} and got.base == got  # a plain coefficient has classical zeros only
     assert {4, 7, 9, 13} <= weight_two
+    # deep rows: 8,997 zeros of g_3000 at p = 2; the modified rows of three seeds, two blocks among them
+    got, want = ghostseries.series.coefficient_divisor(CTX21, EPS2, 3000), coefficient_divisor(CTX21, EPS2, 3000)
+    assert len(got.zeros) == 8997 and list(got.zeros.items()) == list(want.zeros.items())
+    for seed in SEEDS:
+        got = ghostseries.modified.modified_coefficient(PrimeContext(2, seed.N), 400, seed)
+        want = modified_coefficient(PrimeContext(2, seed.N), 400, seed)
+        assert list(got.zeros.items()) == list(want.zeros.items()), seed
 
 
 @pytest.mark.parametrize(
@@ -312,8 +326,7 @@ def test_dimension_calls_do_not_grow_with_upto(monkeypatch, ctx, seed):
 
     def walk(upto):
         calls.clear()
-        series = GhostSeries(ctx, ComponentLabel(0, ctx.p), seed)
-        n = sum(1 for zero in (Classical, EtaEight) for _ in series.tents(upto, zero))
+        n = len(GhostSeries(ctx, ComponentLabel(0, ctx.p), seed).divisor(upto))
         return Counter(calls), n
 
     (small, few), (big, many) = walk(1000), walk(100_000)
@@ -331,12 +344,7 @@ def test_degree_array_matches_tent_walk():
     # per-tent walk with a leg of 1.  p = 1009 (one class of huge ell) runs every component
     # on three levels: N = 7 has nu3 > 0 and N = 13 nu2 > 0
     uptos = (0, 1, 2, 3, 12, 40, 400, 2000)
-    seeds = (
-        bundled_seed(3),
-        Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))),
-        Weight2SeedSlopes(3, (Fraction(0), Fraction(1))),
-    )
-    cases = [GhostSeries(PrimeContext(2, seed.N), EPS2, seed) for seed in seeds]
+    cases = [GhostSeries(PrimeContext(2, seed.N), EPS2, seed) for seed in SEEDS]
     for p in (2, 3, 5, 7, 11, 13, 59, 1009):
         for N in range(1, 41) if p < 1009 else (1, 7, 13):
             if N % p:
@@ -377,7 +385,7 @@ def test_degree_array_takes_no_tent_walk(monkeypatch, ctx, seed, kappas):
     def no_walk(*args):
         raise AssertionError("the degree array walked the tents")
 
-    monkeypatch.setattr(GhostSeries, "tents", no_walk)
+    monkeypatch.setattr(oracle, "tents", no_walk)
     big = series.values(100_000)
     assert len(big) == 100_001 and big[: D + 1] == small
     assert [series.values(D, rule) for rule in rules] == want
