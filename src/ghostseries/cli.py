@@ -480,7 +480,15 @@ def main(argv=None) -> int:
             return int(exc.code) if exc.code else 0
     try:
         ctx = PrimeContext(args.p, args.N)
-        return args.func(args, ctx, _seed(args, ctx))
+        code = args.func(args, ctx, _seed(args, ctx))
+        sys.stdout.flush()  # so that buffered output meets a closed pipe here too
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the rest of the output, flushed at exit, goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a writer killed by the signal
     except (PrecisionError, CertificationError, ExternalDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,17 +1,20 @@
 """Exact dimension formulas for the cusp form spaces driving the series.
 
-Everything is computed from the standard Gamma_0(M) invariants (index,
-elliptic point counts, cusps, genus) and, for the eta_8 spaces with
-character, from the Cohen-Oesterle dimension formula.  All arithmetic is
-exact; every genus and dimension is asserted to come out a nonnegative
-integer before it is returned.
+Every dimension is one integer count: twelve times the Cohen-Oesterle
+dimension of S_k(Gamma_0(M), chi), read off the index of Gamma_0(M), the
+cusp term lambda and the elliptic counts nu2 and nu3 (``_twelve_dim``).  At
+the trivial character its weight-2 value is the genus of X_0(M) and its
+value at even k is ``dim_cusp_gamma0``; at the conductor-8 character it
+gives the eta_8 dimensions.  The index, nu2, nu3 and the cusps of X_0(M) are products of local factors over
+the prime powers of M, the cusps being the product of lambda(r, 0, ell).
+Every genus and dimension is asserted to be a nonnegative multiple of 12
+before it is divided.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import prod
 
 from .record import Record
 from .weightspace import PrimeContext
@@ -35,25 +38,26 @@ def _prime_factors(M: int) -> list[tuple[int, int]]:
     return out
 
 
-def _legendre_minus1(ell: int) -> int:
-    """Legendre symbol (-1/ell) with the convention (-1/2) = 0."""
-    if ell == 2:
-        return 0
-    return 1 if ell % 4 == 1 else -1
+def _cohen_oesterle_lambda(r: int, s: int, p: int) -> int:
+    """The local factor lambda(r_p, s_p, p) of the Cohen-Oesterle formula."""
+    if 2 * s <= r:
+        if r % 2 == 0:
+            return p ** (r // 2) + p ** (r // 2 - 1)
+        return 2 * p ** ((r - 1) // 2)
+    return 2 * p ** (r - s)
 
 
-def _legendre_minus3(ell: int) -> int:
-    """Legendre symbol (-3/ell) with (-3/3) = 0."""
-    if ell == 3:
-        return 0
-    return 1 if ell % 3 == 1 else -1
+def _twelve_dim(k: int, index: int, lam: int, nu2: int, nu3: int, trivial: bool) -> int:
+    """12 dim S_k(Gamma_0(M), chi) for k >= 2 and chi(-1) = (-1)^k, by Cohen-Oesterle.
 
-
-def _euler_phi(n: int) -> int:
-    out = n
-    for ell, _ in _prime_factors(n):
-        out = out // ell * (ell - 1)
-    return out
+    (k - 1) index - 6 lam + 12 gamma_4(k) nu2 + 12 gamma_3(k) nu3, where nu2 and
+    nu3 count the roots of x^2 + 1 and x^2 + x + 1 mod M weighted by chi, plus
+    12 dim M_0 = 12 at k = 2 for the trivial character.
+    """
+    return (
+        (k - 1) * index - 6 * lam + (3, 0, -3, 0)[k % 4] * nu2 + (4, 0, -4)[k % 3] * nu3
+        + (12 if k == 2 and trivial else 0)
+    )
 
 
 class Gamma0Invariants(Record):
@@ -67,59 +71,30 @@ def gamma0_invariants(M: int) -> Gamma0Invariants:
     if M < 1:
         raise ValueError(f"level M = {M} must be positive")
     factors = _prime_factors(M)
-
-    index = M
-    for ell, _ in factors:
-        index = index // ell * (ell + 1)
-
-    if M % 4 == 0:
-        nu2 = 0
-    else:
-        nu2 = 1
-        for ell, _ in factors:
-            nu2 *= 1 + _legendre_minus1(ell)
-
-    if M % 9 == 0:
-        nu3 = 0
-    else:
-        nu3 = 1
-        for ell, _ in factors:
-            nu3 *= 1 + _legendre_minus3(ell)
-
-    cusps = 0
-    d = 1
-    while d * d <= M:
-        if M % d == 0:
-            cusps += _euler_phi(gcd(d, M // d))
-            if d != M // d:
-                cusps += _euler_phi(gcd(M // d, d))
-        d += 1
-
-    genus = 1 + Fraction(index, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusps, 2)
-    if genus.denominator != 1 or genus < 0:
-        raise AssertionError(f"genus formula broke at M = {M}: {genus}")
-
-    return Gamma0Invariants(M, index, nu2, nu3, cusps, int(genus))
+    index = prod(ell ** (r - 1) * (ell + 1) for ell, r in factors)
+    # the roots of x^2 + 1 (x^2 + x + 1) mod ell^r: one mod 2 (3), none mod 4 (9),
+    # two for ell = 1 mod 4 (mod 3), else none
+    nu2 = prod(r == 1 if ell == 2 else 2 * (ell % 4 == 1) for ell, r in factors)
+    nu3 = prod(r == 1 if ell == 3 else 2 * (ell % 3 == 1) for ell, r in factors)
+    cusps = prod(_cohen_oesterle_lambda(r, 0, ell) for ell, r in factors)
+    twelve = _twelve_dim(2, index, cusps, nu2, nu3, True)
+    if twelve % 12 or twelve < 0:
+        raise AssertionError(f"genus formula broke at M = {M}: {twelve}/12")
+    return Gamma0Invariants(M, index, nu2, nu3, cusps, twelve // 12)
 
 
 @lru_cache(maxsize=None)
 def dim_cusp_gamma0(M: int, k: int) -> int:
-    """dim S_k(Gamma_0(M)) for even k; zero in weights k <= 0.
-
-    Weight 2 is the genus; even weights k >= 4 use
-    (k-1)(g-1) + (k/2 - 1)nu_inf + floor(k/4)nu2 + floor(k/3)nu3.
-    """
+    """dim S_k(Gamma_0(M)) for even k: the genus at k = 2, zero in weights k <= 0."""
     if k % 2 != 0:
         raise ValueError(f"weight k = {k} must be even")
     if k <= 0:
         return 0
     inv = gamma0_invariants(M)
-    if k == 2:
-        return inv.genus
-    dim = (k - 1) * (inv.genus - 1) + (k // 2 - 1) * inv.cusps + (k // 4) * inv.nu2 + (k // 3) * inv.nu3
-    if dim < 0:
+    twelve = _twelve_dim(k, inv.index, inv.cusps, inv.nu2, inv.nu3, True)
+    if twelve % 12 or twelve < 0:
         raise AssertionError(f"negative dimension at M = {M}, k = {k}")
-    return dim
+    return twelve // 12
 
 
 def dim_pnew(ctx: PrimeContext, k: int) -> int:
@@ -133,29 +108,17 @@ def dim_pnew(ctx: PrimeContext, k: int) -> int:
 # ---------------------------------------------------------------------------
 # spaces with the conductor-8 character (p = 2 machinery)
 
-def _cohen_oesterle_lambda(r: int, s: int, p: int) -> int:
-    """The local factor lambda(r_p, s_p, p) of the Cohen-Oesterle formula."""
-    if 2 * s <= r:
-        if r % 2 == 0:
-            return p ** (r // 2) + p ** (r // 2 - 1)
-        return 2 * p ** ((r - 1) // 2)
-    return 2 * p ** (r - s)
-
-
 @lru_cache(maxsize=None)
 def _dim_eta8(N: int, k: int) -> int:
     M = 8 * N
-    lam = 1
-    for ell, r in _prime_factors(M):
-        s = 3 if ell == 2 else 0  # the character has conductor 8
-        lam *= _cohen_oesterle_lambda(r, s, ell)
-    # the elliptic terms vanish: 8 | M, and x^2 + 1, x^2 + x + 1 have no roots mod 8
-    dim = Fraction(k - 1, 12) * gamma0_invariants(M).index - Fraction(lam, 2)
-    # at k = 2 the formula computes dim S_2 - dim M_0; eta_8 is nontrivial,
-    # so dim M_0 = 0 and no correction is needed
-    if dim.denominator != 1 or dim < 0:
-        raise AssertionError(f"character dimension broke at N = {N}, k = {k}: {dim}")
-    return int(dim)
+    # the character has conductor 8, so s = 3 at 2 and 0 elsewhere
+    lam = prod(_cohen_oesterle_lambda(r, 3 if ell == 2 else 0, ell) for ell, r in _prime_factors(M))
+    # the elliptic terms vanish: 8 | M, and x^2 + 1, x^2 + x + 1 have no roots mod 8;
+    # eta_8 is nontrivial, so dim M_0 = 0 at k = 2
+    twelve = _twelve_dim(k, gamma0_invariants(M).index, lam, 0, 0, False)
+    if twelve % 12 or twelve < 0:
+        raise AssertionError(f"character dimension broke at N = {N}, k = {k}: {twelve}/12")
+    return twelve // 12
 
 
 def dim_cusp_eta8(N: int, k: int, sign: int) -> int:

@@ -139,16 +139,6 @@ def lower_hull(points: Sequence[tuple[int, ExtendedRational]]) -> NewtonPolygon:
 # ---------------------------------------------------------------------------
 # the certificate engine
 
-def _nth_anchor(poly: NewtonPolygon, n: int) -> tuple[Fraction, int, Fraction]:
-    """Slope s of the n-th slope and the vertex closing its segment."""
-    covered = 0
-    for edge, (slope, mult) in enumerate(poly.slope_pairs()):
-        covered += mult
-        if covered >= n:
-            return (slope, *poly.vertices[edge + 1])
-    raise AssertionError("anchor requested beyond the hull")
-
-
 def _tail_fault(
     lam: Sequence[int], D: int, window_end: int, c: Fraction, s: Fraction, i0: int, y0: int | Fraction
 ) -> str | None:
@@ -206,7 +196,7 @@ def certified_slopes(
         flat = poly.slopes(n)
         fault = f"the hull had {len(flat)} slopes, fewer than {n}"
         if len(flat) >= n:
-            s, i0, y0 = _nth_anchor(poly, n)
+            s, (i0, y0) = flat[-1], next(v for v in poly.vertices if v[0] >= n)  # the n-th slope's edge ends here
             W = max(window_end, A - 1, ceil((s / c + beta) / alpha) - 1)
             if W > window_end:
                 window_end, lam = W, lam_upto(W)

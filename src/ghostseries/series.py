@@ -41,7 +41,6 @@ from .weightspace import (
     LegRule,
     PrimeContext,
     WeightPoint,
-    classical_weights,
 )
 
 
@@ -150,7 +149,10 @@ def _classical_families(ctx: PrimeContext, eps: ComponentLabel) -> list:
     def row(k: int) -> tuple[int, int]:
         return dim_cusp_gamma0(ctx.N, k), dim_pnew(ctx, k) - 1
 
-    step, first = max(ctx.p - 1, 2), next(classical_weights(ctx, eps))
+    if eps.p != ctx.p:
+        raise ValueError("component belongs to a different prime")
+    step = max(ctx.p - 1, 2)
+    first = eps.residue or step  # the least weight k >= 2 on the component
     period = lcm(12, step)
     genus = [((2, *row(2)), (0, 0, 0))] if first == 2 else []  # weight 2 is a single tent
     start = 4 + (first - 4) % step  # the least weight k >= 4 on the component

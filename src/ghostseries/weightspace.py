@@ -132,22 +132,6 @@ def component_of(k: int, ctx: PrimeContext) -> ComponentLabel:
     return ComponentLabel(k % modulus, ctx.p)
 
 
-def classical_weights(ctx: PrimeContext, eps: ComponentLabel):
-    """Yield the even integer weights k >= 2 lying on the component eps,
-    in increasing order.  (These are the only possible coefficient zeros.)
-    """
-    if eps.p != ctx.p:
-        raise ValueError("component belongs to a different prime")
-    if ctx.p == 2:
-        k, step = 2, 2
-    else:
-        step = ctx.p - 1
-        k = eps.residue if eps.residue >= 2 else step
-    while True:
-        yield k
-        k += step
-
-
 # ---------------------------------------------------------------------------
 # weight points
 

@@ -1,5 +1,12 @@
 """Reference builders the tests compare the package against.
 
+``gamma0_reference`` counts the invariants of X_0(M) the slow way: the
+index by a divisor sum, nu2 and nu3 as the roots of x^2 + 1 and
+x^2 + x + 1 mod M, and the cusps as the sum of phi(gcd(d, M/d)) over the
+divisors d of M.  ``dim_cusp_genus_form`` reads the dimension of
+S_k(Gamma_0(M)) off them in its genus form, so both check the one
+Cohen-Oesterle count of ``ghostseries.dims``.
+
 Each coefficient divisor is built here as a dict, zero by zero, straight
 from the dimension formulas: d_k = dim S_k(Gamma_0(N)), the p-new
 dimension and the eta_8 dimensions, with no zero table.  These are slow,
@@ -21,7 +28,9 @@ for the tests that read the modified boundary slopes by tame level.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
+from math import gcd, isqrt
 from typing import Dict, Iterator
 
 from ghostseries.boundary import ap_check, boundary_polygon, scan_burn_in
@@ -38,10 +47,55 @@ from ghostseries.weightspace import (
     ExtendedRational,
     PrimeContext,
     WeightPoint,
-    classical_weights,
     leg_rule,
     weight_component,
 )
+
+
+# ---------------------------------------------------------------------------
+# dimension formulas
+
+@lru_cache(maxsize=None)
+def gamma0_reference(M: int) -> tuple[int, int, int, int, int]:
+    """(index, nu2, nu3, cusps, genus) of X_0(M), each counted directly.
+
+    The index is the sum of M/d over the squarefree divisors d of M, and the
+    genus comes from Riemann-Hurwitz: 12(g - 1) = index - 3 nu2 - 4 nu3 - 6 cusps.
+    """
+    divisors = [d for d in range(1, M + 1) if M % d == 0]
+    index = sum(M // d for d in divisors if all(d % (q * q) for q in range(2, isqrt(d) + 1)))
+    nu2 = sum(1 for x in range(M) if (x * x + 1) % M == 0)
+    nu3 = sum(1 for x in range(M) if (x * x + x + 1) % M == 0)
+    cusps = sum(sum(1 for a in range(1, g + 1) if gcd(a, g) == 1) for g in (gcd(d, M // d) for d in divisors))
+    twelve_genus = 12 + index - 3 * nu2 - 4 * nu3 - 6 * cusps
+    if twelve_genus % 12:
+        raise AssertionError(f"Riemann-Hurwitz gave a fractional genus at M = {M}")
+    return index, nu2, nu3, cusps, twelve_genus // 12
+
+
+def dim_cusp_genus_form(M: int, k: int) -> int:
+    """dim S_k(Gamma_0(M)) for even k >= 2: the genus at k = 2, else
+    (k - 1)(g - 1) + (k/2 - 1)nu_inf + floor(k/4)nu2 + floor(k/3)nu3."""
+    _, nu2, nu3, cusps, genus = gamma0_reference(M)
+    if k == 2:
+        return genus
+    return (k - 1) * (genus - 1) + (k // 2 - 1) * cusps + (k // 4) * nu2 + (k // 3) * nu3
+
+
+def classical_weights(ctx: PrimeContext, eps: ComponentLabel) -> Iterator[int]:
+    """Yield the even integer weights k >= 2 lying on the component eps,
+    in increasing order.  (These are the only possible coefficient zeros.)
+    """
+    if eps.p != ctx.p:
+        raise ValueError("component belongs to a different prime")
+    if ctx.p == 2:
+        k, step = 2, 2
+    else:
+        step = ctx.p - 1
+        k = eps.residue if eps.residue >= 2 else step
+    while True:
+        yield k
+        k += step
 
 
 # ---------------------------------------------------------------------------

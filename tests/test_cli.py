@@ -1,6 +1,8 @@
 import ast
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -301,6 +303,23 @@ def test_compare_prefix_truncation():
     report = compare(fixture, computed)
     assert report.match and report.compared == 2
     assert "prefix" in report.truncated
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, unbuffered):
+    # `ghostseries boundary ... | head -c 100`: the reader leaves after 100 bytes
+    # of about 2.4 MB; not a usage error, and no traceback at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ghostseries.cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "ghostseries", "boundary", "--p", "5", "--count", "20000", "--cap", "100000"]
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert (code, (tmp_path / "err").read_bytes()) == (141, b"")
 
 
 def test_exit_codes(capsys, tmp_path):

@@ -8,6 +8,7 @@ from ghostseries.dims import (
     eta8_weight2_excess,
 )
 from ghostseries.weightspace import PrimeContext, is_prime
+from oracle import dim_cusp_genus_form, gamma0_reference
 
 
 def test_invariants_small_levels():
@@ -27,6 +28,18 @@ def test_genus_integrality_identity():
     for M in range(1, 10_001):
         inv = gamma0_invariants(M)
         assert inv.index == 12 * (inv.genus - 1) + 3 * inv.nu2 + 4 * inv.nu3 + 6 * inv.cusps
+
+
+def test_invariants_and_dimensions_match_the_counting_oracle():
+    # the cusps as the divisor sum of phi(gcd(d, M/d)), nu2 and nu3 as root
+    # counts, the index by squarefree divisors, the genus by Riemann-Hurwitz
+    for M in range(1, 1001):
+        inv = gamma0_invariants(M)
+        assert (inv.index, inv.nu2, inv.nu3, inv.cusps, inv.genus) == gamma0_reference(M), M
+    # the genus form of dim S_k, floor(k/4) and floor(k/3) in place of the Cohen-Oesterle table
+    for M in range(1, 301):
+        for k in range(2, 101, 2):
+            assert dim_cusp_gamma0(M, k) == dim_cusp_genus_form(M, k), (M, k)
 
 
 def test_dim_cusp_fixtures():

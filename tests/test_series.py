@@ -175,6 +175,15 @@ def test_coefficient_divisor_rejects_bad_index():
         assert str(got.value) == str(want.value)
 
 
+def test_component_of_another_prime_is_refused():
+    ctx, eps = PrimeContext(3), ComponentLabel(0, 5)
+    with pytest.raises(ValueError) as want:
+        next(oracle.classical_weights(ctx, eps))
+    with pytest.raises(ValueError) as got:
+        GhostSeries(ctx, eps)
+    assert str(got.value) == str(want.value) == "component belongs to a different prime"
+
+
 def test_one_zero_table_per_coefficient_read(monkeypatch):
     builds = []
     build = GhostSeries.__init__
