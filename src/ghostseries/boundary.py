@@ -44,13 +44,13 @@ def boundary_period(series: GhostSeries, n: int, delta: int) -> tuple[int, int, 
     The conjectured (n, delta) is tried first, else n = L below, which holds
     by construction; b >= 1 is the least burn-in.  Proof: the second
     differences of lam(g_i) are the marks of ``series.progressions``; A is
-    their last start (``series.degree_bound``), L the lcm of their steps.  At
+    their last start (a + 1 for a single mark), L the lcm of their steps.  At
     x >= A a mark hits x exactly when it hits x + L, so Delta_{x+L} - Delta_x,
     the sum of the marks on (x, x + L], is one constant for x >= A - 1.  So
     g(x) = Delta_{x+n} - Delta_x is L-periodic there, and an exact check of
     g = delta on [b, x0 + L), x0 = max(A - 1, 1), proves it for every x >= b.
     """
-    A = series.degree_bound()[0]
+    A = max(a + (not s) for a, s, _ in series.progressions)
     L = lcm(*(s for _, s, _ in series.progressions if s))
     x0 = max(A - 1, 1)
     lam = series.lam_upto(x0 + L + n)

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ComponentMismatch, ExternalDataError, GhostError, PrecisionError
 from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
-from .record import Record, json_int
+from .record import json_int
 from .series import GhostSeries
 from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
 from .weightspace import (
@@ -69,6 +69,9 @@ _ZERO_TYPES = {Classical: "classical", EtaEight: "eta8"}  # the "type" of a zero
 _SLOPE_ENTRY = '{\n  "index": %d,\n  "slope": {\n    "num": %d,\n    "den": %d\n  },\n  "certified": %s\n}'
 # the "ap_report" of a boundary document, laid out likewise; n_ap and delta are ints
 _AP_REPORT = ',\n  "ap_report": {\n    "n_ap": %d,\n    "delta": {\n      "num": %d,\n      "den": 1\n    },\n%s    "verified": %s\n  }'
+# one row of the "dimensions" of a dims document, likewise, its "dim_eta8" (p = 2, odd N) in %s
+_DIMS_ROW = '    {\n      "k": %d,\n      "dim_tame": %d,\n      "dim_level_Np": %d,\n      "dim_pnew": %d%s\n    }'
+_DIMS_ETA8 = ',\n      "dim_eta8": %d'
 
 
 def _write_slopes(write, slopes: SlopeList, indent: str = "") -> None:
@@ -204,29 +207,23 @@ def _cmd_series(args, ctx: PrimeContext, seed) -> int:
 
 def _cmd_dims(args, ctx: PrimeContext, seed) -> int:
     import json
-    inv_n = gamma0_invariants(ctx.N)
-    inv_np = gamma0_invariants(ctx.N * ctx.p)
-
-    table = []
-    include_eta8 = ctx.p == 2 and ctx.N % 2 == 1
-    for k in range(2, args.k_max + 1, 2):
-        row = {
-            "k": k,
-            "dim_tame": dim_cusp_gamma0(ctx.N, k),
-            "dim_level_Np": dim_cusp_gamma0(ctx.N * ctx.p, k),
-            "dim_pnew": dim_pnew(ctx, k),
-        }
-        if include_eta8:
-            row["dim_eta8"] = dim_cusp_eta8(ctx.N, k, 1)
-        table.append(row)
+    N, M = ctx.N, ctx.N * ctx.p
     doc = {
         "command": "dims",
         "p": ctx.p,
-        "N": ctx.N,
-        "invariants": {"tame": inv_n._asdict(), "full": inv_np._asdict()},
-        "dimensions": table,
+        "N": N,
+        "invariants": {"tame": gamma0_invariants(N)._asdict(), "full": gamma0_invariants(M)._asdict()},
+        "dimensions": [],
     }
-    print(json.dumps(doc, indent=2))
+    # the document json.dumps(..., indent=2) prints, with the rows streamed
+    write, sep = sys.stdout.write, "[\n"
+    write(json.dumps(doc, indent=2)[: -len("[]\n}")])
+    eta8 = ctx.p == 2 and N % 2 == 1
+    for k in range(2, args.k_max + 1, 2):
+        extra = _DIMS_ETA8 % dim_cusp_eta8(N, k, 1) if eta8 else ""
+        write(sep + _DIMS_ROW % (k, dim_cusp_gamma0(N, k), dim_cusp_gamma0(M, k), dim_pnew(ctx, k), extra))
+        sep = ",\n"
+    write("\n  ]\n}\n" if sep == ",\n" else "[]\n}\n")  # an empty table stays "[]"
     return 0
 
 
@@ -296,41 +293,6 @@ def _cmd_halo(args, ctx: PrimeContext, seed) -> int:
 # ---------------------------------------------------------------------------
 # fixture comparison
 
-class ComparisonReport(Record):
-    # diffs holds (index, expected, computed) triples
-    __slots__ = ("fixture", "computed", "compared", "diffs", "first_mismatch", "truncated")
-
-    @property
-    def match(self) -> bool:
-        return self.first_mismatch is None
-
-
-def _fixture_slopes(fixture: dict, fixture_name: str) -> list[Fraction]:
-    """The slopes a fixture lists, as exact rationals."""
-    try:
-        return [Fraction(json_int(s["num"]), json_int(s["den"])) for s in fixture["slopes"]]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"{fixture_name}: malformed fixture: {exc}") from exc
-
-
-def compare(fixture: dict, computed: SlopeList, fixture_name: str = "<fixture>") -> ComparisonReport:
-    """Exact rational comparison of computed slopes against a fixture list."""
-    expected = _fixture_slopes(fixture, fixture_name)
-    compared = min(len(expected), len(computed))
-    truncated = None
-    if len(expected) < len(computed):
-        truncated = f"fixture lists {len(expected)} slopes; compared that prefix"
-    elif len(expected) > len(computed):
-        truncated = f"computed {len(computed)} slopes; compared that prefix"
-    diffs = tuple((j + 1, expected[j], computed[j]) for j in range(compared))
-    first_mismatch = None
-    for j in range(compared):
-        if expected[j] != computed[j]:
-            first_mismatch = j
-            break
-    return ComparisonReport(fixture_name, computed, compared, diffs, first_mismatch, truncated)
-
-
 def _cmd_compare(args, ctx: PrimeContext, seed) -> int:
     import json
     weight = parse_weight(args.weight, ctx)
@@ -339,25 +301,34 @@ def _cmd_compare(args, ctx: PrimeContext, seed) -> int:
             fixture = json.load(handle)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise UsageError(f"{args.fixture}: not valid JSON: {exc}") from exc
-    _fixture_slopes(fixture, args.fixture)  # a malformed fixture fails before any slope is computed
-    computed = _mode_slopes(args, ctx, seed, weight)
-    report = compare(fixture, computed, args.fixture)
+    try:  # a malformed fixture fails before any slope is computed
+        expected = [Fraction(json_int(s["num"]), json_int(s["den"])) for s in fixture["slopes"]]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{args.fixture}: malformed fixture: {exc}") from exc
+    computed = _mode_slopes(args, ctx, seed, weight).slopes
+    pairs = list(zip(expected, computed))  # the common prefix, compared exactly
+    truncated = None
+    if len(expected) < len(computed):
+        truncated = f"fixture lists {len(expected)} slopes; compared that prefix"
+    elif len(expected) > len(computed):
+        truncated = f"computed {len(computed)} slopes; compared that prefix"
+    first_mismatch = next((j for j, (e, c) in enumerate(pairs) if e != c), None)
     doc = {
         "command": "compare",
         "fixture": args.fixture,
         "description": fixture.get("description", ""),
         "source": fixture.get("source", ""),
-        "match": report.match,
-        "compared": report.compared,
-        "first_mismatch": report.first_mismatch,
-        "truncated": report.truncated,
+        "match": first_mismatch is None,
+        "compared": len(pairs),
+        "first_mismatch": first_mismatch,
+        "truncated": truncated,
         "diffs": [
             {"index": j, "expected": _rat(e), "computed": _rat(c), "equal": e == c}
-            for j, e, c in report.diffs
+            for j, (e, c) in enumerate(pairs, start=1)
         ],
     }
     print(json.dumps(doc, indent=2))
-    return 0 if report.match else 1
+    return 0 if first_mismatch is None else 1
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,6 @@ def gamma0_invariants(M: int) -> Gamma0Invariants:
     return Gamma0Invariants(M, index, nu2, nu3, cusps, twelve // 12)
 
 
-@lru_cache(maxsize=None)
 def dim_cusp_gamma0(M: int, k: int) -> int:
     """dim S_k(Gamma_0(M)) for even k: the genus at k = 2, zero in weights k <= 0."""
     if k % 2 != 0:
@@ -108,19 +107,6 @@ def dim_pnew(ctx: PrimeContext, k: int) -> int:
 # ---------------------------------------------------------------------------
 # spaces with the conductor-8 character (p = 2 machinery)
 
-@lru_cache(maxsize=None)
-def _dim_eta8(N: int, k: int) -> int:
-    M = 8 * N
-    # the character has conductor 8, so s = 3 at 2 and 0 elsewhere
-    lam = prod(_cohen_oesterle_lambda(r, 3 if ell == 2 else 0, ell) for ell, r in _prime_factors(M))
-    # the elliptic terms vanish: 8 | M, and x^2 + 1, x^2 + x + 1 have no roots mod 8;
-    # eta_8 is nontrivial, so dim M_0 = 0 at k = 2
-    twelve = _twelve_dim(k, gamma0_invariants(M).index, lam, 0, 0, False)
-    if twelve % 12 or twelve < 0:
-        raise AssertionError(f"character dimension broke at N = {N}, k = {k}: {twelve}/12")
-    return twelve // 12
-
-
 def dim_cusp_eta8(N: int, k: int, sign: int) -> int:
     """dim S_k(Gamma_1(8N), eta_8^{sign}) for odd N and k >= 2.
 
@@ -134,7 +120,15 @@ def dim_cusp_eta8(N: int, k: int, sign: int) -> int:
         raise ValueError("sign must be +1 or -1")
     if sign != (1 if k % 2 == 0 else -1):
         raise ValueError(f"sign {sign:+d} does not match the parity of k = {k}")
-    return _dim_eta8(N, k)
+    M = 8 * N
+    # the character has conductor 8, so s = 3 at 2 and 0 elsewhere
+    lam = prod(_cohen_oesterle_lambda(r, 3 if ell == 2 else 0, ell) for ell, r in _prime_factors(M))
+    # the elliptic terms vanish: 8 | M, and x^2 + 1, x^2 + x + 1 have no roots mod 8;
+    # eta_8 is nontrivial, so dim M_0 = 0 at k = 2
+    twelve = _twelve_dim(k, gamma0_invariants(M).index, lam, 0, 0, False)
+    if twelve % 12 or twelve < 0:
+        raise AssertionError(f"character dimension broke at N = {N}, k = {k}: {twelve}/12")
+    return twelve // 12
 
 
 def eta8_weight2_excess(N: int) -> int:

@@ -176,9 +176,10 @@ def certified_slopes(
 
     With (A, alpha, beta) = ``bound`` from ``GhostSeries.degree_bound``, the
     line condition c*lam(g_i) > y0 + s(i - i0) is checked exactly on (D, W],
-    W = max(2D + 32, A - 1, ceil((s/c + beta)/alpha) - 1).  Each i > W has
-    i >= A, so c*lam(Delta_i) >= c(alpha*(W + 1) - beta) >= s: the gap
-    c*lam(g_i) - y0 - s(i - i0), positive at W, never falls after it.
+    W = max(2D + 32, A - 1, ceil((s/c + beta)/alpha) - 1), on (D, 2D + 32]
+    first: the degrees past 2D + 32 are read only once that part holds.
+    Each i > W has i >= A, so c*lam(Delta_i) >= c(alpha*(W + 1) - beta) >= s:
+    the gap c*lam(g_i) - y0 - s(i - i0), positive at W, never falls after it.
     """
     if n < 1:
         raise ValueError("at least one slope must be requested")
@@ -198,9 +199,9 @@ def certified_slopes(
         if len(flat) >= n:
             s, (i0, y0) = flat[-1], next(v for v in poly.vertices if v[0] >= n)  # the n-th slope's edge ends here
             W = max(window_end, A - 1, ceil((s / c + beta) / alpha) - 1)
-            if W > window_end:
-                window_end, lam = W, lam_upto(W)
             fault = _tail_fault(lam, D, window_end, c, s, i0, y0)
+            if fault is None and W > window_end:  # the short window holds: read the degrees on to W
+                fault, window_end = _tail_fault(lam_upto(W), window_end, W, c, s, i0, y0), W
             if fault is None:
                 return SlopeList(flat, n), poly, points
         if D >= cap:

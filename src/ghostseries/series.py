@@ -204,13 +204,15 @@ class GhostSeries:
     def degree_bound(self) -> tuple[int, Fraction, Fraction]:
         """(A, alpha, beta) with lam(Delta_x) >= alpha*x - beta for every x >= A.
 
-        lam(Delta_x) sums the marks (a, s, w) of ``progressions`` on [1, x]; A
-        is their last start (a + 1 for a single mark, s = 0).  At x >= A a mark
-        with s > 0 hits floor((x - a)/s) + 1 times, between (x - a + 1)/s and
-        (x - a + s)/s: the low end for w > 0, the high end for w < 0 give beta.
+        lam(Delta_x) sums the marks (a, s, w) of ``progressions`` on [1, x].  A
+        mark with s > 0 hits [1, x] at least (x - a + 1)/s times for every
+        x >= 0, which bounds the w > 0 marks, and at most (x - a + s)/s times
+        from x = a - s on, which bounds the w < 0 ones; a single mark (s = 0)
+        adds w from x = a on.  So each mark counts from its own start, and A is
+        the largest of 1, a - s over the marks with w < 0 and a over the single ones.
         """
         marks = self.progressions
-        A = max(a + (not s) for a, s, _ in marks)
+        A = max(1, *(a - s for a, s, w in marks if w < 0 or not s))
         L = lcm(*(s for _, s, _ in marks if s))
         alpha = beta = 0
         for a, s, w in marks:

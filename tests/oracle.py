@@ -20,7 +20,9 @@ it checks the progressions that ``GhostSeries.values`` adds.
 degree array, with no period and no shear, so it checks
 ``boundary_polygon`` apart from its period proof, and
 ``ap_report_reference`` runs both progression scans over every slope, so it
-checks the CLI's report apart from the positions the shear settles.  The
+checks the CLI's report apart from the positions the shear settles.
+``last_start_bound`` is the degree bound read from the last start of every
+mark, so the certificate can be checked against the longer window.  The
 one-line ``modified_boundary_slopes`` wraps the package's boundary polygon
 for the tests that read the modified boundary slopes by tame level.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Dict, Iterator
 
 from ghostseries.boundary import ap_check, boundary_polygon, scan_burn_in
@@ -261,6 +263,18 @@ def boundary_slopes_reference(
     certificate over the whole degree array, with no period and no shear."""
     series = GhostSeries(ctx, eps, seed)
     return certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap, series.degree_bound())[0]
+
+
+def last_start_bound(series: GhostSeries) -> tuple[int, Fraction, Fraction]:
+    """(A, alpha, beta) with lam(Delta_x) >= alpha*x - beta for x >= A, A the last
+    start of the marks of ``series.progressions`` (a + 1 for a single mark): from
+    A on, a mark (a, s, w) with s > 0 hits floor((x - a)/s) + 1 times, between
+    (x - a + 1)/s and (x - a + s)/s, and a single mark adds w."""
+    marks = series.progressions
+    L = lcm(*(s for _, s, _ in marks if s))
+    alpha = sum(w * (L // s) for _, s, w in marks if s)
+    beta = sum(w * (a - 1 if w > 0 else a - s) * (L // s) if s else -w * L for a, s, w in marks)
+    return max(a + (not s) for a, s, _ in marks), Fraction(alpha, L), Fraction(beta, L)
 
 
 def ap_report_reference(slopes: SlopeList, n_ap: int, delta: int, max_burn_in: int) -> dict:

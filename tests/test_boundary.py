@@ -79,7 +79,8 @@ def test_boundary_period_pins_the_degree_increments():
 
 def test_degree_bound_holds_past_the_last_mark():
     # lam(Delta_x) >= alpha*x - beta for x >= A, with alpha the progression ratio
-    # delta/n_ap (1/mu_0 at p = 2); eta_8 families add marks but no growth
+    # delta/n_ap (1/mu_0 at p = 2); eta_8 families add marks but no growth.  Each
+    # mark counts from its own start, so A stays small: the last start reaches 7,983
     seeds = (
         bundled_seed(3),
         Weight2SeedSlopes(5, (Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3))),
@@ -87,7 +88,7 @@ def test_degree_bound_holds_past_the_last_mark():
     )
     cases = [(ctx, eps, None) for ctx, eps in _components((2, 3, 5, 7, 11, 13), range(1, 41))]
     cases += [(PrimeContext(2, seed.N), ComponentLabel(0, 2), seed) for seed in seeds]
-    betas = []
+    starts, betas = [], []
     for ctx, eps, seed in cases:
         series = GhostSeries(ctx, eps, seed)
         A, alpha, beta = series.degree_bound()
@@ -95,10 +96,13 @@ def test_degree_bound_holds_past_the_last_mark():
         assert alpha == (Fraction(1, mu0) if ctx.p == 2 else Fraction(*ap_parameters(ctx)[::-1])), (ctx, eps)
         q = lcm(alpha.denominator, beta.denominator)  # compare in ints
         a, b = int(alpha * q), int(beta * q)
-        lams = series.lam_upto(A + 3000)
-        assert all((lams[x] - lams[x - 1]) * q >= a * x - b for x in range(A, A + 3001)), (ctx, eps, seed)
+        last = max(start + (not step) for start, step, _ in series.progressions)  # check from A to past it
+        lams = series.lam_upto(last + 3000)
+        assert all((lams[x] - lams[x - 1]) * q >= a * x - b for x in range(A, last + 3001)), (ctx, eps, seed)
+        starts.append(A)
         betas.append(beta)
     assert len(betas) == 626
+    assert max(starts[:623]) <= 75
     assert max(betas[:623]) <= 24  # the components
     assert max(betas[623:]) < 30  # the seeds: each eta_8 family adds about 4
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 
 import ghostseries.cli
 from ghostseries.boundary import ap_check, ap_parameters, boundary_polygon, scan_burn_in
-from ghostseries.cli import _COMMANDS, UsageError, _plain_args, build_parser, compare, main, parse_weight
+from ghostseries.cli import _COMMANDS, UsageError, _plain_args, build_parser, main, parse_weight
+from ghostseries.dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from ghostseries.errors import GhostError
 from ghostseries.modified import bundled_seed
-from ghostseries.polygon import SlopeList, classical_ghost_slopes, ghost_slopes
+from ghostseries.polygon import classical_ghost_slopes, ghost_slopes
 from ghostseries.series import GhostSeries
 from ghostseries.weightspace import (
     Annulus,
@@ -269,9 +271,6 @@ def test_compare_match_and_mismatch(tmp_path, capsys):
 )
 def test_compare_refuses_inexact_fixture_entries(tmp_path, capsys, entry):
     # int() would truncate 1.7 to 1, and 1/2 would then match the computed slope
-    computed = SlopeList((Fraction(1, 2),), 1)
-    with pytest.raises(ValueError, match="malformed fixture: expected an integer"):
-        compare({"slopes": [entry]}, computed)
     fixture = tmp_path / "inexact.json"
     fixture.write_text(json.dumps({"slopes": [entry]}))
     assert main(["compare", "--p", "2", "--fixture", str(fixture), "--weight", "k=0", "--count", "1"]) == 2
@@ -297,12 +296,17 @@ def test_compare_errors_name_the_fixture(tmp_path, capsys, content, text):
     assert captured.err.startswith(f"usage error: {fixture}: {text}")
 
 
-def test_compare_prefix_truncation():
-    fixture = {"slopes": [{"num": 1, "den": 2}, {"num": 1, "den": 1}]}
-    computed = SlopeList((Fraction(1, 2), Fraction(1), Fraction(3, 2)), 3)
-    report = compare(fixture, computed)
-    assert report.match and report.compared == 2
-    assert "prefix" in report.truncated
+def test_compare_prefix_truncation(tmp_path, capsys):
+    # at p = 2, k = 0 the first slopes are 3, 7 and 13: the shorter list sets the prefix
+    fixture = tmp_path / "prefix.json"
+    fixture.write_text(json.dumps({"slopes": [{"num": 3, "den": 1}, {"num": 7, "den": 1}]}))
+    for count, compared, truncated in ((3, 2, "fixture lists 2 slopes"), (1, 1, "computed 1 slopes")):
+        argv = ["compare", "--p", "2", "--fixture", str(fixture), "--weight", "k=0", "--count", str(count)]
+        code, out = run(capsys, argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["match"] and doc["first_mismatch"] is None
+        assert doc["compared"] == len(doc["diffs"]) == compared
+        assert doc["truncated"] == truncated + "; compared that prefix"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -330,16 +334,20 @@ def test_exit_codes(capsys, tmp_path):
     # certification failure maps to 3
     assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "40", "--cap", "12"]) == 3
     capsys.readouterr()
-    # so does a degree array too long to build: the tail window (slopes) and the period
-    # proof (boundary) read the degrees through A - 1, A growing like p*lcm(12, p - 1)
+    # at a huge prime the degrees vanish far past the cap: the request fails there,
+    # before any long degree array is read
     for argv in (
-        ["slopes", "--p", "1000000000039", "--weight", "k=0", "--count", "3"],  # past an index-sized int
+        ["slopes", "--p", "1000000000039", "--weight", "k=0", "--count", "3"],
         ["boundary", "--p", "1000000000039", "--count", "300"],
-        ["slopes", "--p", "1000000007", "--weight", "k=0", "--count", "3"],  # past the memory an array can ask for
+        ["slopes", "--p", "1000000007", "--weight", "k=0", "--count", "3"],
     ):
         assert main(argv) == 3
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: the series arrays through index "), argv
+        assert captured.out == "" and captured.err.startswith("error: could not certify "), argv
+    # an array past an index-sized int is a certification failure too
+    assert main(["series", "--p", "2", "--up-to", "10000000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: the series arrays through index ")
     # precision failure maps to 3
     assert main(["slopes", "--p", "2", "--weight", "w:0:prec=2", "--count", "1"]) == 3
     # argparse usage failures exit 2
@@ -409,6 +417,18 @@ def test_exit_codes(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: conductor base 3 differs from p = 7\n"
+
+
+@pytest.mark.parametrize("p", [10007, 100003])
+def test_three_slopes_at_a_large_prime_read_few_degrees(capsys, monkeypatch, p):
+    # each mark of the degree bound counts from its own start; the last start is
+    # 100,129,208 at p = 10007 and about 3.3e9 at p = 100003
+    reads = []
+    lam_upto = GhostSeries.lam_upto
+    monkeypatch.setattr(GhostSeries, "lam_upto", lambda self, upto: reads.append(upto) or lam_upto(self, upto))
+    for argv in (["slopes", "--weight", "k=0", "--count", "3"], ["boundary", "--count", "3"]):
+        assert run(capsys, argv[:1] + ["--p", str(p)] + argv[1:])[0] == 0
+    assert 0 < max(reads) < 10**6
 
 
 def test_conductor_exponent_bound(capsys, monkeypatch):
@@ -659,3 +679,45 @@ def test_series_output_is_json_dumps_of_the_rows(capsys, p, N, component, modifi
     assert len(lines) == upto
     if modified:
         assert '"type": "eta8"' in out
+
+
+@pytest.mark.parametrize(
+    "p, N, k_max",
+    [(2, 1, 30), (2, 3, 40), (2, 9, 12), (3, 1, 24), (5, 7, 60), (59, 2, 30), (2, 5, 2), (3, 2, 1), (7, 1, 0), (2, 3, -5)],
+)
+def test_dims_output_is_json_dumps_of_the_table(capsys, p, N, k_max):
+    code, out = run(capsys, ["dims", "--p", str(p), "--N", str(N), "--k-max", str(k_max)])
+    assert code == 0
+    ctx = PrimeContext(p, N)
+    rows = []
+    for k in range(2, k_max + 1, 2):
+        row = {
+            "k": k,
+            "dim_tame": dim_cusp_gamma0(N, k),
+            "dim_level_Np": dim_cusp_gamma0(N * p, k),
+            "dim_pnew": dim_pnew(ctx, k),
+        }
+        if p == 2 and N % 2:
+            row["dim_eta8"] = dim_cusp_eta8(N, k, 1)
+        rows.append(row)
+    doc = {
+        "command": "dims",
+        "p": p,
+        "N": N,
+        "invariants": {"tame": gamma0_invariants(N)._asdict(), "full": gamma0_invariants(N * p)._asdict()},
+        "dimensions": rows,
+    }
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dims_streams_its_rows():
+    # each row is written as it is computed: no table, no per-weight cache
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        main(["dims", "--p", "2", "--N", "3", "--k-max", "4"])  # imports and level caches outside the measure
+        tracemalloc.start()
+        try:
+            assert main(["dims", "--p", "2", "--N", "3", "--k-max", "20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000

@@ -19,7 +19,7 @@ from ghostseries.polygon import (
     ghost_slopes,
     lower_hull,
 )
-from ghostseries.series import coefficient_divisor
+from ghostseries.series import GhostSeries, coefficient_divisor
 from ghostseries.weightspace import (
     INFINITY,
     Annulus,
@@ -30,7 +30,7 @@ from ghostseries.weightspace import (
     PrimeContext,
     padic_valuation,
 )
-from oracle import coefficient_valuation
+from oracle import coefficient_valuation, last_start_bound
 
 CTX21 = PrimeContext(2, 1)
 EPS2 = ComponentLabel(0, 2)
@@ -279,6 +279,28 @@ def test_the_window_reaches_the_degree_bound():
     with pytest.raises(CertificationError, match="window end 999: the line condition failed at index 510$"):
         certified_slopes(*window, (0, Fraction(1, 100), Fraction(0)))  # W = 10/alpha - 1
     assert len(certified_slopes(*window, (0, Fraction(1, 10), Fraction(0)))[0]) == 10  # W = 99
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except CertificationError:
+        return CertificationError
+
+
+def test_the_last_start_bound_certifies_the_same_slopes(monkeypatch):
+    # each mark counted from its own start certifies what the bound from the last start did
+    requests = []
+    for p, N in ((p, N) for p in (2, 3, 5, 7, 11, 13, 31, 59, 101) for N in (1, 3, 4, 7, 12) if N % p):
+        ctx = PrimeContext(p, N)
+        kappas = [Classical(0), Classical(-2), Annulus(0, Fraction(1, 2)), CharClassical(2, 2) if p > 2 else ExplicitW(8, 20)]
+        for kappa, n in zip(kappas, (3, 12, 30, 6)):
+            requests.append(lambda ctx=ctx, kappa=kappa, n=n: ghost_slopes(ctx, kappa, n, cap=2000))
+        requests.append(lambda ctx=ctx: boundary_polygon(ctx, ComponentLabel(0, ctx.p), 25, cap=2000).slopes)
+    slopes = [_outcome(compute) for compute in requests]
+    monkeypatch.setattr(GhostSeries, "degree_bound", last_start_bound)
+    assert [_outcome(compute) for compute in requests] == slopes
+    assert len(slopes) == 200 and slopes.count(CertificationError) < 20
 
 
 def test_cap_below_one_is_rejected():
