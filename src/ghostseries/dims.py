@@ -2,13 +2,14 @@
 
 Every dimension is one integer count: twelve times the Cohen-Oesterle
 dimension of S_k(Gamma_0(M), chi), read off the index of Gamma_0(M), the
-cusp term lambda and the elliptic counts nu2 and nu3 (``_twelve_dim``).  At
-the trivial character its weight-2 value is the genus of X_0(M) and its
-value at even k is ``dim_cusp_gamma0``; at the conductor-8 character it
-gives the eta_8 dimensions.  The index, nu2, nu3 and the cusps of X_0(M) are products of local factors over
-the prime powers of M, the cusps being the product of lambda(r, 0, ell).
-Every genus and dimension is asserted to be a nonnegative multiple of 12
-before it is divided.
+cusp term lambda and the elliptic counts nu2 and nu3 (``_twelve_dim``).  The
+index, nu2, nu3 and the cusps of X_0(M) are products of local factors over
+the prime powers of M, the cusps being the product of lambda(r, 0, ell), and
+each level's record is built once (``gamma0_invariants``).  At the trivial
+character the weight-2 count is the genus of X_0(M) and the count at even k
+is ``dim_cusp_gamma0``; the eta_8 spaces of level 8N read the record of
+Gamma_0(8N) with half its cusps.  Every genus and dimension is asserted to
+be a nonnegative multiple of 12 before it is divided.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ def _prime_factors(M: int) -> list[tuple[int, int]]:
     return out
 
 
-def _cohen_oesterle_lambda(r: int, s: int, p: int) -> int:
-    """The local factor lambda(r_p, s_p, p) of the Cohen-Oesterle formula."""
-    if 2 * s <= r:
-        if r % 2 == 0:
-            return p ** (r // 2) + p ** (r // 2 - 1)
-        return 2 * p ** ((r - 1) // 2)
-    return 2 * p ** (r - s)
+def _cohen_oesterle_lambda(r: int, p: int) -> int:
+    """The local cusp count lambda(r, 0, p) of X_0(p^r) in the Cohen-Oesterle formula."""
+    if r % 2 == 0:
+        return p ** (r // 2) + p ** (r // 2 - 1)
+    return 2 * p ** ((r - 1) // 2)
 
 
 def _twelve_dim(k: int, index: int, lam: int, nu2: int, nu3: int, trivial: bool) -> int:
@@ -76,7 +75,7 @@ def gamma0_invariants(M: int) -> Gamma0Invariants:
     # two for ell = 1 mod 4 (mod 3), else none
     nu2 = prod(r == 1 if ell == 2 else 2 * (ell % 4 == 1) for ell, r in factors)
     nu3 = prod(r == 1 if ell == 3 else 2 * (ell % 3 == 1) for ell, r in factors)
-    cusps = prod(_cohen_oesterle_lambda(r, 0, ell) for ell, r in factors)
+    cusps = prod(_cohen_oesterle_lambda(r, ell) for ell, r in factors)
     twelve = _twelve_dim(2, index, cusps, nu2, nu3, True)
     if twelve % 12 or twelve < 0:
         raise AssertionError(f"genus formula broke at M = {M}: {twelve}/12")
@@ -120,12 +119,12 @@ def dim_cusp_eta8(N: int, k: int, sign: int) -> int:
         raise ValueError("sign must be +1 or -1")
     if sign != (1 if k % 2 == 0 else -1):
         raise ValueError(f"sign {sign:+d} does not match the parity of k = {k}")
-    M = 8 * N
-    # the character has conductor 8, so s = 3 at 2 and 0 elsewhere
-    lam = prod(_cohen_oesterle_lambda(r, 3 if ell == 2 else 0, ell) for ell, r in _prime_factors(M))
-    # the elliptic terms vanish: 8 | M, and x^2 + 1, x^2 + x + 1 have no roots mod 8;
-    # eta_8 is nontrivial, so dim M_0 = 0 at k = 2
-    twelve = _twelve_dim(k, gamma0_invariants(M).index, lam, 0, 0, False)
+    inv = gamma0_invariants(8 * N)
+    # N is odd, so 2^3 || 8N: at 2 the conductor-8 character gives lambda(3, 3, 2) = 2
+    # against lambda(3, 0, 2) = 4, and each odd factor has s = 0, so the cusp term is
+    # half the cusps of X_0(8N).  The elliptic terms vanish (no roots of x^2 + 1 or
+    # x^2 + x + 1 mod 8), and eta_8 is nontrivial, so dim M_0 = 0 at k = 2
+    twelve = _twelve_dim(k, inv.index, inv.cusps // 2, 0, 0, False)
     if twelve % 12 or twelve < 0:
         raise AssertionError(f"character dimension broke at N = {N}, k = {k}: {twelve}/12")
     return twelve // 12

@@ -24,6 +24,7 @@ The distance formulas used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd
 
 from .errors import ComponentMismatch, PrecisionError
@@ -33,6 +34,7 @@ from .record import Record, init
 # ---------------------------------------------------------------------------
 # exact arithmetic helpers
 
+@total_ordering
 class _PlusInfinity:
     """The point +infinity of the extended rationals: it compares above every finite value."""
 
@@ -43,15 +45,6 @@ class _PlusInfinity:
 
     def __lt__(self, other) -> bool:
         return False
-
-    def __le__(self, other) -> bool:
-        return other is INFINITY
-
-    def __gt__(self, other) -> bool:
-        return other is not INFINITY
-
-    def __ge__(self, other) -> bool:
-        return True
 
 
 INFINITY = _PlusInfinity()

@@ -5,7 +5,10 @@ index by a divisor sum, nu2 and nu3 as the roots of x^2 + 1 and
 x^2 + x + 1 mod M, and the cusps as the sum of phi(gcd(d, M/d)) over the
 divisors d of M.  ``dim_cusp_genus_form`` reads the dimension of
 S_k(Gamma_0(M)) off them in its genus form, so both check the one
-Cohen-Oesterle count of ``ghostseries.dims``.
+Cohen-Oesterle count of ``ghostseries.dims``.  ``dim_cusp_eta8_reference``
+factors 8N on every call and takes the conductor-8 local factor at 2, so it
+checks the eta_8 dimensions that the package reads off the cached record
+of Gamma_0(8N).
 
 Each coefficient divisor is built here as a dict, zero by zero, straight
 from the dimension formulas: d_k = dim S_k(Gamma_0(N)), the p-new
@@ -82,6 +85,44 @@ def dim_cusp_genus_form(M: int, k: int) -> int:
     if k == 2:
         return genus
     return (k - 1) * (genus - 1) + (k // 2 - 1) * cusps + (k // 4) * nu2 + (k // 3) * nu3
+
+
+def _cohen_oesterle_lambda(r: int, s: int, p: int) -> int:
+    """The local factor lambda(r, s, p) at p^r || M for a character of conductor p^s there."""
+    if 2 * s <= r:
+        if r % 2 == 0:
+            return p ** (r // 2) + p ** (r // 2 - 1)
+        return 2 * p ** ((r - 1) // 2)
+    return 2 * p ** (r - s)
+
+
+def dim_cusp_eta8_reference(N: int, k: int) -> int:
+    """dim S_k(Gamma_1(8N), eta_8^{sign}) for odd N, k >= 2 and sign (-1)^k, per call.
+
+    Cohen-Oesterle over the factors of M = 8N found by trial division: the
+    index of Gamma_0(M), the cusp term with lambda(r, 3, 2) at 2 (eta_8 has
+    conductor 8) and lambda(r, 0, ell) at each odd ell, no elliptic terms
+    (8 | M) and no weight-2 constant (eta_8 is nontrivial).
+    """
+    n, factors, f = 8 * N, [], 2
+    while f * f <= n:
+        r = 0
+        while n % f == 0:
+            n //= f
+            r += 1
+        if r:
+            factors.append((f, r))
+        f += 1
+    if n > 1:
+        factors.append((n, 1))
+    index = lam = 1
+    for ell, r in factors:
+        index *= ell ** (r - 1) * (ell + 1)
+        lam *= _cohen_oesterle_lambda(r, 3 if ell == 2 else 0, ell)
+    twelve = (k - 1) * index - 6 * lam
+    if twelve % 12 or twelve < 0:
+        raise AssertionError(f"character dimension broke at N = {N}, k = {k}: {twelve}/12")
+    return twelve // 12
 
 
 def classical_weights(ctx: PrimeContext, eps: ComponentLabel) -> Iterator[int]:

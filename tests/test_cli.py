@@ -419,6 +419,47 @@ def test_exit_codes(capsys, tmp_path):
     assert captured.err == "usage error: conductor base 3 differs from p = 7\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["slopes", "--p", "2", "--weight", "k=0"], "--count is required in overconvergent mode"),
+        (
+            ["slopes", "--p", "2", "--weight", "annulus:0:1/2", "--count", "3", "--mode", "tame"],
+            "mode 'tame' needs a classical weight k=<int>",
+        ),
+        (["slopes", "--p", "2", "--weight", "k=0", "--count", "0"], "at least one slope must be requested"),
+        (["slopes", "--p", "4", "--weight", "k=0", "--count", "3"], "p = 4 is not prime"),
+        (["slopes", "--p", "2", "--weight", "char:4:2^3", "--count", "3"], "conductor-p^t weights are used only for odd p"),
+        (["slopes", "--p", "3", "--weight", "w:3:prec=5:eps=1", "--count", "3"], "component residue must be even"),
+    ],
+)
+def test_usage_errors(capsys, argv, text):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"usage error: {text}\n")
+
+
+def test_unknown_format_is_an_argparse_error(capsys):
+    assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3", "--format", "xml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'xml'" in captured.err
+
+
+def test_seed_file_matches_the_bundled_seed(tmp_path, capsys):
+    seed = bundled_seed(3)
+    path = tmp_path / "seed3.json"
+    path.write_text(json.dumps({"N": seed.N, "weight2_slopes": [_rat(s) for s in seed.slopes]}))
+    base = ["boundary", "--p", "2", "--N", "3", "--modified", "--count", "40"]
+    code, bundled = run(capsys, base)
+    assert code == 0
+    assert run(capsys, base + ["--seed", str(path)]) == (0, bundled)
+    # a seed file of another tame level is a usage error
+    assert main(["boundary", "--p", "2", "--N", "5", "--modified", "--count", "40", "--seed", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "usage error: seed file is for N = 3, not N = 5\n")
+
+
 @pytest.mark.parametrize("p", [10007, 100003])
 def test_three_slopes_at_a_large_prime_read_few_degrees(capsys, monkeypatch, p):
     # each mark of the degree bound counts from its own start; the last start is

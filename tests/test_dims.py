@@ -8,7 +8,7 @@ from ghostseries.dims import (
     eta8_weight2_excess,
 )
 from ghostseries.weightspace import PrimeContext, is_prime
-from oracle import dim_cusp_genus_form, gamma0_reference
+from oracle import dim_cusp_eta8_reference, dim_cusp_genus_form, gamma0_reference
 
 
 def test_invariants_small_levels():
@@ -93,11 +93,34 @@ def test_eta8_dimensions():
     assert dim_cusp_eta8(3, 3, -1) == 6
     assert dim_cusp_eta8(3, 4, 1) == 10
     assert dim_cusp_eta8(1, 2, 1) == 0
-    # sign must match the parity of k
-    with pytest.raises(ValueError):
-        dim_cusp_eta8(3, 3, 1)
-    with pytest.raises(ValueError):
-        dim_cusp_eta8(2, 2, 1)  # N must be odd
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        ((2, 2, 1), "tame level N = 2 must be odd and positive"),
+        ((-3, 2, 1), "tame level N = -3 must be odd and positive"),
+        ((3, 1, -1), "weight k = 1 must be at least 2"),
+        ((3, 2, 2), "sign must be +1 or -1"),
+        ((3, 4, -1), "sign -1 does not match the parity of k = 4"),
+        ((3, 3, 1), "sign +1 does not match the parity of k = 3"),
+        # the checks run in order: the level first, then the weight, then the sign
+        ((2, 1, 2), "tame level N = 2 must be odd and positive"),
+        ((3, 1, 2), "weight k = 1 must be at least 2"),
+    ],
+)
+def test_eta8_refusals(args, text):
+    with pytest.raises(ValueError) as err:
+        dim_cusp_eta8(*args)
+    assert str(err.value) == text
+
+
+def test_eta8_dimensions_match_the_per_call_formula():
+    # the package halves the cusps of the cached Gamma_0(8N) record; the
+    # reference factors 8N and takes the conductor-8 local factor at 2
+    for N in range(1, 600, 2):
+        for k in range(2, 80):
+            assert dim_cusp_eta8(N, k, 1 if k % 2 == 0 else -1) == dim_cusp_eta8_reference(N, k), (N, k)
 
 
 def test_eta8_dimension_growth_is_linear():

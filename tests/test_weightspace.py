@@ -239,3 +239,15 @@ def test_weight_valuation_cases():
     assert weight_valuation(Annulus(14, Fraction(7, 2)), ctx) == 3  # center wins
     with pytest.raises(PrecisionError):
         weight_valuation(ExplicitW(0, 10), ctx)
+
+
+@pytest.mark.parametrize("x", [0, -7, 10**30, Fraction(7, 2)])
+def test_infinity_compares_above_every_finite_value(x):
+    assert (INFINITY < x, INFINITY <= x, INFINITY > x, INFINITY >= x, INFINITY == x) == (False, False, True, True, False)
+    assert (x < INFINITY, x <= INFINITY, x > INFINITY, x >= INFINITY, x == INFINITY) == (True, True, False, False, False)
+
+
+def test_infinity_against_itself():
+    assert (INFINITY < INFINITY, INFINITY <= INFINITY, INFINITY > INFINITY, INFINITY >= INFINITY) == (False, True, False, True)
+    assert INFINITY == INFINITY and not INFINITY != INFINITY
+    assert repr(INFINITY) == "+Infinity"
