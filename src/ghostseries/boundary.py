@@ -144,19 +144,16 @@ class APReport(Record):
 def ap_parameters(ctx: PrimeContext) -> tuple[int, int]:
     """(number of progressions, common difference) for the boundary slopes.
 
-    n_ap = p(p-1)(p+1) mu_0(N) / 24 and delta = (p-1)^2 / 2, for odd p.
+    n_ap = p(p-1)(p+1) mu_0(N) / 24 and delta = (p-1)^2 / 2, for odd p.  Both
+    are integers: p - 1 and p + 1 are even and one of them is divisible by 4,
+    and one of p - 1, p, p + 1 is divisible by 3, so 24 divides (p-1)p(p+1);
+    and (p-1)^2 is even.
     """
     p = ctx.p
     if p == 2:
         raise ValueError("the progression structure applies to odd p only")
     mu0 = gamma0_invariants(ctx.N).index
-    numerator = p * (p - 1) * (p + 1) * mu0
-    if numerator % 24 != 0:
-        raise AssertionError(f"progression count p(p-1)(p+1)mu0/24 not integral at p={p}, N={ctx.N}")
-    delta2 = (p - 1) ** 2
-    if delta2 % 2 != 0:
-        raise AssertionError("common difference (p-1)^2/2 not integral")
-    return numerator // 24, delta2 // 2
+    return p * (p - 1) * (p + 1) * mu0 // 24, (p - 1) ** 2 // 2
 
 
 def check_ap_counts(n_ap: int, burn_in: int) -> None:

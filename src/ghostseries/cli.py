@@ -29,6 +29,7 @@ from .weightspace import (
     ExplicitW,
     PrimeContext,
     WeightPoint,
+    padic_valuation,
 )
 
 # the names cli reads from the modules only some subcommands run; _need binds each
@@ -110,11 +111,8 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
             base, t = int(m.group(2)), int(m.group(3))
         else:
             cond = int(m.group(2))
-            base, t = ctx.p, 0
-            while cond % ctx.p == 0 and cond > 1:
-                cond //= ctx.p
-                t += 1
-            if cond != 1:
+            base, t = ctx.p, padic_valuation(cond or 1, ctx.p)  # 0 is refused below: 0 != p^0
+            if cond != base ** t:
                 raise UsageError(f"conductor in {spec!r} is not a power of p = {ctx.p}")
         if base != ctx.p:
             raise UsageError(f"conductor base {base} differs from p = {ctx.p}")

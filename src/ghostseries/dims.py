@@ -2,14 +2,15 @@
 
 Every dimension is one integer count: twelve times the Cohen-Oesterle
 dimension of S_k(Gamma_0(M), chi), read off the index of Gamma_0(M), the
-cusp term lambda and the elliptic counts nu2 and nu3 (``_twelve_dim``).  The
-index, nu2, nu3 and the cusps of X_0(M) are products of local factors over
-the prime powers of M, the cusps being the product of lambda(r, 0, ell), and
-each level's record is built once (``gamma0_invariants``).  At the trivial
-character the weight-2 count is the genus of X_0(M) and the count at even k
-is ``dim_cusp_gamma0``; the eta_8 spaces of level 8N read the record of
-Gamma_0(8N) with half its cusps.  Every genus and dimension is asserted to
-be a nonnegative multiple of 12 before it is divided.
+cusp term lambda and the elliptic counts nu2 and nu3.  Every count is
+checked and divided in one place (``_dim``): it must be a nonnegative
+multiple of 12.  The index, nu2, nu3 and the cusps of X_0(M) are products
+of local factors over the prime powers of M, the cusps being the product
+of lambda(r, 0, ell), and each level's record is built once
+(``gamma0_invariants``).  At the trivial character the weight-2 count is
+the genus of X_0(M) and the count at even k is ``dim_cusp_gamma0``; the
+eta_8 spaces of level 8N read the record of Gamma_0(8N) with half its
+cusps.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 from math import prod
 
 from .record import Record
-from .weightspace import PrimeContext
+from .weightspace import PrimeContext, padic_valuation
 
 
 def _prime_factors(M: int) -> list[tuple[int, int]]:
@@ -28,10 +29,8 @@ def _prime_factors(M: int) -> list[tuple[int, int]]:
     f = 2
     while f * f <= n:
         if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
+            e = padic_valuation(n, f)
+            n //= f ** e
             out.append((f, e))
         f += 1 if f == 2 else 2
     if n > 1:
@@ -46,17 +45,21 @@ def _cohen_oesterle_lambda(r: int, p: int) -> int:
     return 2 * p ** ((r - 1) // 2)
 
 
-def _twelve_dim(k: int, index: int, lam: int, nu2: int, nu3: int, trivial: bool) -> int:
-    """12 dim S_k(Gamma_0(M), chi) for k >= 2 and chi(-1) = (-1)^k, by Cohen-Oesterle.
+def _dim(k: int, index: int, lam: int, nu2: int, nu3: int, trivial: bool) -> int:
+    """dim S_k(Gamma_0(M), chi) for k >= 2 and chi(-1) = (-1)^k, by Cohen-Oesterle.
 
-    (k - 1) index - 6 lam + 12 gamma_4(k) nu2 + 12 gamma_3(k) nu3, where nu2 and
-    nu3 count the roots of x^2 + 1 and x^2 + x + 1 mod M weighted by chi, plus
-    12 dim M_0 = 12 at k = 2 for the trivial character.
+    12 dim = (k - 1) index - 6 lam + 12 gamma_4(k) nu2 + 12 gamma_3(k) nu3, where
+    nu2 and nu3 count the roots of x^2 + 1 and x^2 + x + 1 mod M weighted by chi,
+    plus 12 dim M_0 = 12 at k = 2 for the trivial character.  A count that is
+    negative or not a multiple of 12 is a broken formula, not an input error.
     """
-    return (
+    twelve = (
         (k - 1) * index - 6 * lam + (3, 0, -3, 0)[k % 4] * nu2 + (4, 0, -4)[k % 3] * nu3
         + (12 if k == 2 and trivial else 0)
     )
+    if twelve % 12 or twelve < 0:
+        raise AssertionError(f"Cohen-Oesterle count 12 dim = {twelve} at k = {k} is not a nonnegative multiple of 12")
+    return twelve // 12
 
 
 class Gamma0Invariants(Record):
@@ -76,10 +79,7 @@ def gamma0_invariants(M: int) -> Gamma0Invariants:
     nu2 = prod(r == 1 if ell == 2 else 2 * (ell % 4 == 1) for ell, r in factors)
     nu3 = prod(r == 1 if ell == 3 else 2 * (ell % 3 == 1) for ell, r in factors)
     cusps = prod(_cohen_oesterle_lambda(r, ell) for ell, r in factors)
-    twelve = _twelve_dim(2, index, cusps, nu2, nu3, True)
-    if twelve % 12 or twelve < 0:
-        raise AssertionError(f"genus formula broke at M = {M}: {twelve}/12")
-    return Gamma0Invariants(M, index, nu2, nu3, cusps, twelve // 12)
+    return Gamma0Invariants(M, index, nu2, nu3, cusps, _dim(2, index, cusps, nu2, nu3, True))
 
 
 def dim_cusp_gamma0(M: int, k: int) -> int:
@@ -89,10 +89,7 @@ def dim_cusp_gamma0(M: int, k: int) -> int:
     if k <= 0:
         return 0
     inv = gamma0_invariants(M)
-    twelve = _twelve_dim(k, inv.index, inv.cusps, inv.nu2, inv.nu3, True)
-    if twelve % 12 or twelve < 0:
-        raise AssertionError(f"negative dimension at M = {M}, k = {k}")
-    return twelve // 12
+    return _dim(k, inv.index, inv.cusps, inv.nu2, inv.nu3, True)
 
 
 def dim_pnew(ctx: PrimeContext, k: int) -> int:
@@ -124,10 +121,7 @@ def dim_cusp_eta8(N: int, k: int, sign: int) -> int:
     # against lambda(3, 0, 2) = 4, and each odd factor has s = 0, so the cusp term is
     # half the cusps of X_0(8N).  The elliptic terms vanish (no roots of x^2 + 1 or
     # x^2 + x + 1 mod 8), and eta_8 is nontrivial, so dim M_0 = 0 at k = 2
-    twelve = _twelve_dim(k, inv.index, inv.cusps // 2, 0, 0, False)
-    if twelve % 12 or twelve < 0:
-        raise AssertionError(f"character dimension broke at N = {N}, k = {k}: {twelve}/12")
-    return twelve // 12
+    return _dim(k, inv.index, inv.cusps // 2, 0, 0, False)
 
 
 def eta8_weight2_excess(N: int) -> int:

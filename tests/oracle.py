@@ -28,6 +28,11 @@ checks the CLI's report apart from the positions the shear settles.
 mark, so the certificate can be checked against the longer window.  The
 one-line ``modified_boundary_slopes`` wraps the package's boundary polygon
 for the tests that read the modified boundary slopes by tame level.
+
+``true_classical_slopes`` is no rebuild of the series: it reads the U_p
+slopes on S_k(Gamma_0(p)) off exact Hecke data at level 1 (T_p on the
+basis Delta^j E_4^a E_6^b, its characteristic polynomial and a Newton
+polygon of its own), with the dimensions from ``dim_cusp_genus_form``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Dict, Iterator
 
 from ghostseries.boundary import ap_check, boundary_polygon, scan_burn_in
@@ -402,3 +407,116 @@ def values_reference(series: GhostSeries, upto: int, leg) -> list:
         if count:
             out[i] = INFINITY
     return out
+
+
+# ---------------------------------------------------------------------------
+# true U_p slopes at level 1
+
+def _sigma_series(r: int, scale: int, prec: int) -> list[int]:
+    """1 + scale * sum sigma_r(n) q^n to O(q^prec): E_4 at (3, 240), E_6 at (5, -504)."""
+    out = [1] + [0] * (prec - 1)
+    for d in range(1, prec):
+        for n in range(d, prec, d):
+            out[n] += scale * d ** r
+    return out
+
+
+def _mul(f: list[int], g: list[int], prec: int) -> list[int]:
+    """f g to O(q^prec), by one integer product (Kronecker substitution).
+
+    Coefficients are packed as whole-byte digits base B = 2^bits, the signs
+    split off as a difference of two nonnegative packings.  Every product
+    coefficient is below B / 2 in absolute value, so the product unpacks
+    digit by digit, a digit of B / 2 or more being negative with a carry.
+    """
+    f, g = f[:prec], g[:prec]
+    top_f, top_g = max(map(abs, f)), max(map(abs, g))
+    bound = min(len(f), len(g)) * top_f * top_g + top_f + top_g  # bounds the inputs too
+    size = bound.bit_length() // 8 + 1
+    bits, half = 8 * size, 1 << (8 * size - 1)
+
+    def pack(h: list[int]) -> int:
+        return (int.from_bytes(b"".join(max(c, 0).to_bytes(size, "little") for c in h), "little")
+                - int.from_bytes(b"".join(max(-c, 0).to_bytes(size, "little") for c in h), "little"))
+
+    raw = (pack(f) * pack(g) & ((1 << bits * prec) - 1)).to_bytes(size * prec, "little")
+    out, carry = [], 0
+    for i in range(0, size * prec, size):
+        c = int.from_bytes(raw[i:i + size], "little") + carry
+        carry = c >= half
+        out.append(c - (carry << bits))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _level_one_power(name: str, e: int, prec: int) -> list[int]:
+    """E_4^e, E_6^e or Delta^e to O(q^prec); Delta = (E_4^3 - E_6^2) / 1728."""
+    if e == 0:
+        return [1] + [0] * (prec - 1)
+    if e > 1:
+        return _mul(_level_one_power(name, e - 1, prec), _level_one_power(name, 1, prec), prec)
+    if name == "E4":
+        return _sigma_series(3, 240, prec)
+    if name == "E6":
+        return _sigma_series(5, -504, prec)
+    cube, square = _level_one_power("E4", 3, prec), _level_one_power("E6", 2, prec)
+    return [(a - b) // 1728 for a, b in zip(cube, square)]
+
+
+def _valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _newton_slopes(coeffs: list[int], p: int) -> list[Fraction]:
+    """The slopes of the lower hull of (i, v_p(coeffs[i])) over the nonzero coefficients."""
+    hull: list[tuple[int, int]] = []
+    for pt in ((i, _valuation(c, p)) for i, c in enumerate(coeffs) if c):
+        while len(hull) > 1 and (
+            (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0]) >= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(pt)
+    return [Fraction(b[1] - a[1], b[0] - a[0]) for a, b in zip(hull, hull[1:]) for _ in range(b[0] - a[0])]
+
+
+def true_classical_slopes(p: int, k: int) -> list[Fraction]:
+    """The U_p slopes on S_k(Gamma_0(p)) for even k >= 4, sorted, from exact Hecke data.
+
+    S_k(SL_2(Z)) has the basis Delta^j E_4^a E_6^b, 12j + 4a + 6b = k, b in
+    {0, 1}, j = 1..d, echelonized over Z to f_j = q^j + O(q^(d+1)); T_p acts
+    by (T_p f)_n = a_(pn) + p^(k-1) a_(n/p), so its matrix is read off the
+    first d coefficients, and its characteristic polynomial P comes exactly
+    by Faddeev-LeVerrier.  The 2d p-old slopes are those of the Newton
+    polygon of x^d P((x^2 + p^(k-1)) / x), whose roots are the U_p
+    eigenvalues; the dim S_k(Gamma_0(p)) - 2d p-new slopes are (k - 2) / 2.
+    """
+    d = dim_cusp_genus_form(1, k)
+    prec = p * (d + 1) + 1
+    basis = []
+    for j in range(1, d + 1):
+        b = (k - 12 * j) % 4 // 2
+        f = _mul(_level_one_power("Delta", j, prec), _level_one_power("E6", b, prec), prec)
+        basis.append(_mul(f, _level_one_power("E4", (k - 12 * j - 6 * b) // 4, prec), prec))
+    for j in reversed(range(d)):
+        for i in range(j + 1, d):
+            c = basis[j][i + 1]
+            basis[j] = [x - c * y for x, y in zip(basis[j], basis[i])]
+    power = p ** (k - 1)
+    A = [[f[p * n] + (power * f[n // p] if n % p == 0 else 0) for f in basis] for n in range(1, d + 1)]
+    # Faddeev-LeVerrier: P(y) = sum c[i] y^i, monic, every division exact
+    c, Mk = [0] * d + [1], [[0] * d for _ in range(d)]
+    for m in range(1, d + 1):
+        Mk = [[sum(A[r][t] * Mk[t][s] for t in range(d)) + (c[d - m + 1] if r == s else 0) for s in range(d)]
+              for r in range(d)]
+        c[d - m] = -sum(A[r][t] * Mk[t][r] for r in range(d) for t in range(d)) // m
+    # x^d P((x^2 + C) / x) = sum_i c[i] x^(d-i) sum_m binom(i, m) x^(2m) C^(i-m)
+    poly = [0] * (2 * d + 1)
+    for i, ci in enumerate(c):
+        for m in range(i + 1):
+            poly[d - i + 2 * m] += ci * comb(i, m) * power ** (i - m)
+    old = _newton_slopes(poly[::-1], p)
+    return sorted(old + [Fraction(k - 2, 2)] * (dim_cusp_genus_form(p, k) - 2 * d))

@@ -16,7 +16,7 @@ from ghostseries.boundary import (
 from ghostseries.dims import gamma0_invariants
 from ghostseries.errors import GhostError
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
-from ghostseries.polygon import ghost_slopes
+from ghostseries.polygon import SlopeList, ghost_slopes
 from ghostseries.series import GhostSeries
 from ghostseries.weightspace import Annulus, ComponentLabel, PrimeContext, is_prime
 from oracle import boundary_slopes_reference
@@ -168,6 +168,13 @@ def test_ap_check_toy_sequences():
     assert not report.verified and report.first_violation == 16
     with pytest.raises(GhostError):
         ap_check(toy[:3], 5, 8, 0)
+
+
+def test_ap_check_refuses_uncertified_slopes():
+    # a slope list certified through fewer slopes than it holds
+    with pytest.raises(GhostError) as err:
+        ap_check(SlopeList(tuple(Fraction(2 * j) for j in range(10)), 3), 2, 2, 0)
+    assert str(err.value) == "slopes must be certified through the checked range"
 
 
 def _first_violation_reference(slopes, n_ap, delta, burn_in):

@@ -431,6 +431,11 @@ def test_exit_codes(capsys, tmp_path):
         (["slopes", "--p", "4", "--weight", "k=0", "--count", "3"], "p = 4 is not prime"),
         (["slopes", "--p", "2", "--weight", "char:4:2^3", "--count", "3"], "conductor-p^t weights are used only for odd p"),
         (["slopes", "--p", "3", "--weight", "w:3:prec=5:eps=1", "--count", "3"], "component residue must be even"),
+        (["series", "--p", "5", "--component", "6", "--up-to", "3"], "residue 6 out of range mod 4"),
+        (["slopes", "--p", "2", "--weight", "w:3:prec=5", "--count", "3"], "w0 = 3 is not in the open unit disc"),
+        (["slopes", "--p", "1", "--weight", "k=0", "--count", "3"], "p = 1 is not prime"),
+        (["slopes", "--p", "5", "--weight", "char:2:24", "--count", "3"], "conductor in 'char:2:24' is not a power of p = 5"),
+        (["slopes", "--p", "5", "--weight", "char:2:0", "--count", "3"], "conductor in 'char:2:0' is not a power of p = 5"),
     ],
 )
 def test_usage_errors(capsys, argv, text):

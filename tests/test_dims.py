@@ -1,6 +1,7 @@
 import pytest
 
 from ghostseries.dims import (
+    _dim,
     dim_cusp_eta8,
     dim_cusp_gamma0,
     dim_pnew,
@@ -113,6 +114,26 @@ def test_eta8_refusals(args, text):
     with pytest.raises(ValueError) as err:
         dim_cusp_eta8(*args)
     assert str(err.value) == text
+
+
+def test_level_below_one_is_refused():
+    with pytest.raises(ValueError) as err:
+        gamma0_invariants(0)
+    assert str(err.value) == "level M = 0 must be positive"
+
+
+@pytest.mark.parametrize(
+    "args, twelve",
+    [
+        ((4, 1, 1, 0, 0, True), -3),  # (k - 1) index - 6 lam = 3 - 6
+        ((4, 2, 0, 0, 0, True), 6),  # not a multiple of 12
+    ],
+)
+def test_an_impossible_count_is_a_broken_formula(args, twelve):
+    # no level reaches these counts: the check guards the formula, not the input
+    with pytest.raises(AssertionError) as err:
+        _dim(*args)
+    assert str(err.value) == f"Cohen-Oesterle count 12 dim = {twelve} at k = 4 is not a nonnegative multiple of 12"
 
 
 def test_eta8_dimensions_match_the_per_call_formula():

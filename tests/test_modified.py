@@ -42,6 +42,12 @@ def test_seed_validation():
         Weight2SeedSlopes(2, ())  # even level
 
 
+def test_seed_refuses_negative_slopes():
+    with pytest.raises(ExternalDataError) as err:
+        Weight2SeedSlopes(3, (Fraction(-1), Fraction(2)))  # symmetric and sorted, but negative
+    assert str(err.value) == "seed slopes must be nonnegative"
+
+
 def test_bundled_and_file_seeds(tmp_path):
     assert bundled_seed(3) == seed3()
     assert bundled_seed(1).slopes == ()

@@ -30,7 +30,7 @@ from ghostseries.weightspace import (
     PrimeContext,
     padic_valuation,
 )
-from oracle import coefficient_valuation, last_start_bound
+from oracle import coefficient_valuation, last_start_bound, true_classical_slopes
 
 CTX21 = PrimeContext(2, 1)
 EPS2 = ComponentLabel(0, 2)
@@ -236,6 +236,21 @@ def test_classical_modes():
         classical_ghost_slopes(CTX21, 13, "tame")
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_ghost_slopes_are_the_true_level_one_slopes(p):
+    # the conjecture in the regular case: the full classical ghost slopes are
+    # the U_p slopes on S_k(Gamma_0(p)), computed from exact Hecke data
+    for k in range(4, 81, 2):
+        assert list(classical_ghost_slopes(PrimeContext(p), k, "full").slopes) == true_classical_slopes(p, k), k
+
+
+@pytest.mark.parametrize("k, agree", [(16, False), (18, True), (46, False), (48, True), (74, False), (76, False)])
+def test_true_slopes_at_the_irregular_prime_59(k, agree):
+    # 59 is the least prime that is not Gamma_0(1)-regular; among the even
+    # k <= 80 the ghost slopes miss the true ones exactly at k = 16, 46, 74, 76
+    assert (list(classical_ghost_slopes(PrimeContext(59), k, "full").slopes) == true_classical_slopes(59, k)) is agree
+
+
 def test_59_adic_ordinary_weight():
     # no coefficient zero comes near w_16, so the single classical slope is 0
     sl = classical_ghost_slopes(PrimeContext(59, 1), 16, "tame")
@@ -279,6 +294,13 @@ def test_the_window_reaches_the_degree_bound():
     with pytest.raises(CertificationError, match="window end 999: the line condition failed at index 510$"):
         certified_slopes(*window, (0, Fraction(1, 100), Fraction(0)))  # W = 10/alpha - 1
     assert len(certified_slopes(*window, (0, Fraction(1, 10), Fraction(0)))[0]) == 10  # W = 99
+
+
+def test_a_valuation_floor_of_zero_is_refused():
+    lam = list(range(50))
+    with pytest.raises(ValueError) as err:
+        certified_slopes(lambda upto: lam, lambda upto: lam, Fraction(0), 10, 20, (0, Fraction(1), Fraction(0)))
+    assert str(err.value) == "the valuation floor c must be positive"
 
 
 def _outcome(compute):

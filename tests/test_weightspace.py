@@ -251,3 +251,47 @@ def test_infinity_against_itself():
     assert (INFINITY < INFINITY, INFINITY <= INFINITY, INFINITY > INFINITY, INFINITY >= INFINITY) == (False, True, False, True)
     assert INFINITY == INFINITY and not INFINITY != INFINITY
     assert repr(INFINITY) == "+Infinity"
+
+
+NOT_A_WEIGHT = object()
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        pytest.param(lambda: padic_valuation(0, 3), ValueError, "v_p(0) is infinite; handle zero before calling", id="v_p(0)"),
+        pytest.param(lambda: ComponentLabel(6, 5), ValueError, "residue 6 out of range mod 4", id="residue"),
+        pytest.param(lambda: CharClassical(3, 2), ValueError, "character weight k = 3 must be even", id="odd-char-k"),
+        pytest.param(
+            lambda: weight_component(NOT_A_WEIGHT, PrimeContext(3)),
+            TypeError,
+            f"not a weight point: {NOT_A_WEIGHT!r}",
+            id="component-of-object",
+        ),
+        pytest.param(
+            lambda: leg_rule(NOT_A_WEIGHT, PrimeContext(3)), TypeError, f"not a weight point: {NOT_A_WEIGHT!r}", id="leg-of-object"
+        ),
+        pytest.param(
+            lambda: pair_valuation(Classical(4), Annulus(0, Fraction(1, 2)), PrimeContext(3)),
+            TypeError,
+            "coefficient zeros are Classical or EtaEight points, not Annulus(center=0, v=Fraction(1, 2))",
+            id="annulus-zero",
+        ),
+        pytest.param(
+            lambda: pair_valuation(Classical(4), EtaEight(2), PrimeContext(3)),
+            ValueError,
+            "eta_8 zeros exist only for p = 2",
+            id="eta8-zero-at-odd-p",
+        ),
+        pytest.param(
+            lambda: weight_valuation(ExplicitW(3, 5), PrimeContext(2)),
+            ValueError,
+            "w0 = 3 is not in the open unit disc",
+            id="w0-off-the-disc",
+        ),
+    ],
+)
+def test_refusals(call, error, text):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == text
