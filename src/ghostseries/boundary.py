@@ -18,7 +18,7 @@ from operator import sub
 
 from .dims import gamma0_invariants
 from .errors import CertificationError, GhostError
-from .polygon import DEFAULT_CAP, SlopeList, certified_slopes, ghost_slopes
+from .polygon import SlopeList, certified_slopes, ghost_slopes
 from .record import Record
 from .series import GhostSeries
 from .weightspace import Annulus, ComponentLabel, PrimeContext
@@ -85,7 +85,6 @@ def boundary_polygon(
     are certified directly.
     """
     series = GhostSeries(ctx, eps, seed)
-    cap = DEFAULT_CAP if cap is None else cap
     bound = series.degree_bound()
 
     def certify(count: int) -> BoundaryPolygon:

@@ -1,8 +1,8 @@
 """Command-line surface: exact JSON/CSV emission for every computation.
 
-Exit codes: 0 success, 1 comparison mismatch, 2 usage error,
-3 certification/precision/external-data failure.  Rationals are always
-serialized as {"num", "den"} integer pairs, never as floats.
+Exit codes: 0 success, 1 comparison mismatch, 2 usage error, 3 certification/
+precision/external-data failure or a request that does not fit in memory.
+Rationals are always serialized as {"num", "den"} integer pairs, never as floats.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from importlib import import_module
 from types import SimpleNamespace
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
-from .errors import CertificationError, ComponentMismatch, ExternalDataError, GhostError, PrecisionError
-from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
+from .errors import CertificationError, ExternalDataError, GhostError, PrecisionError
+from .polygon import SlopeList, classical_ghost_slopes, ghost_slopes
 from .record import json_int
 from .series import GhostSeries
 from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
@@ -133,13 +133,13 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
     raise UsageError(f"cannot parse weight specification {spec!r}")
 
 
-def _cap(args) -> int:
+def _cap(args) -> int | None:
     if args.cap is not None:
         cap, source = args.cap, "--cap"
     else:
         env = os.environ.get("GHOST_CAP")
         if not env:
-            return DEFAULT_CAP
+            return None
         try:
             cap, source = int(env), "GHOST_CAP"
         except ValueError:
@@ -452,6 +452,9 @@ def main(argv=None) -> int:
         code = args.func(args, ctx, _seed(args, ctx))
         sys.stdout.flush()  # so that buffered output meets a closed pipe here too
         return code
+    except MemoryError:
+        print("error: the request does not fit in memory", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # the reader is gone: the rest of the output, flushed at exit, goes nowhere
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -461,7 +464,7 @@ def main(argv=None) -> int:
     except (PrecisionError, CertificationError, ExternalDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ComponentMismatch, GhostError, ValueError, OSError) as exc:
+    except (GhostError, ValueError, OSError) as exc:  # UsageError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

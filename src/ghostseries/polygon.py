@@ -33,7 +33,6 @@ from .series import coefficient_divisor  # noqa: F401  kept importable: perfbenc
 from .weightspace import (
     INFINITY,
     Classical,
-    ExplicitW,
     ExtendedRational,
     PrimeContext,
     WeightPoint,
@@ -162,15 +161,15 @@ def certified_slopes(
     lam_upto: Callable[[int], Sequence[int]],
     c: Fraction,
     n: int,
-    cap: int,
+    cap: int | None,
     bound: tuple[int, Fraction, Fraction],
 ) -> tuple[SlopeList, NewtonPolygon, list[tuple[int, ExtendedRational]]]:
     """First n hull slopes with a truncation certificate.
 
-    Grows the truncation degree D (doubling, up to ``cap``) until the hull
-    over indices 0..D has n slopes and every coefficient past D provably
-    clears the supporting line y0 + s(i - i0) at the n-th slope.  Each round
-    asks ``lam_upto`` for the degrees through 2D + 32 first, then
+    Grows the truncation degree D (doubling, up to ``cap`` or DEFAULT_CAP)
+    until the hull over indices 0..D has n slopes and every coefficient past D
+    provably clears the supporting line y0 + s(i - i0) at the n-th slope.
+    Each round asks ``lam_upto`` for the degrees through 2D + 32 first, then
     ``values(D)`` for the point values of indices 0..D (at least), so a
     caller whose values are the degrees builds one degree array per round.
 
@@ -183,6 +182,7 @@ def certified_slopes(
     """
     if n < 1:
         raise ValueError("at least one slope must be requested")
+    cap = DEFAULT_CAP if cap is None else cap
     if cap < 1:
         raise ValueError(f"the degree cap must be at least 1, got {cap}")
     if c <= 0:
@@ -212,18 +212,6 @@ def certified_slopes(
         D = min(2 * D + 32, cap)
 
 
-def _valuation_floor(ctx: PrimeContext, kappa: WeightPoint, cap_val: Fraction) -> Fraction:
-    """min(v_p(w_kappa), cap_val): the least valuation any zero leg can take."""
-    try:
-        v = weight_valuation(kappa, ctx)
-    except PrecisionError:
-        # the weight is known to at least its stated precision m
-        if isinstance(kappa, ExplicitW) and kappa.m >= cap_val:
-            return cap_val
-        raise
-    return min(v, cap_val)  # +Infinity compares above every cap
-
-
 def ghost_polygon(
     ctx: PrimeContext,
     kappa: WeightPoint,
@@ -238,9 +226,13 @@ def ghost_polygon(
     Passing a weight-2 seed switches to the modified p = 2 series.
     """
     series = GhostSeries(ctx, weight_component(kappa, ctx), seed)
-    c = _valuation_floor(ctx, kappa, series.floor_cap)
+    try:  # the least leg of any zero; +Infinity compares above every floor
+        c = min(weight_valuation(kappa, ctx), series.floor_cap)
+    except PrecisionError:  # only an ExplicitW that is 0 mod p^m: v_p(w_kappa) >= m
+        if kappa.m < series.floor_cap:
+            raise
+        c = series.floor_cap
     leg = leg_rule(kappa, ctx)  # every zero of the series lies on the component of kappa
-    cap = DEFAULT_CAP if cap is None else cap
     slopes, poly, _ = certified_slopes(
         lambda D: series.values(D, leg), series.lam_upto, c, n, cap, series.degree_bound()
     )

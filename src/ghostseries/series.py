@@ -241,16 +241,16 @@ class GhostSeries:
         marks, den, infinite = (self.progressions, 1, ()) if leg is None else self._level_marks(upto, leg)
         try:
             out = [0] * stop
+            for a, s, w in marks:
+                part = slice(a, stop, s or stop)  # s = 0: the single mark at a
+                out[part] = map(add, out[part], repeat(w))
+            out = list(accumulate(accumulate(out)))
+            if den > 1:
+                out = [Fraction(v, den) for v in out]
+            for d, ell in infinite:
+                out[d + 1 : d + ell + 1] = repeat(INFINITY, min(ell, upto - d))
         except (MemoryError, OverflowError):
             raise CertificationError(f"the series arrays through index {upto} do not fit in memory") from None
-        for a, s, w in marks:
-            part = slice(a, stop, s or stop)  # s = 0: the single mark at a
-            out[part] = map(add, out[part], repeat(w))
-        out = list(accumulate(accumulate(out)))
-        if den > 1:
-            out = [Fraction(v, den) for v in out]
-        for d, ell in infinite:
-            out[d + 1 : d + ell + 1] = repeat(INFINITY, min(ell, upto - d))
         return out
 
     def _level_marks(self, upto: int, leg: LegRule) -> tuple[list, int, list]:

@@ -218,19 +218,6 @@ class ExplicitW(Record):
 
 WeightPoint = Classical | EtaEight | CharClassical | Annulus | ExplicitW
 
-def default_generator(p: int) -> int:
-    return 5 if p == 2 else 1 + p
-
-
-def _check_generator(gen: int, p: int) -> int:
-    want = 2 if p == 2 else 1
-    if gen <= 1 or padic_valuation(gen - 1, p) != want:
-        raise ValueError(
-            f"{gen} does not generate 1 + {2 * p if p == 2 else p}Z_{p}: "
-            f"need v_{p}(gen - 1) = {want}"
-        )
-    return gen
-
 
 def weight_component(a: WeightPoint, ctx: PrimeContext) -> ComponentLabel:
     """Component of weight space containing the point ``a``."""
@@ -309,7 +296,9 @@ def leg_rule(kappa: WeightPoint, ctx: PrimeContext) -> LegRule:
     if kind is Classical or kind is EtaEight:
         own, a = kind, kappa.k
     elif kind is ExplicitW:
-        gen = _check_generator(default_generator(p) if kappa.generator is None else kappa.generator, p)
+        gen = 1 + p**e if kappa.generator is None else kappa.generator  # 5 for p = 2, else 1 + p
+        if gen <= 1 or padic_valuation(gen - 1, p) != e:
+            raise ValueError(f"{gen} does not generate 1 + {p ** e}Z_{p}: need v_{p}(gen - 1) = {e}")
         if kappa.w0 % p != 0:
             raise ValueError(f"w0 = {kappa.w0} is not in the open unit disc (p must divide w0)")
         m, mod = kappa.m, p ** kappa.m

@@ -290,3 +290,15 @@ def test_halo_validation():
         halo_profile(ctx, 0, -1)
     with pytest.raises(ValueError):
         halo_profile(ctx, 0, 0, samples=0)
+
+
+def fake_halo_rows(ctx, kappa, n, *, seed=None, cap=None):
+    """Rows whose one slope is 1, 2 and 4 at v = 1/4, 1/2 and 3/4: not affine in v."""
+    return SlopeList((Fraction({Fraction(1, 4): 1, Fraction(1, 2): 2, Fraction(3, 4): 4}[kappa.v]),), 1)
+
+
+def test_halo_refuses_rows_not_affine_in_v(monkeypatch):
+    monkeypatch.setattr("ghostseries.boundary.ghost_slopes", fake_halo_rows)
+    with pytest.raises(GhostError) as info:
+        halo_profile(PrimeContext(2), 0, 0, samples=3, n=1)
+    assert str(info.value) == "slope 1 is not affine in v on (0, 1) at center 0"

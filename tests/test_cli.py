@@ -238,6 +238,14 @@ def test_halo_multiple_intervals_need_out_dir(capsys):
     assert code == 2
 
 
+def test_halo_rows_not_affine_in_v_are_a_usage_error(capsys, monkeypatch):
+    from test_boundary import fake_halo_rows
+    monkeypatch.setattr("ghostseries.boundary.ghost_slopes", fake_halo_rows)
+    assert main(["halo", "--p", "2", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "usage error: slope 1 is not affine in v on (0, 1) at center 0\n")
+
+
 def test_compare_match_and_mismatch(tmp_path, capsys):
     fixture = FIXTURES / "annulus_half_2adic.json"
     code, out = run(
@@ -326,6 +334,34 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, unbuffered):
     assert (code, (tmp_path / "err").read_bytes()) == (141, b"")
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits are checked on Linux")
+@pytest.mark.parametrize(
+    "limit_mb, argv",
+    [
+        (300, ["series", "--p", "2", "--up-to", "30000000"]),
+        (150, ["slopes", "--p", "5", "--weight", "k=0", "--count", "2000000", "--cap", "100000000"]),
+        (150, ["boundary", "--p", "5", "--count", "20000000", "--cap", "100000000"]),
+    ],
+    ids=["series", "slopes", "boundary"],
+)
+def test_a_request_that_does_not_fit_in_memory_exits_3(limit_mb, argv):
+    # each limit is several times the interpreter's start-up size (about 20 MB):
+    # the request fails in its arrays, not in imports
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ghostseries.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghostseries", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, preexec_fn=limit, timeout=60, text=True,
+    )
+    assert proc.returncode == 3 and proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+    if argv[0] == "series":
+        assert "do not fit in memory" in proc.stderr
+
+
 def test_exit_codes(capsys, tmp_path):
     # usage error: bad weight grammar
     assert main(["slopes", "--p", "2", "--weight", "huh", "--count", "1"]) == 2
@@ -335,15 +371,18 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "40", "--cap", "12"]) == 3
     capsys.readouterr()
     # at a huge prime the degrees vanish far past the cap: the request fails there,
-    # before any long degree array is read
+    # before any long degree array is read; at p = 5 with cap 10 no boundary base
+    # certifies, so the 1000 slopes are tried directly, and fail
     for argv in (
         ["slopes", "--p", "1000000000039", "--weight", "k=0", "--count", "3"],
         ["boundary", "--p", "1000000000039", "--count", "300"],
         ["slopes", "--p", "1000000007", "--weight", "k=0", "--count", "3"],
+        ["boundary", "--p", "5", "--count", "1000", "--cap", "10"],
     ):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: could not certify "), argv
+    assert captured.err.startswith("error: could not certify 1000 slopes within the degree cap 10; ")
     # an array past an index-sized int is a certification failure too
     assert main(["series", "--p", "2", "--up-to", "10000000000000"]) == 3
     captured = capsys.readouterr()

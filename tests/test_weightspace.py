@@ -289,6 +289,18 @@ NOT_A_WEIGHT = object()
             "w0 = 3 is not in the open unit disc",
             id="w0-off-the-disc",
         ),
+        pytest.param(
+            lambda: leg_rule(ExplicitW(4, 5, generator=3), PrimeContext(2)),
+            ValueError,
+            "3 does not generate 1 + 4Z_2: need v_2(gen - 1) = 2",
+            id="generator-at-p=2",
+        ),
+        pytest.param(
+            lambda: leg_rule(ExplicitW(3, 4, residue=0, generator=10), PrimeContext(3)),
+            ValueError,
+            "10 does not generate 1 + 3Z_3: need v_3(gen - 1) = 1",
+            id="generator-at-odd-p",
+        ),
     ],
 )
 def test_refusals(call, error, text):
