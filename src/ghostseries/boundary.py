@@ -25,7 +25,7 @@ from .weightspace import Annulus, ComponentLabel, PrimeContext
 
 
 class BoundaryPolygon(Record):
-    """Degree points (i, lam(g_i)) and their hull over the certified base; the w-adic slopes.
+    """The hull of the degree points (i, lam(g_i)) over the certified base; the w-adic slopes.
 
     ``shear`` is (q, delta, b, start): ``boundary_period`` proved the period
     (q, delta) from the burn-in b, and the shear built slope(j) = slope(j - q)
@@ -35,7 +35,7 @@ class BoundaryPolygon(Record):
     directly.
     """
 
-    __slots__ = ("component", "points", "polygon", "slopes", "shear")
+    __slots__ = ("component", "polygon", "slopes", "shear")
 
 
 def boundary_period(series: GhostSeries, n: int, delta: int) -> tuple[int, int, int]:
@@ -80,16 +80,16 @@ def boundary_polygon(
     A hull vertex v >= b - 1 + q thus gives slope(j) = slope(j - q) + delta
     for every j > v + q.  So a certified base, the slopes through the end of
     the edge of slope m, that holds such a v with v + q inside it determines
-    the rest by the shear; ``points`` and ``polygon`` then cover the base
-    only.  Without such a base shorter than n within the cap, the n slopes
-    are certified directly.
+    the rest by the shear; ``polygon`` then covers the base only.  Without
+    such a base shorter than n within the cap, the n slopes are certified
+    directly.
     """
     series = GhostSeries(ctx, eps, seed)
     bound = series.degree_bound()
 
     def certify(count: int) -> BoundaryPolygon:
-        slopes, poly, points = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), count, cap, bound)
-        return BoundaryPolygon(eps, tuple(points), poly, slopes, None)
+        slopes, poly = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), count, cap, bound)
+        return BoundaryPolygon(eps, poly, slopes, None)
 
     q, delta = (gamma0_invariants(ctx.N).index, 1) if ctx.p == 2 else ap_parameters(ctx)
     if n > 2 * q + 1:  # else no base is shorter than n
@@ -103,8 +103,8 @@ def boundary_polygon(
             xs = [x for x, _ in base.polygon.vertices]
             end = next(x for x in xs if x >= m)  # the certified edge of slope m ends here
             if any(b - 1 + q <= v <= end - q for v in xs):
-                slopes = SlopeList(_shear(base.polygon.slopes(end), q, delta, n), n)
-                return BoundaryPolygon(eps, base.points, base.polygon, slopes, (q, delta, b, end))
+                slopes = SlopeList(_shear(base.polygon.slopes(end), q, delta, n))
+                return BoundaryPolygon(eps, base.polygon, slopes, (q, delta, b, end))
             m *= 2
     return certify(n)
 
@@ -181,14 +181,11 @@ def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions: range)
 def ap_check(slopes: Sequence[Fraction], n_ap: int, delta, burn_in: int) -> APReport:
     """Verify slope(j + n_ap) = slope(j) + delta for all j >= burn_in.
 
-    Positions are 0-based; the first ``burn_in`` slopes are excluded.  The
-    slopes must be certified through the checked range, and at least one
-    step must be left to check.
+    Positions are 0-based; the first ``burn_in`` slopes are excluded.  At
+    least one step must be left to check.
     """
     check_ap_counts(n_ap, burn_in)
     total = len(slopes)
-    if isinstance(slopes, SlopeList) and slopes.certified_count < total:
-        raise GhostError("slopes must be certified through the checked range")
     if total < burn_in + n_ap + 1:
         raise GhostError(
             f"insufficient certified slopes: have {total}, "

@@ -66,8 +66,9 @@ def _rat(x) -> dict:
 
 _ZERO_TYPES = {Classical: "classical", EtaEight: "eta8"}  # the "type" of a zero in `series` output
 
-# one slope entry, {"index", "slope": {"num", "den"}, "certified"}, laid out as by json.dumps(indent=2)
-_SLOPE_ENTRY = '{\n  "index": %d,\n  "slope": {\n    "num": %d,\n    "den": %d\n  },\n  "certified": %s\n}'
+# one slope entry, {"index", "slope": {"num", "den"}, "certified": true}, laid out as by json.dumps(indent=2);
+# every slope is certified, since a request that cannot certify fails
+_SLOPE_ENTRY = '{\n  "index": %d,\n  "slope": {\n    "num": %d,\n    "den": %d\n  },\n  "certified": true\n}'
 # the "ap_report" of a boundary document, laid out likewise; n_ap and delta are ints
 _AP_REPORT = ',\n  "ap_report": {\n    "n_ap": %d,\n    "delta": {\n      "num": %d,\n      "den": 1\n    },\n%s    "verified": %s\n  }'
 # one row of the "dimensions" of a dims document, likewise, its "dim_eta8" (p = 2, odd N) in %s
@@ -83,11 +84,10 @@ def _write_slopes(write, slopes: SlopeList, indent: str = "") -> None:
         return
     pad = indent + "  "
     entry = pad + _SLOPE_ENTRY.replace("\n", "\n" + pad)
-    cert = slopes.certified_count
     sep = "[\n"
     for lo in range(0, len(slopes), 4096):
         chunk = enumerate(slopes.slopes[lo : lo + 4096], lo)
-        write(sep + ",\n".join([entry % (j + 1, s.numerator, s.denominator, "true" if j < cert else "false") for j, s in chunk]))
+        write(sep + ",\n".join([entry % (j + 1, s.numerator, s.denominator) for j, s in chunk]))
         sep = ",\n"
     write("\n" + indent + "]")
 
@@ -184,7 +184,7 @@ def _cmd_slopes(args, ctx: PrimeContext, seed) -> int:
     if args.format == "csv":
         print("index,slope,certified")
         for j, s in enumerate(slopes.slopes, start=1):
-            print(f"{j},{s},{str(j <= slopes.certified_count).lower()}")
+            print(f"{j},{s},true")
     else:
         _write_slopes(sys.stdout.write, slopes)
         sys.stdout.write("\n")

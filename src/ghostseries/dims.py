@@ -19,19 +19,23 @@ from functools import lru_cache
 from math import prod
 
 from .record import Record
-from .weightspace import PrimeContext, padic_valuation
+from .weightspace import PRIME_BOUND, PrimeContext, is_prime, padic_valuation
 
 
 def _prime_factors(M: int) -> list[tuple[int, int]]:
-    """(p, v_p(M)) pairs by trial division; M here is always desk-sized."""
+    """(p, v_p(M)) pairs by trial division, which stops as soon as the
+    cofactor is proved prime: a prime p of any size then costs no steps in
+    M = N p when the prime factors of N are small."""
     out = []
     n = M
     f = 2
-    while f * f <= n:
+    prime = n < PRIME_BOUND and is_prime(n)
+    while not prime and f * f <= n:
         if n % f == 0:
             e = padic_valuation(n, f)
             n //= f ** e
             out.append((f, e))
+            prime = n < PRIME_BOUND and is_prime(n)
         f += 1 if f == 2 else 2
     if n > 1:
         out.append((n, 1))

@@ -49,46 +49,49 @@ class NewtonPolygon(Record):
     """Lower convex hull, stored as its minimal vertex list.
 
     Vertex values keep the type of the points: Fractions at annulus and
-    character weights, else ints.  Edge slopes are Fractions, computed once.
+    character weights, else ints.  Edge slopes are Fractions, built when read.
     """
 
-    __slots__ = ("vertices", "_edges")
-    _fields = ("vertices",)
+    __slots__ = ("vertices",)
 
     def __init__(self, vertices: tuple[tuple[int, int | Fraction], ...]) -> None:
-        runs = [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(vertices, vertices[1:])]
+        runs = [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in pairwise(vertices)]
         # dy2/dx2 > dy1/dx1 with positive dx, cross-multiplied
-        if any(dy2 * dx1 <= dy1 * dx2 for (dx1, dy1), (dx2, dy2) in zip(runs, runs[1:])):
+        if any(dy2 * dx1 <= dy1 * dx2 for (dx1, dy1), (dx2, dy2) in pairwise(runs)):
             raise AssertionError("hull slopes must increase strictly between vertices")
         init(self, "vertices", vertices)
-        init(self, "_edges", tuple((Fraction(dy, dx), dx) for dx, dy in runs))
 
     def slope_pairs(self) -> tuple[tuple[Fraction, int], ...]:
         """(slope, multiplicity) per edge; multiplicities are index gaps."""
-        return self._edges
+        return tuple((Fraction(y2 - y1, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in pairwise(self.vertices))
 
     def slopes(self, n: int | None = None) -> tuple[Fraction, ...]:
-        """Slopes flattened with multiplicity, nondecreasing."""
+        """Slopes flattened with multiplicity, nondecreasing; the first n of them."""
         out: list[Fraction] = []
-        for slope, mult in self.slope_pairs():
-            take = mult if n is None else min(mult, n - len(out))
-            out.extend([slope] * take)
+        for (x1, y1), (x2, y2) in pairwise(self.vertices):
+            take = x2 - x1 if n is None else min(x2 - x1, n - len(out))
+            out.extend([Fraction(y2 - y1, x2 - x1)] * take)
             if n is not None and len(out) >= n:
                 break
         return tuple(out)
 
 
 class SlopeList(Record):
-    """Nondecreasing slopes with a count of how many are guaranteed final."""
+    """Nondecreasing slopes, every one certified: a request that cannot
+    certify its slopes raises instead of returning a list."""
 
-    __slots__ = ("slopes", "certified_count")
+    __slots__ = ("slopes",)
 
-    def __init__(self, slopes: tuple[Fraction, ...], certified_count: int) -> None:
+    def __init__(self, slopes: tuple[Fraction, ...]) -> None:
         pairs = pairwise(zip(map(attrgetter("numerator"), slopes), map(attrgetter("denominator"), slopes)))
         if any(c * b < a * d for (a, b), (c, d) in pairs):  # c/d < a/b, cross-multiplied
             raise AssertionError("slope lists are nondecreasing")
         init(self, "slopes", slopes)
-        init(self, "certified_count", certified_count)
+
+    @property
+    def certified_count(self) -> int:
+        """How many slopes are certified: all of them."""
+        return len(self.slopes)
 
     def pairs(self) -> tuple[tuple[Fraction, int], ...]:
         return tuple((s, len(list(run))) for s, run in groupby(self.slopes))
@@ -163,8 +166,8 @@ def certified_slopes(
     n: int,
     cap: int | None,
     bound: tuple[int, Fraction, Fraction],
-) -> tuple[SlopeList, NewtonPolygon, list[tuple[int, ExtendedRational]]]:
-    """First n hull slopes with a truncation certificate.
+) -> tuple[SlopeList, NewtonPolygon]:
+    """First n hull slopes with a truncation certificate, and the hull over 0..D.
 
     Grows the truncation degree D (doubling, up to ``cap`` or DEFAULT_CAP)
     until the hull over indices 0..D has n slopes and every coefficient past D
@@ -192,8 +195,7 @@ def certified_slopes(
     while True:
         window_end = 2 * D + 32
         lam = lam_upto(window_end)
-        points = list(enumerate(values(D)[: D + 1]))
-        poly = lower_hull(points)
+        poly = lower_hull(list(enumerate(values(D)[: D + 1])))
         flat = poly.slopes(n)
         fault = f"the hull had {len(flat)} slopes, fewer than {n}"
         if len(flat) >= n:
@@ -203,7 +205,7 @@ def certified_slopes(
             if fault is None and W > window_end:  # the short window holds: read the degrees on to W
                 fault, window_end = _tail_fault(lam_upto(W), window_end, W, c, s, i0, y0), W
             if fault is None:
-                return SlopeList(flat, n), poly, points
+                return SlopeList(flat), poly
         if D >= cap:
             raise CertificationError(
                 f"could not certify {n} slopes within the degree cap {cap}; "
@@ -233,10 +235,7 @@ def ghost_polygon(
             raise
         c = series.floor_cap
     leg = leg_rule(kappa, ctx)  # every zero of the series lies on the component of kappa
-    slopes, poly, _ = certified_slopes(
-        lambda D: series.values(D, leg), series.lam_upto, c, n, cap, series.degree_bound()
-    )
-    return slopes, poly
+    return certified_slopes(lambda D: series.values(D, leg), series.lam_upto, c, n, cap, series.degree_bound())
 
 
 def ghost_slopes(
@@ -273,5 +272,5 @@ def classical_ghost_slopes(
     else:
         raise ValueError(f"unknown count mode {count_mode!r} (use 'tame' or 'full')")
     if n == 0:
-        return SlopeList((), 0)
+        return SlopeList(())
     return ghost_slopes(ctx, Classical(k), n, seed=seed, cap=cap)

@@ -6,9 +6,8 @@ taking the fields by position or name, equality by type and fields, a hash
 that agrees with it, the repr ``Annulus(center=0, v=Fraction(5, 2))``, an
 ``AttributeError`` on assignment, and ``_asdict`` (the fields in order).
 A type that checks or coerces its arguments writes its own ``__init__``
-and sets each slot through :data:`init`.  The fields are ``_fields``, by
-default ``__slots__``; a slot left out of it (a cached value) takes no
-part in equality, hashing or the repr.
+and sets each slot through :data:`init`.  The fields are the ``__slots__``,
+in order: a record stores nothing but its fields.
 """
 
 from __future__ import annotations
@@ -20,16 +19,13 @@ init = object.__setattr__  # sets a slot of a record under construction
 
 class Record:
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:
-            cls._fields = tuple(cls.__slots__)
-        cls._key = attrgetter(*cls._fields)
+        cls._key = attrgetter(*cls.__slots__)
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
+        fields = self.__slots__
         if len(args) > len(fields) or set(kwargs) != set(fields[len(args):]):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
         for name, value in (*zip(fields, args), *kwargs.items()):
@@ -50,14 +46,14 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def _asdict(self) -> dict:
-        return {name: getattr(self, name) for name in self._fields}
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
 def json_int(x) -> int:

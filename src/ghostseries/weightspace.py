@@ -64,18 +64,36 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
+# every composite n below PRIME_BOUND fails the strong probable-prime test to one
+# of these bases, the primes through 41 (Sorenson-Webster 2015)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, proved: by a factor among ``_BASES``, else by the
+    strong probable-prime test to each of them.  An n >= PRIME_BOUND with no
+    such factor is refused with ValueError, since the test proves nothing there.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    if n >= PRIME_BOUND:
+        raise ValueError(f"cannot prove {n} prime: primality is decided only below {PRIME_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

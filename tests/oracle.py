@@ -29,6 +29,9 @@ mark, so the certificate can be checked against the longer window.  The
 one-line ``modified_boundary_slopes`` wraps the package's boundary polygon
 for the tests that read the modified boundary slopes by tame level.
 
+``is_prime_reference`` decides primality by trial division, so it checks
+the Miller-Rabin test of ``ghostseries.weightspace.is_prime``.
+
 ``true_classical_slopes`` is no rebuild of the series: it reads the U_p
 slopes on S_k(Gamma_0(p)) off exact Hecke data at level 1 (T_p on the
 basis Delta^j E_4^a E_6^b, its characteristic polynomial and a Newton
@@ -60,6 +63,14 @@ from ghostseries.weightspace import (
     leg_rule,
     weight_component,
 )
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+def is_prime_reference(n: int) -> bool:
+    """Whether n is prime, by trial division through its square root."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 # ---------------------------------------------------------------------------

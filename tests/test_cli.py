@@ -362,6 +362,25 @@ def test_a_request_that_does_not_fit_in_memory_exits_3(limit_mb, argv):
         assert "do not fit in memory" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["slopes", "--p", str(2**61 - 1), "--weight", "k=0", "--count", "3"], 3),
+        (["dims", "--p", str(2**61 - 1), "--k-max", "6"], 0),
+    ],
+    ids=["slopes", "dims"],
+)
+def test_a_large_prime_fails_fast(argv, code):
+    # trial division needed about 7.6e8 steps to prove 2^61 - 1 prime, and as many to factor N p
+    env = dict(os.environ, PYTHONPATH=str(Path(ghostseries.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghostseries", *argv], capture_output=True, env=env, timeout=20, text=True
+    )
+    assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("error: could not certify 3 slopes within the degree cap 10000;")
+
+
 def test_exit_codes(capsys, tmp_path):
     # usage error: bad weight grammar
     assert main(["slopes", "--p", "2", "--weight", "huh", "--count", "1"]) == 2
@@ -400,6 +419,11 @@ def test_exit_codes(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage error: --cap must be at least 1")
+    # a prime above the bound of the deterministic primality test is a usage error that names it
+    assert main(["slopes", "--p", str(2**89 - 1), "--weight", "k=0", "--count", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: cannot prove {2**89 - 1} prime: primality is decided only below 3317044064679887385961981\n"
+    )
     # a negative --up-to is a usage error; --up-to 0 prints no row
     assert main(["series", "--p", "2", "--up-to", "-1"]) == 2
     captured = capsys.readouterr()

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostseries.boundary import boundary_polygon
+from ghostseries.dims import dim_cusp_gamma0
 from ghostseries.errors import CertificationError, PrecisionError
+from ghostseries.modified import bundled_seed
 from ghostseries.polygon import (
     NewtonPolygon,
     SlopeList,
@@ -128,6 +130,29 @@ def test_newton_polygon_rejects_collinear_vertices():
         NewtonPolygon(((0, 0), (2, Fraction(1, 2)), (3, Fraction(3, 4))))
 
 
+@st.composite
+def convex_edges(draw):
+    """Edges (slope, dx) of a convex polygon: strictly increasing int or Fraction slopes."""
+    values = st.integers(-30, 30) if draw(st.booleans()) else st.fractions(-30, 30, max_denominator=12)
+    return [(s, draw(st.integers(1, 6))) for s in sorted(set(draw(st.lists(values, max_size=8))))]
+
+
+@settings(deadline=None)
+@given(convex_edges(), st.integers(-20, 20))
+def test_hull_reads_follow_the_vertices(edges, y0):
+    vertices = [(0, y0)]  # x from 0 on, y an int or a Fraction with the slopes
+    for s, dx in edges:
+        x, y = vertices[-1]
+        vertices.append((x + dx, y + s * dx))
+    poly = NewtonPolygon(tuple(vertices))
+    pairs = poly.slope_pairs()
+    assert pairs == tuple((Fraction(s), dx) for s, dx in edges)
+    assert all(type(s) is Fraction for s, _ in pairs)
+    flat = tuple(s for s, dx in pairs for _ in range(dx))
+    for n in (None, -1, *range(len(flat) + 3)):
+        assert poly.slopes(n) == (flat if n is None else flat[: max(n, 0)]), n
+
+
 def _tail_clears_reference(lam, D, window_end, c, s, i0, y0):
     """The window check in Fraction arithmetic."""
     return all(lam[i] * c > y0 + s * (i - i0) for i in range(D + 1, window_end + 1))
@@ -164,23 +189,23 @@ def test_tail_check_matches_fraction_reference():
 
 
 def test_slope_list_bookkeeping():
-    slopes = SlopeList((Fraction(1), Fraction(1), Fraction(2)), 3)
+    slopes = SlopeList((Fraction(1), Fraction(1), Fraction(2)))
     assert slopes.pairs() == ((Fraction(1), 2), (Fraction(2), 1))
     assert len(slopes) == 3 and slopes[2] == 2
     with pytest.raises(AssertionError):
-        SlopeList((Fraction(2), Fraction(1)), 2)
+        SlopeList((Fraction(2), Fraction(1)))
 
 
 def test_slope_list_order_check_on_ints():
     # the check cross-multiplies numerators by the positive denominators
     for drop in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 3), Fraction(-1, 2)), (Fraction(2), Fraction(3, 2))):
         with pytest.raises(AssertionError, match="^slope lists are nondecreasing$"):
-            SlopeList(drop, 2)
+            SlopeList(drop)
     for rising in ((Fraction(-1, 2), Fraction(0), Fraction(1, 3)), (Fraction(1, 3),) * 4 + (Fraction(2, 5),) * 3, ()):
-        assert SlopeList(rising, len(rising)).slopes == rising
+        assert SlopeList(rising).slopes == rising
     sheared = boundary_polygon(PrimeContext(5, 1), ComponentLabel(0, 5), 300_000, cap=10**7)
     assert sheared.shear is not None
-    assert SlopeList(sheared.slopes.slopes, 300_000) == sheared.slopes
+    assert SlopeList(sheared.slopes.slopes) == sheared.slopes
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +274,35 @@ def test_true_slopes_at_the_irregular_prime_59(k, agree):
     # 59 is the least prime that is not Gamma_0(1)-regular; among the even
     # k <= 80 the ghost slopes miss the true ones exactly at k = 16, 46, 74, 76
     assert (list(classical_ghost_slopes(PrimeContext(59), k, "full").slopes) == true_classical_slopes(59, k)) is agree
+
+
+def _classical_facts_hold(slopes, d: int, k: int) -> bool:
+    """Whether the 2d + d' full classical slopes in weight k, d = dim S_k(Gamma_0(N)),
+    hold the p-new block s_{d+1} = ... = s_{d+d'} = (k - 2)/2 and the
+    Atkin-Lehner pairs s_i + s_{2d+d'+1-i} = k - 1 for i <= d."""
+    s = slopes.slopes
+    block = s[d : len(s) - d]
+    return all(x == Fraction(k - 2, 2) for x in block) and all(s[i] + s[-1 - i] == k - 1 for i in range(d))
+
+
+def test_classical_slopes_have_the_p_new_block_and_atkin_lehner_pairs():
+    cases, failures = 0, set()
+    for p in (2, 3, 5, 7, 11, 13):
+        for N in (1, 2, 3, 4, 5, 7, 11):
+            if N % p == 0:
+                continue
+            for k in range(4, 41, 2):
+                cases += 1
+                slopes = classical_ghost_slopes(PrimeContext(p, N), k, "full")
+                if not _classical_facts_hold(slopes, dim_cusp_gamma0(N, k), k):
+                    failures.add((p, N, k))
+    # the plain p = 2 series fails at every level the modified series exists for
+    assert (cases, cases - len(failures)) == (684, 608)
+    assert failures == {(2, N, k) for N in (3, 5, 7, 11) for k in range(4, 41, 2)}
+    seed = bundled_seed(3)
+    for k in range(4, 41, 2):
+        slopes = classical_ghost_slopes(PrimeContext(2, 3), k, "full", seed=seed)
+        assert _classical_facts_hold(slopes, dim_cusp_gamma0(3, k), k), k
 
 
 def test_59_adic_ordinary_weight():

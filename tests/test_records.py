@@ -11,7 +11,7 @@ import pytest
 from ghostseries.boundary import APReport
 from ghostseries.dims import Gamma0Invariants, gamma0_invariants
 from ghostseries.modified import Weight2SeedSlopes
-from ghostseries.polygon import NewtonPolygon
+from ghostseries.polygon import NewtonPolygon, SlopeList
 from ghostseries.series import GhostCoefficient
 from ghostseries.weightspace import (
     Annulus,
@@ -45,6 +45,12 @@ VALUES = [
         GhostCoefficient(index=5, component=ComponentLabel(0, 2), zeros=[(Classical(8), 1), (EtaEight(3), 2)]),
         "GhostCoefficient(index=5, component=ComponentLabel(residue=0, p=2), zeros={Classical(k=8): 1, EtaEight(k=3): 2})",
         "zeros",
+    ),
+    (
+        SlopeList((Fraction(1, 2), Fraction(1, 2), Fraction(3))),
+        SlopeList(slopes=(Fraction(1, 2), Fraction(2, 4), Fraction(3))),
+        "SlopeList(slopes=(Fraction(1, 2), Fraction(1, 2), Fraction(3, 1)))",
+        "slopes",
     ),
 ]
 
@@ -88,7 +94,7 @@ def test_coercion_and_validation_happen_at_construction():
         PrimeContext(2, N=4)
 
 
-def test_cached_fields_stay_out_of_eq_and_repr():
+def test_polygon_edges_are_read_off_its_vertices():
     poly = NewtonPolygon(((0, 0), (1, 1), (3, 5)))
     assert repr(poly) == "NewtonPolygon(vertices=((0, 0), (1, 1), (3, 5)))"
     assert poly == NewtonPolygon(((0, 0), (1, 1), (3, 5)))

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostseries.errors import ComponentMismatch, PrecisionError
 from ghostseries.weightspace import (
     INFINITY,
+    PRIME_BOUND,
     Annulus,
     CharClassical,
     Classical,
@@ -14,12 +17,14 @@ from ghostseries.weightspace import (
     ExplicitW,
     PrimeContext,
     component_of,
+    is_prime,
     leg_rule,
     padic_valuation,
     pair_valuation,
     weight_component,
     weight_valuation,
 )
+from oracle import is_prime_reference
 
 
 def test_prime_context_validation():
@@ -31,6 +36,30 @@ def test_prime_context_validation():
         PrimeContext(3, 6)
     with pytest.raises(ValueError):
         PrimeContext(5, 0)
+
+
+def test_is_prime_matches_trial_division_below_20000():
+    assert [n for n in range(-3, 20_000) if is_prime(n)] == [n for n in range(-3, 20_000) if is_prime_reference(n)]
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=-10, max_value=10**12))
+def test_is_prime_matches_trial_division(n):
+    assert is_prime(n) == is_prime_reference(n)
+
+
+def test_is_prime_is_a_proof_below_its_bound():
+    assert not is_prime(3215031751)  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(318665857834031151167461)  # ... to every base through 37; base 41 catches it
+    assert is_prime(2**61 - 1)
+    # a factor below 42 is found at any size; without one, a number at the bound is refused
+    assert not is_prime(41 * PRIME_BOUND) and not is_prime(2**200)
+    for n in (PRIME_BOUND, 2**89 - 1):  # a strong pseudoprime to every base, and a prime
+        with pytest.raises(ValueError) as err:
+            is_prime(n)
+        assert str(err.value) == f"cannot prove {n} prime: primality is decided only below 3317044064679887385961981"
+    with pytest.raises(ValueError, match=f"^p = {3 * PRIME_BOUND} is not prime$"):
+        PrimeContext(3 * PRIME_BOUND)
 
 
 def test_component_of():
