@@ -16,30 +16,44 @@ cusps.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 from .record import Record
-from .weightspace import PRIME_BOUND, PrimeContext, is_prime, padic_valuation
+from .weightspace import PrimeContext, is_prime
 
 
 def _prime_factors(M: int) -> list[tuple[int, int]]:
-    """(p, v_p(M)) pairs by trial division, which stops as soon as the
-    cofactor is proved prime: a prime p of any size then costs no steps in
-    M = N p when the prime factors of N are small."""
-    out = []
+    """(p, v_p(M)) pairs in ascending p.  Trial division takes the primes below
+    42; every cofactor left is proved prime by ``is_prime`` or split by
+    Pollard's rho, x -> x^2 + c with 2^18 steps for each c in 1..4, so a prime
+    factor q costs about sqrt(q) steps.  A composite that rho does not split,
+    or a probable prime above ``is_prime``'s bound, is refused with ValueError."""
+    out: dict[int, int] = {}
     n = M
-    f = 2
-    prime = n < PRIME_BOUND and is_prime(n)
-    while not prime and f * f <= n:
-        if n % f == 0:
-            e = padic_valuation(n, f)
-            n //= f ** e
-            out.append((f, e))
-            prime = n < PRIME_BOUND and is_prime(n)
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+    for f in range(2, 42):
+        while n % f == 0:
+            n //= f
+            out[f] = out.get(f, 0) + 1
+    todo = [n] if n > 1 else []
+    while todo:
+        n = todo.pop()
+        if is_prime(n):
+            out[n] = out.get(n, 0) + 1
+            continue
+        for c in range(1, 5):
+            x = y = 2
+            for _ in range(1 << 18):  # Floyd: y takes two steps to each of x's
+                x, y = (x * x + c) % n, (y * y + c) % n
+                y = (y * y + c) % n
+                d = gcd(x - y, n)
+                if d != 1:
+                    break
+            if 1 < d < n:
+                todo += [d, n // d]
+                break
+        else:
+            raise ValueError(f"cannot factor the level {M}: Pollard's rho splits no factor off the composite {n}")
+    return sorted(out.items())
 
 
 def _cohen_oesterle_lambda(r: int, p: int) -> int:

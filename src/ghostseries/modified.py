@@ -19,13 +19,11 @@ its fractional blocks, and with them m_i(2), are symmetric under i -> d_2 - i.
 A modified coefficient is a ``series.GhostCoefficient``, eta_8 zeros last.
 
 The weight-2 slope list is the one input this package cannot compute; it
-must be supplied (the N = 3 list {1/2, 1/2} ships as package data).
+must be supplied (the N = 3 list {1/2, 1/2} ships as a constant).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0
@@ -46,10 +44,8 @@ class Weight2SeedSlopes(Record):
     __slots__ = ("N", "slopes")
 
     def __init__(self, N: int, slopes: tuple[Fraction, ...]) -> None:
-        if N < 1 or N % 2 == 0:
-            raise ValueError(f"tame level N = {N} must be odd and positive")
+        expected = dim_cusp_eta8(N, 2, 1)  # refuses an even or nonpositive N
         slopes = tuple(Fraction(s) for s in slopes)
-        expected = dim_cusp_eta8(N, 2, 1)
         if len(slopes) != expected:
             raise ExternalDataError(
                 f"seed for N = {N} must list {expected} slopes, got {len(slopes)}"
@@ -92,6 +88,8 @@ def seed_from_json(obj: dict) -> Weight2SeedSlopes:
 
 def load_seed(path) -> Weight2SeedSlopes:
     """Read a seed file; a file that holds no valid seed raises ExternalDataError naming it."""
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
@@ -103,18 +101,15 @@ def load_seed(path) -> Weight2SeedSlopes:
         raise ExternalDataError(f"{path}: {exc}") from exc
 
 
+# the slopes of U_2 on the two-dimensional S_2(Gamma_1(24), eta_8^+); level 8 has none
+_BUNDLED = {1: (), 3: (Fraction(1, 2), Fraction(1, 2))}
+
+
 def bundled_seed(N: int) -> Weight2SeedSlopes:
-    """Seeds shipped with the package (N = 1 trivially, N = 3 from data)."""
-    if N == 1:
-        return Weight2SeedSlopes(1, ())
-    if N == 3:
-        # package data through this module's loader, as pkgutil.get_data reads it, without
-        # importing pkgutil (and with it typing) into a request
-        data = __spec__.loader.get_data(os.path.join(os.path.dirname(__file__), "data", "eta8_seed_N3.json"))
-        return seed_from_json(json.loads(data))
-    raise ExternalDataError(
-        f"no bundled weight-2 slope data for N = {N}; supply a seed file"
-    )
+    """Seeds shipped with the package: N = 1 (empty) and N = 3."""
+    if N not in _BUNDLED:
+        raise ExternalDataError(f"no bundled weight-2 slope data for N = {N}; supply a seed file")
+    return Weight2SeedSlopes(N, _BUNDLED[N])
 
 
 # ---------------------------------------------------------------------------

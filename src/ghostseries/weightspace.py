@@ -72,16 +72,15 @@ PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 def is_prime(n: int) -> bool:
     """Whether n is prime, proved: by a factor among ``_BASES``, else by the
-    strong probable-prime test to each of them.  An n >= PRIME_BOUND with no
-    such factor is refused with ValueError, since the test proves nothing there.
+    strong probable-prime test to each of them, where one witness proves n
+    composite at any size.  A probable prime n >= PRIME_BOUND is refused with
+    ValueError, since passing the test proves nothing there.
     """
     if n < 2:
         return False
     for a in _BASES:
         if n % a == 0:
             return n == a
-    if n >= PRIME_BOUND:
-        raise ValueError(f"cannot prove {n} prime: primality is decided only below {PRIME_BOUND}")
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
     d = (n - 1) >> s
     for a in _BASES:
@@ -94,6 +93,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PRIME_BOUND:
+        raise ValueError(f"cannot prove {n} prime: primality is decided only below {PRIME_BOUND}")
     return True
 
 
@@ -130,7 +131,7 @@ class ComponentLabel(Record):
         if not (0 <= residue < modulus):
             raise ValueError(f"residue {residue} out of range mod {modulus}")
         if residue % 2 != 0:
-            raise ValueError("components of even weight space have even residue")
+            raise ValueError("component residue must be even")
         init(self, "residue", residue)
         init(self, "p", p)
 
@@ -259,8 +260,6 @@ def weight_component(a: WeightPoint, ctx: PrimeContext) -> ComponentLabel:
                 "explicit w-values need a component residue for odd p "
                 "(the coordinate does not determine the disc)"
             )
-        if a.residue % 2 != 0:
-            raise ValueError("component residue must be even")
         return ComponentLabel(a.residue % (ctx.p - 1), ctx.p)
     raise TypeError(f"not a weight point: {a!r}")
 

@@ -73,6 +73,19 @@ def is_prime_reference(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
+def prime_factors_reference(M: int) -> list[tuple[int, int]]:
+    """(p, v_p(M)) pairs in ascending p, by trial division through the square root of the cofactor."""
+    out, n, f = [], M, 2
+    while f * f <= n:
+        e = 0
+        while n % f == 0:
+            n, e = n // f, e + 1
+        if e:
+            out.append((f, e))
+        f += 1
+    return out + [(n, 1)] * (n > 1)
+
+
 # ---------------------------------------------------------------------------
 # dimension formulas
 

@@ -381,6 +381,37 @@ def test_a_large_prime_fails_fast(argv, code):
         assert proc.stderr.startswith("error: could not certify 3 slopes within the degree cap 10000;")
 
 
+_CANNOT_PROVE = (
+    "usage error: cannot prove 618970019642690137449562111 prime: "
+    "primality is decided only below 3317044064679887385961981\n"
+)
+_TWO_LARGE_PRIMES = (10**20 + 39) * (10**20 + 129)
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["dims", "--p", "3", "--N", str((10**9 + 7) * (10**9 + 9)), "--k-max", "4"], 0, ""),
+        (["dims", "--p", "3", "--N", str(2**89 - 1), "--k-max", "4"], 2, _CANNOT_PROVE),
+        (["slopes", "--p", "2", "--N", str(2**89 - 1), "--weight", "k=0", "--count", "3"], 2, _CANNOT_PROVE),
+        (
+            ["dims", "--p", "3", "--N", str(_TWO_LARGE_PRIMES), "--k-max", "4"],
+            2,
+            f"usage error: cannot factor the level {_TWO_LARGE_PRIMES}: "
+            f"Pollard's rho splits no factor off the composite {_TWO_LARGE_PRIMES}\n",
+        ),
+    ],
+    ids=["two-primes", "dims-prime-above-bound", "slopes-prime-above-bound", "past-rho-budget"],
+)
+def test_a_large_level_fails_fast(argv, code, err):
+    # a level is split by Pollard's rho and each factor proved prime, or refused: all within seconds
+    env = dict(os.environ, PYTHONPATH=str(Path(ghostseries.cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghostseries", *argv], capture_output=True, env=env, timeout=30, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
 def test_exit_codes(capsys, tmp_path):
     # usage error: bad weight grammar
     assert main(["slopes", "--p", "2", "--weight", "huh", "--count", "1"]) == 2
@@ -499,6 +530,8 @@ def test_exit_codes(capsys, tmp_path):
         (["slopes", "--p", "1", "--weight", "k=0", "--count", "3"], "p = 1 is not prime"),
         (["slopes", "--p", "5", "--weight", "char:2:24", "--count", "3"], "conductor in 'char:2:24' is not a power of p = 5"),
         (["slopes", "--p", "5", "--weight", "char:2:0", "--count", "3"], "conductor in 'char:2:0' is not a power of p = 5"),
+        (["series", "--p", "5", "--component", "1", "--up-to", "3"], "component residue must be even"),
+        (["boundary", "--p", "7", "--component", "3", "--count", "3"], "component residue must be even"),
     ],
 )
 def test_usage_errors(capsys, argv, text):

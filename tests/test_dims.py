@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostseries.dims import (
     _dim,
+    _prime_factors,
     dim_cusp_eta8,
     dim_cusp_gamma0,
     dim_pnew,
@@ -9,7 +12,7 @@ from ghostseries.dims import (
     eta8_weight2_excess,
 )
 from ghostseries.weightspace import PrimeContext, is_prime
-from oracle import dim_cusp_eta8_reference, dim_cusp_genus_form, gamma0_reference
+from oracle import dim_cusp_eta8_reference, dim_cusp_genus_form, gamma0_reference, prime_factors_reference
 
 
 def test_invariants_small_levels():
@@ -22,6 +25,29 @@ def test_invariants_small_levels():
     # a few more published genera
     assert gamma0_invariants(37).genus == 2
     assert gamma0_invariants(59).genus == 5
+
+
+def test_prime_factors_match_trial_division_below_30000():
+    for M in range(1, 30_000):
+        assert _prime_factors(M) == prime_factors_reference(M), M
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=10**12))
+def test_prime_factors_match_trial_division(M):
+    assert _prime_factors(M) == prime_factors_reference(M)
+
+
+def test_prime_factors_split_large_levels():
+    # factors near 10^9 are found by rho, prime powers above 41 too
+    p, q = 10**9 + 7, 10**9 + 9
+    assert _prime_factors(p * q) == [(p, 1), (q, 1)]
+    assert _prime_factors(8 * 3 * p**2 * q) == [(2, 3), (3, 1), (p, 2), (q, 1)]
+    assert _prime_factors(43**7 * 47) == [(43, 7), (47, 1)]
+    assert gamma0_invariants(p * q).index == (p + 1) * (q + 1)
+    # a probable prime above the primality bound cannot be a proved factor
+    with pytest.raises(ValueError, match=r"^cannot prove 618970019642690137449562111 prime: "):
+        _prime_factors(3 * (2**89 - 1))
 
 
 def test_genus_integrality_identity():

@@ -40,6 +40,10 @@ def test_seed_validation():
         Weight2SeedSlopes(3, (Fraction(3, 4), Fraction(1, 4)))  # not sorted
     with pytest.raises(ValueError):
         Weight2SeedSlopes(2, ())  # even level
+    # the level is refused by the eta_8 dimension, before any slope is read
+    for N in (4, 0, -3):
+        with pytest.raises(ValueError, match=f"^tame level N = {N} must be odd and positive$"):
+            Weight2SeedSlopes(N, ("not a slope",))
 
 
 def test_seed_refuses_negative_slopes():

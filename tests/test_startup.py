@@ -83,7 +83,7 @@ _UNLOADED = {"argparse", "gettext", "typing"}  # modules a well-formed request n
             ["slopes", "--p", "2", "--N", "3", "--modified", "--weight", "k=0", "--count", "3"],
             0,
             {"ghostseries.modified"},
-            {"ghostseries.boundary"} | _UNLOADED,
+            {"ghostseries.boundary", "json"} | _UNLOADED,
         ),
         (
             ["compare", "--p", "2", "--fixture", str(ROOT / "fixtures" / "annulus_half_2adic.json"),
@@ -102,6 +102,16 @@ def test_a_request_imports_only_the_modules_it_runs(argv, code, present, absent)
     loaded = _loaded_after(f"from ghostseries import cli; assert cli.main({argv!r}) == {code}")
     assert present <= loaded
     assert not absent & loaded
+
+
+def test_a_seed_file_is_read_with_json(tmp_path):
+    # the bundled seed is a constant; only a seed file needs the parser
+    seed = tmp_path / "seed3.json"
+    seed.write_text('{"N": 3, "weight2_slopes": [{"num": 1, "den": 2}, {"num": 1, "den": 2}]}')
+    argv = ["slopes", "--p", "2", "--N", "3", "--modified", "--seed", str(seed), "--weight", "k=0", "--count", "3"]
+    loaded = _loaded_after(f"from ghostseries import cli; assert cli.main({argv!r}) == 0")
+    assert {"ghostseries.modified", "json"} <= loaded
+    assert not ({"ghostseries.boundary"} | _UNLOADED) & loaded
 
 
 def test_public_names_are_the_submodule_objects():

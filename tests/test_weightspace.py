@@ -60,6 +60,11 @@ def test_is_prime_is_a_proof_below_its_bound():
         assert str(err.value) == f"cannot prove {n} prime: primality is decided only below 3317044064679887385961981"
     with pytest.raises(ValueError, match=f"^p = {3 * PRIME_BOUND} is not prime$"):
         PrimeContext(3 * PRIME_BOUND)
+    # a witness proves n composite at any size, with no factor below 42
+    M = (10**20 + 39) * (10**20 + 129)
+    assert not is_prime(M) and not is_prime((2**89 - 1) * (2**61 - 1))
+    with pytest.raises(ValueError, match=f"^p = {M} is not prime$"):
+        PrimeContext(M)
 
 
 def test_component_of():
