@@ -91,7 +91,7 @@ def boundary_polygon(
         slopes, poly = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), count, cap, bound)
         return BoundaryPolygon(eps, poly, slopes, None)
 
-    q, delta = (gamma0_invariants(ctx.N).index, 1) if ctx.p == 2 else ap_parameters(ctx)
+    q, delta = ap_parameters(ctx)
     if n > 2 * q + 1:  # else no base is shorter than n
         q, delta, b = boundary_period(series, q, delta)
         m = b + 2 * q + 1
@@ -143,15 +143,15 @@ class APReport(Record):
 def ap_parameters(ctx: PrimeContext) -> tuple[int, int]:
     """(number of progressions, common difference) for the boundary slopes.
 
-    n_ap = p(p-1)(p+1) mu_0(N) / 24 and delta = (p-1)^2 / 2, for odd p.  Both
+    n_ap = p(p-1)(p+1) mu_0(N) / 24 and delta = (p-1)^2 / 2 for odd p.  Both
     are integers: p - 1 and p + 1 are even and one of them is divisible by 4,
     and one of p - 1, p, p + 1 is divisible by 3, so 24 divides (p-1)p(p+1);
-    and (p-1)^2 is even.
+    and (p-1)^2 is even.  For p = 2 they are (mu_0(N), 1) (Bergdall-Pollack).
     """
     p = ctx.p
-    if p == 2:
-        raise ValueError("the progression structure applies to odd p only")
     mu0 = gamma0_invariants(ctx.N).index
+    if p == 2:
+        return mu0, 1
     return p * (p - 1) * (p + 1) * mu0 // 24, (p - 1) ** 2 // 2
 
 

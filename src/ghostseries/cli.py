@@ -361,7 +361,7 @@ _COMMANDS = {
     "boundary": ("w-adic slopes of the boundary polygon", _cmd_boundary, _SEEDED + (
         ("--count", dict(type=int, default=50)),
         ("--component", dict(type=int, default=0)),
-        ("--ap", dict(action="store_true", help="attach an arithmetic-progression report (odd p)")),
+        ("--ap", dict(action="store_true", help="attach an arithmetic-progression report")),
         ("--burn-in-max", dict(type=int, default=100)),
         ("--n-ap", dict(type=int, default=None, help="override the progression count")),
         ("--delta", dict(type=int, default=None, help="override the common difference")),

@@ -39,7 +39,6 @@ from .weightspace import (
     leg_rule,
     pair_valuation,  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
     weight_component,
-    weight_valuation,
 )
 
 DEFAULT_CAP = 10_000
@@ -228,13 +227,13 @@ def ghost_polygon(
     Passing a weight-2 seed switches to the modified p = 2 series.
     """
     series = GhostSeries(ctx, weight_component(kappa, ctx), seed)
-    try:  # the least leg of any zero; +Infinity compares above every floor
-        c = min(weight_valuation(kappa, ctx), series.floor_cap)
+    leg = leg_rule(kappa, ctx)  # every zero of the series lies on the component of kappa
+    try:  # the least leg of any zero is v_p(w_kappa), the leg at the disc centre z^0, or the floor
+        c = min(leg(Classical, 0), series.floor_cap)
     except PrecisionError:  # only an ExplicitW that is 0 mod p^m: v_p(w_kappa) >= m
         if kappa.m < series.floor_cap:
             raise
         c = series.floor_cap
-    leg = leg_rule(kappa, ctx)  # every zero of the series lies on the component of kappa
     return certified_slopes(lambda D: series.values(D, leg), series.lam_upto, c, n, cap, series.degree_bound())
 
 

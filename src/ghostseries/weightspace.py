@@ -70,6 +70,10 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+def _unproved(n: int) -> ValueError:
+    return ValueError(f"cannot prove {n} prime: primality is decided only below {PRIME_BOUND}")
+
+
 def is_prime(n: int) -> bool:
     """Whether n is prime, proved: by a factor among ``_BASES``, else by the
     strong probable-prime test to each of them, where one witness proves n
@@ -94,7 +98,7 @@ def is_prime(n: int) -> bool:
         else:
             return False
     if n >= PRIME_BOUND:
-        raise ValueError(f"cannot prove {n} prime: primality is decided only below {PRIME_BOUND}")
+        raise _unproved(n)
     return True
 
 
@@ -107,6 +111,8 @@ class PrimeContext(Record):
     __slots__ = ("p", "N")
 
     def __init__(self, p: int, N: int = 1) -> None:
+        if p.bit_length() > 512:  # past 512 bits is_prime's exponentiations mod p take seconds
+            raise _unproved(p)
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if N < 1:
@@ -313,11 +319,11 @@ def leg_rule(kappa: WeightPoint, ctx: PrimeContext) -> LegRule:
     if kind is Classical or kind is EtaEight:
         own, a = kind, kappa.k
     elif kind is ExplicitW:
+        if kappa.w0 % p != 0:
+            raise ValueError(f"w0 = {kappa.w0} is not in the open unit disc")
         gen = 1 + p**e if kappa.generator is None else kappa.generator  # 5 for p = 2, else 1 + p
         if gen <= 1 or padic_valuation(gen - 1, p) != e:
             raise ValueError(f"{gen} does not generate 1 + {p ** e}Z_{p}: need v_{p}(gen - 1) = {e}")
-        if kappa.w0 % p != 0:
-            raise ValueError(f"w0 = {kappa.w0} is not in the open unit disc (p must divide w0)")
         m, mod = kappa.m, p ** kappa.m
         u, own = (kappa.w0 + 1) % mod, Classical
         if p == 2 and u % 4 == 3:
@@ -352,20 +358,10 @@ def pair_valuation(a: WeightPoint, z: Classical | EtaEight, ctx: PrimeContext) -
 
 
 def weight_valuation(a: WeightPoint, ctx: PrimeContext) -> ExtendedRational:
-    """v_p(w_a), i.e. the distance from ``a`` to the center of its disc.
+    """v_p(w_a), i.e. the distance from ``a`` to the center of its disc: the
+    leg of ``a`` against the center w = 0, which is the zero z^0.
 
     Raises PrecisionError for an explicit w-value that is 0 mod p^m.
     """
-    p = ctx.p
-    if isinstance(a, ExplicitW):
-        if a.w0 % p != 0:
-            raise ValueError(f"w0 = {a.w0} is not in the open unit disc")
-        rep = a.w0 % (p ** a.m)
-        if rep == 0:
-            raise PrecisionError(
-                f"v_{p}(w) >= {a.m} is all the precision allows for w0 = {a.w0}"
-            )
-        return Fraction(padic_valuation(rep, p))
-    # the center w = 0 of a's disc, read in the leg formulas as z^0
     v = leg_rule(a, ctx)(Classical, 0)
     return v if v is INFINITY else Fraction(v)

@@ -13,7 +13,6 @@ from ghostseries.boundary import (
     scan_burn_in,
     ap_parameters,
 )
-from ghostseries.dims import gamma0_invariants
 from ghostseries.errors import GhostError
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
 from ghostseries.polygon import SlopeList, ghost_slopes
@@ -62,7 +61,7 @@ def test_boundary_slopes_match_the_direct_hull():
 def test_boundary_period_pins_the_degree_increments():
     components = 0
     for ctx, eps in _components((2, 3, 5, 7, 11, 13), range(1, 41)):
-        conjectured = (gamma0_invariants(ctx.N).index, 1) if ctx.p == 2 else ap_parameters(ctx)
+        conjectured = ap_parameters(ctx)
         series = GhostSeries(ctx, eps)
         A = max(a for a, _, _ in series.progressions)
         L = lcm(*(s for _, s, _ in series.progressions if s))
@@ -92,8 +91,7 @@ def test_degree_bound_holds_past_the_last_mark():
     for ctx, eps, seed in cases:
         series = GhostSeries(ctx, eps, seed)
         A, alpha, beta = series.degree_bound()
-        mu0 = gamma0_invariants(ctx.N).index
-        assert alpha == (Fraction(1, mu0) if ctx.p == 2 else Fraction(*ap_parameters(ctx)[::-1])), (ctx, eps)
+        assert alpha == Fraction(*ap_parameters(ctx)[::-1]), (ctx, eps)
         q = lcm(alpha.denominator, beta.denominator)  # compare in ints
         a, b = int(alpha * q), int(beta * q)
         last = max(start + (not step) for start, step, _ in series.progressions)  # check from A to past it
@@ -143,8 +141,10 @@ def test_ap_parameters():
     assert ap_parameters(PrimeContext(5, 1)) == (5, 8)
     assert ap_parameters(PrimeContext(7, 1)) == (14, 18)
     assert ap_parameters(PrimeContext(3, 2)) == (3, 2)
-    with pytest.raises(ValueError):
-        ap_parameters(PrimeContext(2, 1))
+    # p = 2: (mu_0(N), 1)
+    assert ap_parameters(PrimeContext(2, 1)) == (1, 1)
+    assert ap_parameters(PrimeContext(2, 3)) == (4, 1)
+    assert ap_parameters(PrimeContext(2, 15)) == (24, 1)
 
 
 def test_ap_count_integrality_grid():

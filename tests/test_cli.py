@@ -152,49 +152,52 @@ def test_ap_report_matches_the_full_scan(capsys, monkeypatch):
     # the report reads only the positions the shear did not settle; the reference reads every one
     polygons = {}
 
-    def polygon(ctx, eps, n, **kwargs):  # each polygon once, for all the report options
-        if (ctx, eps, n) not in polygons:
-            polygons[ctx, eps, n] = boundary_polygon(ctx, eps, n, **kwargs)
-        return polygons[ctx, eps, n]
+    def polygon(ctx, eps, n, seed=None, **kwargs):  # each polygon once, for all the report options
+        if (ctx, eps, n, seed) not in polygons:
+            polygons[ctx, eps, n, seed] = boundary_polygon(ctx, eps, n, seed=seed, **kwargs)
+        return polygons[ctx, eps, n, seed]
 
     monkeypatch.setattr(ghostseries.cli, "boundary_polygon", polygon)
     scanned = []  # the number of slopes the report's scan was given
     monkeypatch.setattr(ghostseries.cli, "scan_burn_in", lambda *args: scanned.append(len(args[0])) or scan_burn_in(*args))
     parser = build_parser()
     cases = [
-        (PrimeContext(p, N), ComponentLabel(residue, p), n)
+        (PrimeContext(p, N), ComponentLabel(residue, p), n, None)
         for p in (3, 5, 7, 11, 13)
         for N in range(1, 13)
         if N % p
         for residue in range(0, p - 1, 2)
         for n in (50, 300, 1500)
-    ] + [(PrimeContext(5, 1), ComponentLabel(0, 5), 10_000)]
+    ] + [(PrimeContext(5, 1), ComponentLabel(0, 5), 10_000, None)]
+    cases += [(PrimeContext(2, N), ComponentLabel(0, 2), n, None) for N in range(1, 12, 2) for n in (50, 300, 1500)]
+    cases += [(PrimeContext(2, 3), ComponentLabel(0, 2), n, bundled_seed(3)) for n in (50, 300, 1500)]
     settled = refused = 0
-    for ctx, eps, n in cases:
+    for ctx, eps, n, seed in cases:
         q, delta = ap_parameters(ctx)
         argv = ["boundary", "--p", str(ctx.p), "--N", str(ctx.N), "--component", str(eps.residue), "--count", str(n)]
+        argv += ["--modified"] if seed else []
         options = [(q, delta, m, []) for m in (0, 5, 100)]
         overrides = ((1, 8), (2 * q, 2 * delta), (q, delta), (1, 0), (q, delta + 1))
         options += [(a, d, 100, ["--n-ap", str(a), "--delta", str(d)]) for a, d in overrides]
         for n_ap, d, max_burn_in, extra in options:
             args = parser.parse_args(argv + ["--ap", "--burn-in-max", str(max_burn_in)] + extra)
-            bp = polygon(ctx, eps, n)
+            bp = polygon(ctx, eps, n, seed)
             proved = bp.shear is not None and bp.shear[:2] == (n_ap, d)
             try:
                 expected = ap_report_reference(bp.slopes, n_ap, d, max_burn_in)
             except GhostError as exc:  # at most n_ap slopes: not one progression step
                 with pytest.raises(GhostError) as raised:
-                    ghostseries.cli._cmd_boundary(args, ctx, None)
+                    ghostseries.cli._cmd_boundary(args, ctx, seed)
                 assert str(raised.value) == str(exc) and not scanned
                 refused += 1
             else:
-                assert ghostseries.cli._cmd_boundary(args, ctx, None) == 0
+                assert ghostseries.cli._cmd_boundary(args, ctx, seed) == 0
                 out = capsys.readouterr().out
                 report = json.loads("{" + out[out.rindex('\n  "ap_report": ') :])["ap_report"]
-                assert report == expected, (ctx, eps, n, extra)
+                assert report == expected, (ctx, eps, n, seed, extra)
                 assert scanned.pop() == (bp.shear[3] if proved else len(bp.slopes))
             settled += proved
-    assert len(cases) == 565 and 600 < settled < 8 * len(cases) and 0 < refused < 8 * len(cases)
+    assert len(cases) == 586 and 600 < settled < 8 * len(cases) and 0 < refused < 8 * len(cases)
     # too few slopes for one progression step: still refused, with exit 2
     assert main(["boundary", "--p", "5", "--count", "3", "--ap"]) == 2
     captured = capsys.readouterr()
@@ -455,6 +458,16 @@ def test_exit_codes(capsys, tmp_path):
     assert capsys.readouterr().err == (
         f"usage error: cannot prove {2**89 - 1} prime: primality is decided only below 3317044064679887385961981\n"
     )
+    # a p of more than 512 bits is refused before any exponentiation mod p: this
+    # 4,000-digit p has no factor below 42, so is_prime would take seconds on it
+    huge = 10**3999 + 3
+    assert all(huge % a for a in range(2, 42))
+    started = time.perf_counter()
+    assert main(["slopes", "--p", str(huge), "--weight", "k=0", "--count", "3"]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (
+        f"usage error: cannot prove {huge} prime: primality is decided only below 3317044064679887385961981\n"
+    )
     # a negative --up-to is a usage error; --up-to 0 prints no row
     assert main(["series", "--p", "2", "--up-to", "-1"]) == 2
     captured = capsys.readouterr()
@@ -497,7 +510,6 @@ def test_exit_codes(capsys, tmp_path):
     # ... and before the polygon, which here could not certify (exit 3)
     for argv, err in (
         (["--p", "5", "--n-ap", "3"], "--n-ap and --delta must be supplied together"),
-        (["--p", "2"], "the progression structure applies to odd p only"),
         (["--p", "5", "--n-ap", "0", "--delta", "8"], "need n_ap >= 1 and burn_in >= 0"),
     ):
         assert main(["boundary", *argv, "--count", "10000", "--cap", "10", "--ap"]) == 2

@@ -275,6 +275,28 @@ def test_weight_valuation_cases():
         weight_valuation(ExplicitW(0, 10), ctx)
 
 
+def test_explicit_w_valuation_is_the_valuation_of_its_residue():
+    # the reference reads the residue alone: v_p(w) = v_p(w0 mod p^m), which
+    # the precision leaves undetermined when that residue is 0
+    cases = 0
+    for p in (2, 3, 5, 7):
+        e = 2 if p == 2 else 1
+        generators = (None, *(1 + p**e * u for u in (1, 1 + p, 1 + 2 * p)))
+        w0s = [p * j for j in range(-10, 30)] + [p**i * u for i in range(2, 15) for u in (1, -1, 2, 1 + p)]
+        for m in range(1, 13):
+            for w0 in w0s:
+                rep = w0 % p**m
+                for gen in generators:
+                    kappa = ExplicitW(w0, m, residue=0, generator=gen)
+                    if rep == 0:
+                        with pytest.raises(PrecisionError):
+                            weight_valuation(kappa, PrimeContext(p))
+                    else:
+                        assert weight_valuation(kappa, PrimeContext(p)) == padic_valuation(rep, p), (p, w0, m, gen)
+                    cases += 1
+    assert cases == 4 * 12 * 92 * 4
+
+
 @pytest.mark.parametrize("x", [0, -7, 10**30, Fraction(7, 2)])
 def test_infinity_compares_above_every_finite_value(x):
     assert (INFINITY < x, INFINITY <= x, INFINITY > x, INFINITY >= x, INFINITY == x) == (False, False, True, True, False)
