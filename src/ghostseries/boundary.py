@@ -80,9 +80,9 @@ def boundary_polygon(
     A hull vertex v >= b - 1 + q thus gives slope(j) = slope(j - q) + delta
     for every j > v + q.  So a certified base, the slopes through the end of
     the edge of slope m, that holds such a v with v + q inside it determines
-    the rest by the shear; ``polygon`` then covers the base only.  Without
-    such a base shorter than n within the cap, the n slopes are certified
-    directly.
+    the rest by the shear; ``polygon`` then covers the base only.  One base
+    is tried, the first b + 2q + 1 slopes; unless it is such a base, shorter
+    than n and certified within the cap, the n slopes are certified directly.
     """
     series = GhostSeries(ctx, eps, seed)
     bound = series.degree_bound()
@@ -95,17 +95,17 @@ def boundary_polygon(
     if n > 2 * q + 1:  # else no base is shorter than n
         q, delta, b = boundary_period(series, q, delta)
         m = b + 2 * q + 1
-        while m < n:
+        if m < n:
             try:
                 base = certify(m)
             except CertificationError:
-                break
-            xs = [x for x, _ in base.polygon.vertices]
-            end = next(x for x in xs if x >= m)  # the certified edge of slope m ends here
-            if any(b - 1 + q <= v <= end - q for v in xs):
-                slopes = SlopeList(_shear(base.polygon.slopes(end), q, delta, n))
-                return BoundaryPolygon(eps, base.polygon, slopes, (q, delta, b, end))
-            m *= 2
+                pass  # the n slopes are certified directly
+            else:
+                xs = [x for x, _ in base.polygon.vertices]
+                end = next(x for x in xs if x >= m)  # the certified edge of slope m ends here
+                if any(b - 1 + q <= v <= end - q for v in xs):
+                    slopes = SlopeList(_shear(base.polygon.slopes(end), q, delta, n))
+                    return BoundaryPolygon(eps, base.polygon, slopes, (q, delta, b, end))
     return certify(n)
 
 

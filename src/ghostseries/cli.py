@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ExternalDataError, GhostError, PrecisionError
-from .polygon import SlopeList, classical_ghost_slopes, ghost_slopes
+from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
 from .record import json_int
 from .series import GhostSeries
 from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
@@ -64,6 +64,7 @@ def _rat(x) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
+_BURN_IN_MAX = 100  # the largest burn-in a `boundary --ap` report scans when --burn-in-max names none
 _ZERO_TYPES = {Classical: "classical", EtaEight: "eta8"}  # the "type" of a zero in `series` output
 
 # one slope entry, {"index", "slope": {"num", "den"}, "certified": true}, laid out as by json.dumps(indent=2);
@@ -134,19 +135,10 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
 
 
 def _cap(args) -> int | None:
-    if args.cap is not None:
-        cap, source = args.cap, "--cap"
-    else:
-        env = os.environ.get("GHOST_CAP")
-        if not env:
-            return None
-        try:
-            cap, source = int(env), "GHOST_CAP"
-        except ValueError:
-            raise UsageError(f"GHOST_CAP must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise UsageError(f"{source} must be at least 1, got {cap}")
-    return cap
+    """The --cap of a request, refused below 1 before any degree is read."""
+    if args.cap is not None and args.cap < 1:
+        raise UsageError(f"--cap must be at least 1, got {args.cap}")
+    return args.cap
 
 
 def _seed(args, ctx: PrimeContext) -> Weight2SeedSlopes | None:
@@ -176,6 +168,8 @@ def _mode_slopes(args, ctx: PrimeContext, seed, weight: WeightPoint) -> SlopeLis
         return ghost_slopes(ctx, weight, args.count, seed=seed, cap=_cap(args))
     if not isinstance(weight, Classical):
         raise UsageError(f"mode {args.mode!r} needs a classical weight k=<int>")
+    if args.count is not None:
+        raise UsageError(f"mode {args.mode!r} takes no --count: it counts the classical slopes")
     return classical_ghost_slopes(ctx, weight.k, args.mode, seed=seed, cap=_cap(args))
 
 
@@ -236,7 +230,10 @@ def _cmd_boundary(args, ctx: PrimeContext, seed) -> int:
             n_ap, delta = args.n_ap, args.delta
         else:
             n_ap, delta = ap_parameters(ctx)
-        check_ap_counts(n_ap, args.burn_in_max)
+        burn_in_max = _BURN_IN_MAX if args.burn_in_max is None else args.burn_in_max
+        check_ap_counts(n_ap, burn_in_max)
+    elif (args.n_ap, args.delta, args.burn_in_max) != (None, None, None):
+        raise UsageError("--n-ap, --delta and --burn-in-max need --ap")
     result = boundary_polygon(ctx, eps, args.count, seed=seed, cap=cap)
     ap_report = ""
     if args.ap:
@@ -245,7 +242,7 @@ def _cmd_boundary(args, ctx: PrimeContext, seed) -> int:
             raise GhostError(f"insufficient certified slopes: have {total}, need more than {n_ap}")
         if result.shear is not None and result.shear[:2] == (n_ap, delta):
             slopes = slopes[: result.shear[3]]  # the shear settles every position from start - q on
-        burn = scan_burn_in(slopes, n_ap, delta, args.burn_in_max)
+        burn = scan_burn_in(slopes, n_ap, delta, burn_in_max)
         verified = burn is not None and burn + n_ap < total  # and the burn-in leaves a step to check
         found = '    "burn_in": %d,\n    "verified_through": %d,\n' % (burn, total) if verified else ""
         ap_report = _AP_REPORT % (n_ap, delta, found, "true" if verified else "false")
@@ -335,45 +332,47 @@ def _cmd_compare(args, ctx: PrimeContext, seed) -> int:
 _PRIME = (  # the options of every subcommand
     ("--p", dict(type=int, required=True, help="the prime p")),
     ("--N", dict(type=int, default=1, help="tame level N coprime to p")),
-    ("--cap", dict(type=int, default=None, help="truncation degree cap (default 10000, env GHOST_CAP)")),
 )
-_SEEDED = _PRIME + (  # and of every subcommand but dims
+_SEED = (  # and of every subcommand but dims
     ("--modified", dict(action="store_true", help="use the modified p=2 series")),
     ("--seed", dict(type=str, default=None, help="weight-2 slope seed file (JSON)")),
 )
+_CAPPED = _PRIME + (  # and the cap, of the subcommands that certify slopes
+    ("--cap", dict(type=int, default=None, help=f"truncation degree cap (default {DEFAULT_CAP})")),
+) + _SEED
 _MODE = ("--mode", dict(choices=["tame", "full", "overconvergent"], default="overconvergent"))
 
 # each subcommand once: its help, its handler and its options in --help order
 _COMMANDS = {
-    "slopes": ("slopes of the Newton polygon at a weight", _cmd_slopes, _SEEDED + (
+    "slopes": ("slopes of the Newton polygon at a weight", _cmd_slopes, _CAPPED + (
         ("--weight", dict(required=True, help="weight spec, e.g. k=0 or annulus:0:1/2")),
         ("--count", dict(type=int, default=None, help="number of slopes")),
         _MODE,
         ("--format", dict(choices=["json", "csv"], default="json")),
     )),
-    "series": ("coefficient divisors as JSON lines", _cmd_series, _SEEDED + (
+    "series": ("coefficient divisors as JSON lines", _cmd_series, _PRIME + _SEED + (
         ("--up-to", dict(type=int, required=True, help="largest coefficient index")),
         ("--component", dict(type=int, default=0, help="even residue mod p-1")),
     )),
     "dims": ("dimension tables and curve invariants", _cmd_dims, _PRIME + (
         ("--k-max", dict(type=int, default=30)),
     )),
-    "boundary": ("w-adic slopes of the boundary polygon", _cmd_boundary, _SEEDED + (
+    "boundary": ("w-adic slopes of the boundary polygon", _cmd_boundary, _CAPPED + (
         ("--count", dict(type=int, default=50)),
         ("--component", dict(type=int, default=0)),
         ("--ap", dict(action="store_true", help="attach an arithmetic-progression report")),
-        ("--burn-in-max", dict(type=int, default=100)),
+        ("--burn-in-max", dict(type=int, help=f"with --ap: largest burn-in scanned (default {_BURN_IN_MAX})")),
         ("--n-ap", dict(type=int, default=None, help="override the progression count")),
         ("--delta", dict(type=int, default=None, help="override the common difference")),
     )),
-    "halo": ("slope rows over annuli r < v < r+1 as CSV", _cmd_halo, _SEEDED + (
+    "halo": ("slope rows over annuli r < v < r+1 as CSV", _cmd_halo, _CAPPED + (
         ("--center", dict(type=int, default=0, help="even integer center k0")),
         ("--interval", dict(type=int, action="append", help="interval r (repeatable)")),
         ("--samples", dict(type=int, default=3)),
         ("--count", dict(type=int, default=20)),
         ("--out-dir", dict(type=str, default=None, help="write one CSV per interval here")),
     )),
-    "compare": ("compare computed slopes against a fixture file", _cmd_compare, _SEEDED + (
+    "compare": ("compare computed slopes against a fixture file", _cmd_compare, _CAPPED + (
         ("--fixture", dict(required=True)),
         ("--weight", dict(required=True)),
         ("--count", dict(type=int, default=None)),

@@ -19,18 +19,19 @@ from functools import lru_cache
 from math import gcd, prod
 
 from .record import Record
-from .weightspace import PrimeContext, is_prime
+from .weightspace import _BASES, PrimeContext, is_prime
 
 
 def _prime_factors(M: int) -> list[tuple[int, int]]:
-    """(p, v_p(M)) pairs in ascending p.  Trial division takes the primes below
-    42; every cofactor left is proved prime by ``is_prime`` or split by
-    Pollard's rho, x -> x^2 + c with 2^18 steps for each c in 1..4, so a prime
-    factor q costs about sqrt(q) steps.  A composite that rho does not split,
+    """(p, v_p(M)) pairs in ascending p.  Trial division takes the primes of
+    ``_BASES``; each cofactor left is proved prime by ``is_prime`` or split by
+    Pollard's rho, x -> x^2 + c for c in 1..4: a prime factor q costs about
+    sqrt(q) steps, and a step about b^2 on a b-bit cofactor, so each c runs
+    2^18 steps, 2^18 (128/b)^2 past 128 bits.  A composite rho does not split,
     or a probable prime above ``is_prime``'s bound, is refused with ValueError."""
     out: dict[int, int] = {}
     n = M
-    for f in range(2, 42):
+    for f in _BASES:
         while n % f == 0:
             n //= f
             out[f] = out.get(f, 0) + 1
@@ -40,9 +41,10 @@ def _prime_factors(M: int) -> list[tuple[int, int]]:
         if is_prime(n):
             out[n] = out.get(n, 0) + 1
             continue
+        steps = min(1 << 18, (1 << 32) // n.bit_length() ** 2)
         for c in range(1, 5):
             x = y = 2
-            for _ in range(1 << 18):  # Floyd: y takes two steps to each of x's
+            for _ in range(steps):  # Floyd: y takes two steps to each of x's
                 x, y = (x * x + c) % n, (y * y + c) % n
                 y = (y * y + c) % n
                 d = gcd(x - y, n)

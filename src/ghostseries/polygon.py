@@ -208,7 +208,7 @@ def certified_slopes(
         if D >= cap:
             raise CertificationError(
                 f"could not certify {n} slopes within the degree cap {cap}; "
-                f"raise the cap (flag --cap or GHOST_CAP); last round D = {D}, window end {window_end}: {fault}"
+                f"raise the cap (flag --cap); last round D = {D}, window end {window_end}: {fault}"
             )
         D = min(2 * D + 32, cap)
 

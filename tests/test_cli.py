@@ -544,6 +544,26 @@ def test_exit_codes(capsys, tmp_path):
         (["slopes", "--p", "5", "--weight", "char:2:0", "--count", "3"], "conductor in 'char:2:0' is not a power of p = 5"),
         (["series", "--p", "5", "--component", "1", "--up-to", "3"], "component residue must be even"),
         (["boundary", "--p", "7", "--component", "3", "--count", "3"], "component residue must be even"),
+        # an option outside its mode is refused before any slope: the requests with --cap 10 would fail at the cap
+        (
+            ["slopes", "--p", "2", "--weight", "k=24", "--mode", "tame", "--count", "3"],
+            "mode 'tame' takes no --count: it counts the classical slopes",
+        ),
+        (
+            ["slopes", "--p", "2", "--weight", "k=400", "--mode", "full", "--count", "1", "--cap", "10"],
+            "mode 'full' takes no --count: it counts the classical slopes",
+        ),
+        (
+            ["compare", "--p", "2", "--fixture", str(FIXTURES / "annulus_half_2adic.json"), "--weight", "k=24",
+             "--mode", "tame", "--count", "99"],
+            "mode 'tame' takes no --count: it counts the classical slopes",
+        ),
+        (["boundary", "--p", "5", "--burn-in-max", "5"], "--n-ap, --delta and --burn-in-max need --ap"),
+        (["boundary", "--p", "5", "--delta", "2"], "--n-ap, --delta and --burn-in-max need --ap"),
+        (
+            ["boundary", "--p", "5", "--count", "10000", "--cap", "10", "--n-ap", "3", "--delta", "2"],
+            "--n-ap, --delta and --burn-in-max need --ap",
+        ),
     ],
 )
 def test_usage_errors(capsys, argv, text):
@@ -630,21 +650,14 @@ def test_seed_file_errors_name_the_file(tmp_path, capsys):
     assert captured.err == f"error: {zero_den}: malformed seed file: Fraction(1, 0)\n"
 
 
-def test_cap_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("GHOST_CAP", "12")
-    assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "40"]) == 3
-    capsys.readouterr()
-    for bad in ("0", "-5"):
-        monkeypatch.setenv("GHOST_CAP", bad)
-        assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3"]) == 2
-        assert capsys.readouterr().err.startswith("usage error: GHOST_CAP must be at least 1")
-    monkeypatch.setenv("GHOST_CAP", "lots")
-    assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3"]) == 2
-    assert capsys.readouterr().err == "usage error: GHOST_CAP must be an integer, got 'lots'\n"
-    # the flag wins over the environment
-    assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "3", "--cap", "100"]) == 0
-    monkeypatch.delenv("GHOST_CAP")
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [["dims", "--p", "3"], ["series", "--p", "3", "--up-to", "3"]], ids=["dims", "series"])
+def test_a_cap_is_refused_where_no_slope_is_certified(capsys, argv):
+    # dims and series certify nothing, so they take no --cap: argparse refuses it
+    argv = argv + ["--cap", "5"]
+    assert _plain_args(argv) is None
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --cap 5" in captured.err
 
 
 def test_parser_help_lists_subcommands():

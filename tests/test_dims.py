@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,10 +46,22 @@ def test_prime_factors_split_large_levels():
     assert _prime_factors(p * q) == [(p, 1), (q, 1)]
     assert _prime_factors(8 * 3 * p**2 * q) == [(2, 3), (3, 1), (p, 2), (q, 1)]
     assert _prime_factors(43**7 * 47) == [(43, 7), (47, 1)]
+    assert _prime_factors(43**100) == [(43, 100)]
+    assert _prime_factors((10**12 + 39) * (10**12 + 61)) == [(10**12 + 39, 1), (10**12 + 61, 1)]
     assert gamma0_invariants(p * q).index == (p + 1) * (q + 1)
     # a probable prime above the primality bound cannot be a proved factor
     with pytest.raises(ValueError, match=r"^cannot prove 618970019642690137449562111 prime: "):
         _prime_factors(3 * (2**89 - 1))
+
+
+def test_a_huge_level_that_rho_does_not_split_is_refused_fast():
+    # rho's steps per constant shrink as (128/b)^2 past 128 bits: 3,375 of them on this 1,128-bit cofactor
+    M = (2**521 - 1) * (2**607 - 1)
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        _prime_factors(M)
+    assert time.perf_counter() - started < 2.0
+    assert str(refused.value) == f"cannot factor the level {M}: Pollard's rho splits no factor off the composite {M}"
 
 
 def test_genus_integrality_identity():

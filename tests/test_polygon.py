@@ -305,6 +305,24 @@ def test_classical_slopes_have_the_p_new_block_and_atkin_lehner_pairs():
         assert _classical_facts_hold(slopes, dim_cusp_gamma0(3, k), k), k
 
 
+def test_slopes_below_m_plus_one_are_locally_constant_in_k():
+    # Gouvea-Mazur (Math. Comp. 1992): the slopes below m + 1 agree at weights k and
+    # k' with k' = k mod (p - 1)p^m, and mod 2^(m+1) at p = 2; checked here on the
+    # first 60 ghost slopes, at the first three levels N coprime to p
+    cases, differ = 0, []
+    for p in (2, 3, 5, 7, 11):
+        for N in [N for N in range(1, 6) if N % p][:3]:
+            ctx = PrimeContext(p, N)
+            for m in (1, 2, 3):
+                shift = 2 ** (m + 1) if p == 2 else (p - 1) * p**m
+                for k in range(4, 61, 2):
+                    low = [[s for s in ghost_slopes(ctx, Classical(j), 60) if s < m + 1] for j in (k, k + shift)]
+                    cases += 1
+                    if low[0] != low[1]:
+                        differ.append((p, N, m, k))
+    assert (cases, differ) == (1305, [])
+
+
 def test_59_adic_ordinary_weight():
     # no coefficient zero comes near w_16, so the single classical slope is 0
     sl = classical_ghost_slopes(PrimeContext(59, 1), 16, "tame")
@@ -320,7 +338,7 @@ def test_certification_error_says_how_far_it_got():
     with pytest.raises(CertificationError) as failed:
         ghost_slopes(CTX21, Classical(0), 40, cap=12)
     assert str(failed.value) == (
-        "could not certify 40 slopes within the degree cap 12; raise the cap (flag --cap or GHOST_CAP); "
+        "could not certify 40 slopes within the degree cap 12; raise the cap (flag --cap); "
         "last round D = 12, window end 56: the hull had 12 slopes, fewer than 40"
     )
     with pytest.raises(CertificationError, match="D = 3, window end 38: the line condition failed at index 4$"):
