@@ -7,6 +7,7 @@ Rationals are always serialized as {"num", "den"} integer pairs, never as floats
 
 from __future__ import annotations
 
+import atexit
 import os
 import re
 import sys
@@ -391,6 +392,7 @@ def build_parser():
         "boundary polygons and halo profiles, all in exact rational arithmetic.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # each subcommand's parser, whose usage lists the options it takes
     for name, (help_text, handler, options) in _COMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
         sp.set_defaults(func=handler)
@@ -443,7 +445,10 @@ def main(argv=None) -> int:
     args = _plain_args(argv)
     if args is None:
         try:
-            args = build_parser().parse_args(argv)
+            parser = build_parser()
+            args, extra = parser.parse_known_args(argv)
+            if extra:  # refused under the subcommand's usage, not the top-level one
+                parser.commands[args.command].error("unrecognized arguments: " + " ".join(extra))
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
     try:
@@ -469,7 +474,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run ``main`` as a process and end it without the interpreter's teardown,
+    which frees every object and module and writes nothing a reader sees."""
+    code = main()
+    atexit._run_exitfuncs()  # the handlers a normal exit runs, in its order, before the streams
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a failed flush is reported as a normal exit reports it
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -337,6 +337,98 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(tmp_path, unbuffered):
     assert (code, (tmp_path / "err").read_bytes()) == (141, b"")
 
 
+def _fresh_process(args, tmp_path, code=None):
+    """Exit code, stdout and stderr of a new interpreter running ``python -m
+    ghostseries *args`` (or ``python -c code *args``), its stdout and stderr
+    regular files in ``tmp_path``, so that stdout is block-buffered to the end."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(Path(ghostseries.cli.__file__).resolve().parents[1]), COLUMNS="80")
+    command = ["-m", "ghostseries"] if code is None else ["-c", code]
+    with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+        done = subprocess.run([sys.executable, *command, *args], stdout=out, stderr=err, env=env, timeout=120)
+    return done.returncode, (tmp_path / "out").read_bytes().decode(), (tmp_path / "err").read_bytes().decode()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["boundary", "--p", "5", "--count", "20000", "--cap", "100000"], 0),
+        (["slopes", "--help"], 0),
+        (["compare", "--p", "2", "--fixture", "{tmp}/wrong.json", "--weight", "annulus:0:1/2", "--count", "10"], 1),
+        (["slopes", "--p", "2", "--weight", "huh", "--count", "1"], 2),
+        (["dims", "--p", "3", "--cap", "5"], 2),
+        (["slopes", "--p", "2", "--weight", "k=0", "--count", "300", "--cap", "200"], 3),
+        (["halo", "--p", "2", "--interval", "0", "--interval", "1", "--count", "3", "--out-dir", "{dir}"], 0),
+    ],
+    ids=["boundary", "help", "mismatch", "usage", "argparse-usage", "uncertified", "halo-files"],
+)
+def test_a_process_ends_with_every_byte_and_code_of_main(tmp_path, capsys, monkeypatch, argv, code):
+    # the process skips the interpreter's teardown, yet a reader sees just what
+    # an in-process main writes and returns
+    wrong = json.loads((FIXTURES / "annulus_half_2adic.json").read_text())
+    wrong["slopes"][4] = {"num": 99, "den": 1}
+    (tmp_path / "wrong.json").write_text(json.dumps(wrong))
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help and usage to the terminal
+    seen = []
+    for side in ("process", "main"):
+        out_dir = tmp_path / side
+        out_dir.mkdir()
+        args = [a.replace("{dir}", str(out_dir)).replace("{tmp}", str(tmp_path)) for a in argv]
+        done = _fresh_process(args, out_dir) if side == "process" else (main(args), *capsys.readouterr())
+        files = {f.name: f.read_bytes() for f in out_dir.glob("halo_*.csv")}
+        seen.append((done[0], done[1].replace(str(out_dir), "{dir}"), done[2], files))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == code and seen[0][1 if code < 2 else 2]  # the answer, or the refusal
+    assert len(seen[0][3]) == (2 if argv[0] == "halo" else 0)
+
+
+def test_a_process_runs_its_exit_handlers_and_reports_a_crash(tmp_path):
+    # an exit handler still runs, before the streams are flushed; an exception
+    # that escapes main leaves by the interpreter's path: its traceback and exit 1
+    request = ["slopes", "--p", "2", "--weight", "k=0", "--count", "3"]
+    script = (
+        "import atexit, sys\n"
+        "import ghostseries.cli as cli\n"
+        "atexit.register(print, 'exit handler ran')\n"
+        "def crash(args, ctx, seed):\n"
+        "    raise RuntimeError('handler crashed')\n"
+        "if sys.argv.pop(1) == 'crash':\n"
+        "    help_text, _, options = cli._COMMANDS['slopes']\n"
+        "    cli._COMMANDS['slopes'] = (help_text, crash, options)\n"
+        "cli.entrypoint()\n"
+    )
+    code, out, err = _fresh_process(["plain", *request], tmp_path, script)
+    assert (code, err) == (0, "")
+    assert out.endswith("]\nexit handler ran\n")
+    assert json.loads(out.removesuffix("exit handler ran\n"))[2]["index"] == 3
+    code, out, err = _fresh_process(["crash", *request], tmp_path, script)
+    assert (code, out) == (1, "exit handler ran\n")
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: handler crashed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["slopes", "--help"], "Exception ignored "),
+        (["slopes", "--p", "2", "--weight", "k=0", "--count", "3"], "usage error: "),
+    ],
+    ids=["help", "request"],
+)
+def test_a_failed_flush_at_exit_is_reported_by_the_interpreter(argv, first):
+    # block-buffered stdout on a full device: the last flush fails, and the
+    # interpreter's own exit reports it, with its exit status 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ghostseries.cli.__file__).resolve().parents[1])
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghostseries", *argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=60, text=True,
+        )
+    assert proc.returncode == 120 and proc.stderr.startswith(first), proc.stderr
+    assert proc.stderr.endswith("OSError: [Errno 28] No space left on device\n") and "Traceback" not in proc.stderr
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits are checked on Linux")
 @pytest.mark.parametrize(
     "limit_mb, argv",
@@ -658,6 +750,25 @@ def test_a_cap_is_refused_where_no_slope_is_certified(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --cap 5" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["dims", "--p", "3", "--cap", "5"], "--cap 5"),
+        (["slopes", "--p", "2", "--weight", "k=0", "--bogus", "1"], "--bogus 1"),
+        (["boundary", "--p", "5", "extra", "--count", "3"], "extra"),
+    ],
+    ids=["dims-cap", "slopes-bogus", "boundary-positional"],
+)
+def test_unknown_arguments_are_refused_under_the_subcommand_usage(capsys, monkeypatch, argv, extra):
+    # the subcommand's usage lists the options it does take; the top-level one lists only subcommands
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: ghostseries {argv[0]} [-h] --p P [--N N]")
+    assert captured.err.endswith(f"\nghostseries {argv[0]}: error: unrecognized arguments: {extra}\n")
 
 
 def test_parser_help_lists_subcommands():
