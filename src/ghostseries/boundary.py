@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import groupby
 from math import lcm
 from operator import sub
 
@@ -104,29 +103,24 @@ def boundary_polygon(
                 xs = [x for x, _ in base.polygon.vertices]
                 end = next(x for x in xs if x >= m)  # the certified edge of slope m ends here
                 if any(b - 1 + q <= v <= end - q for v in xs):
-                    slopes = SlopeList(_shear(base.polygon.slopes(end), q, delta, n))
-                    return BoundaryPolygon(eps, base.polygon, slopes, (q, delta, b, end))
+                    nums, dens = _shear(*base.polygon.slope_ints(end), q, delta, n)
+                    return BoundaryPolygon(eps, base.polygon, SlopeList(nums=nums, dens=dens), (q, delta, b, end))
     return certify(n)
 
 
-def _shear(head: tuple[Fraction, ...], q: int, delta: int, n: int) -> tuple[Fraction, ...]:
-    """``head`` extended to n slopes by slope(j) = slope(j - q) + delta.
+def _shear(nums: tuple[int, ...], dens: tuple[int, ...], q: int, delta: int, n: int) -> tuple[tuple, tuple]:
+    """The slopes nums[j]/dens[j] extended to n by slope(j) = slope(j - q) + delta.
 
-    The last q slopes of ``head`` are read once, as runs of equal values with
-    their numerator and denominator.  Each later period adds delta to every
-    run: a/d + delta = (a + delta*d)/d keeps the denominator and stays reduced.
-    So each run makes one Fraction per period, from one int when d = 1.
+    a/d + delta = (a + delta*d)/d keeps d and stays reduced, so each slope
+    a/d of the last period of the head starts a progression of numerators
+    with step delta*d (delta > 0), written every q-th place: no gcd is taken.
     """
-    runs = [(s.numerator, s.denominator, len(list(run))) for s, run in groupby(head[len(head) - q :])]
-    out = list(head)
-    shift = 0
-    while len(out) < n:
-        shift += delta
-        for a, d, length in runs:
-            s = Fraction(a + shift) if d == 1 else Fraction(a + shift * d, d)
-            out += [s] * length
-    del out[n:]
-    return tuple(out)
+    h = len(nums)
+    k = -((h - n) // q)  # the periods past the head, the last one cut at n
+    tail = [0] * (k * q)
+    for r, (a, d) in enumerate(zip(nums[h - q :], dens[h - q :])):
+        tail[r::q] = range(a + delta * d, a + delta * d * (k + 1), delta * d)
+    return (nums + tuple(tail))[:n], (dens + dens[h - q :] * k)[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +158,16 @@ def check_ap_counts(n_ap: int, burn_in: int) -> None:
 def _first_break(slopes: Sequence[Fraction], n_ap: int, delta, positions: range) -> int | None:
     """The first j of ``positions`` with slope(j + n_ap) != slope(j) + delta, or None.
 
-    The slopes are read once as numerator and denominator; the identity is
-    then compared on integers, cross-multiplied by the positive denominators.
+    The slopes are read once as numerator and denominator, off the ints of a
+    ``SlopeList``; the identity is then compared on integers,
+    cross-multiplied by the positive denominators.
     """
     delta = Fraction(delta)
     dn, dd = delta.numerator, delta.denominator
-    nums = [s.numerator for s in slopes]
-    dens = [s.denominator for s in slopes]
+    if isinstance(slopes, SlopeList):
+        nums, dens = slopes.nums, slopes.dens
+    else:
+        nums, dens = [s.numerator for s in slopes], [s.denominator for s in slopes]
     for j in positions:
         a, b = dens[j], dens[j + n_ap]
         if (nums[j + n_ap] * a - nums[j] * b) * dd != dn * a * b:

@@ -81,15 +81,17 @@ _DIMS_ETA8 = ',\n      "dim_eta8": %d'
 def _write_slopes(write, slopes: SlopeList, indent: str = "") -> None:
     """Write the slope entries as the JSON array json.dumps(..., indent=2)
     prints at the nesting ``indent``, one ``write`` call per 4,096 entries."""
-    if not slopes.slopes:
+    if not slopes:
         write("[]")
         return
     pad = indent + "  "
     entry = pad + _SLOPE_ENTRY.replace("\n", "\n" + pad)
     sep = "[\n"
     for lo in range(0, len(slopes), 4096):
-        chunk = enumerate(slopes.slopes[lo : lo + 4096], lo)
-        write(sep + ",\n".join([entry % (j + 1, s.numerator, s.denominator) for j, s in chunk]))
+        nums = slopes.nums[lo : lo + 4096]
+        row = [0, 0, 0] * len(nums)  # index, num, den of every entry: one % for the chunk
+        row[0::3], row[1::3], row[2::3] = range(lo + 1, lo + len(nums) + 1), nums, slopes.dens[lo : lo + 4096]
+        write(sep + ",\n".join([entry] * len(nums)) % tuple(row))
         sep = ",\n"
     write("\n" + indent + "]")
 
@@ -178,8 +180,8 @@ def _cmd_slopes(args, ctx: PrimeContext, seed) -> int:
     slopes = _mode_slopes(args, ctx, seed, parse_weight(args.weight, ctx))
     if args.format == "csv":
         print("index,slope,certified")
-        for j, s in enumerate(slopes.slopes, start=1):
-            print(f"{j},{s},true")
+        for j, (a, d) in enumerate(zip(slopes.nums, slopes.dens), start=1):
+            print(f"{j},{a},true" if d == 1 else f"{j},{a}/{d},true")  # as str(Fraction) prints a/d
     else:
         _write_slopes(sys.stdout.write, slopes)
         sys.stdout.write("\n")
@@ -238,12 +240,13 @@ def _cmd_boundary(args, ctx: PrimeContext, seed) -> int:
     result = boundary_polygon(ctx, eps, args.count, seed=seed, cap=cap)
     ap_report = ""
     if args.ap:
-        slopes, total = result.slopes.slopes, len(result.slopes)
+        total = end = len(result.slopes)
         if total <= n_ap:
             raise GhostError(f"insufficient certified slopes: have {total}, need more than {n_ap}")
         if result.shear is not None and result.shear[:2] == (n_ap, delta):
-            slopes = slopes[: result.shear[3]]  # the shear settles every position from start - q on
-        burn = scan_burn_in(slopes, n_ap, delta, burn_in_max)
+            end = result.shear[3]  # the shear settles every position from start - q on
+        head = SlopeList(nums=result.slopes.nums[:end], dens=result.slopes.dens[:end])
+        burn = scan_burn_in(head, n_ap, delta, burn_in_max)
         verified = burn is not None and burn + n_ap < total  # and the burn-in leaves a step to check
         found = '    "burn_in": %d,\n    "verified_through": %d,\n' % (burn, total) if verified else ""
         ap_report = _AP_REPORT % (n_ap, delta, found, "true" if verified else "false")

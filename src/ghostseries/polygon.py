@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from fractions import Fraction
-from itertools import groupby, pairwise
-from math import ceil
-from operator import attrgetter
+from functools import partial
+from itertools import groupby, pairwise, repeat
+from math import ceil, gcd
+from operator import lt, mul
 
 from .dims import dim_cusp_gamma0
 from .errors import CertificationError, PrecisionError
@@ -48,55 +49,82 @@ class NewtonPolygon(Record):
     """Lower convex hull, stored as its minimal vertex list.
 
     Vertex values keep the type of the points: Fractions at annulus and
-    character weights, else ints.  Edge slopes are Fractions, built when read.
+    character weights, else ints; den-scaled ints are checked, then divided.
     """
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices: tuple[tuple[int, int | Fraction], ...]) -> None:
+    def __init__(self, vertices: tuple[tuple[int, int | Fraction], ...], den: int = 1) -> None:
         runs = [(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in pairwise(vertices)]
         # dy2/dx2 > dy1/dx1 with positive dx, cross-multiplied
         if any(dy2 * dx1 <= dy1 * dx2 for (dx1, dy1), (dx2, dy2) in pairwise(runs)):
             raise AssertionError("hull slopes must increase strictly between vertices")
-        init(self, "vertices", vertices)
+        init(self, "vertices", vertices if den == 1 else tuple((x, Fraction(y, den)) for x, y in vertices))
 
     def slope_pairs(self) -> tuple[tuple[Fraction, int], ...]:
         """(slope, multiplicity) per edge; multiplicities are index gaps."""
         return tuple((Fraction(y2 - y1, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in pairwise(self.vertices))
 
+    def slope_ints(self, n: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The first n slopes flattened with multiplicity, nondecreasing, as their
+        numerators and positive denominators in lowest terms: one gcd per edge."""
+        nums, dens = [], []
+        n = self.vertices[-1][0] if n is None else n  # all of them
+        for (x1, y1), (x2, y2) in pairwise(self.vertices):
+            dy, dx = y2 - y1, x2 - x1  # dy an int, or a Fraction at den > 1
+            take = min(dx, n - len(nums))
+            g = gcd(dy.numerator, dy.denominator * dx)
+            nums += repeat(dy.numerator // g, take)
+            dens += repeat(dy.denominator * dx // g, take)
+            if len(nums) >= n:
+                break
+        return tuple(nums), tuple(dens)
+
     def slopes(self, n: int | None = None) -> tuple[Fraction, ...]:
         """Slopes flattened with multiplicity, nondecreasing; the first n of them."""
-        out: list[Fraction] = []
-        for (x1, y1), (x2, y2) in pairwise(self.vertices):
-            take = x2 - x1 if n is None else min(x2 - x1, n - len(out))
-            out.extend([Fraction(y2 - y1, x2 - x1)] * take)
-            if n is not None and len(out) >= n:
-                break
-        return tuple(out)
+        return tuple(map(Fraction, *self.slope_ints(n)))
 
 
 class SlopeList(Record):
     """Nondecreasing slopes, every one certified: a request that cannot
-    certify its slopes raises instead of returning a list."""
+    certify its slopes raises instead of returning a list.  It holds them as
+    ``nums`` and positive ``dens`` in lowest terms; ``slopes``, the tuple of
+    Fractions, is built on first read and kept.
+    """
 
-    __slots__ = ("slopes",)
+    __slots__ = ("nums", "dens", "_slopes")
 
-    def __init__(self, slopes: tuple[Fraction, ...]) -> None:
-        pairs = pairwise(zip(map(attrgetter("numerator"), slopes), map(attrgetter("denominator"), slopes)))
-        if any(c * b < a * d for (a, b), (c, d) in pairs):  # c/d < a/b, cross-multiplied
+    def __init__(self, slopes: Sequence[Fraction] = (), *, nums: tuple = (), dens: tuple = ()) -> None:
+        if slopes := tuple(slopes):
+            nums, dens = tuple(s.numerator for s in slopes), tuple(s.denominator for s in slopes)
+        if any(map(lt, map(mul, nums[1:], dens), map(mul, nums, dens[1:]))):  # c/d < a/b for consecutive a/b, c/d
             raise AssertionError("slope lists are nondecreasing")
-        init(self, "slopes", slopes)
+        init(self, "nums", nums)
+        init(self, "dens", dens)
+        init(self, "_slopes", slopes or None)
+
+    @property
+    def slopes(self) -> tuple[Fraction, ...]:
+        if self._slopes is None:
+            init(self, "_slopes", tuple(map(Fraction, self.nums, self.dens)))
+        return self._slopes
+
+    def __repr__(self) -> str:
+        return f"SlopeList(slopes={self.slopes!r})"
+
+    def __reduce__(self):
+        return partial(SlopeList, nums=self.nums, dens=self.dens), ()
 
     @property
     def certified_count(self) -> int:
         """How many slopes are certified: all of them."""
-        return len(self.slopes)
+        return len(self.nums)
 
     def pairs(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple((s, len(list(run))) for s, run in groupby(self.slopes))
+        return tuple((Fraction(a, d), len(list(run))) for (a, d), run in groupby(zip(self.nums, self.dens)))
 
     def __len__(self) -> int:
-        return len(self.slopes)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.slopes)
@@ -105,12 +133,13 @@ class SlopeList(Record):
         return self.slopes[j]
 
 
-def lower_hull(points: Sequence[tuple[int, ExtendedRational]]) -> NewtonPolygon:
+def lower_hull(points: Sequence[tuple[int, ExtendedRational]], den: int = 1) -> NewtonPolygon:
     """Lower convex hull over the finite points; +Infinity points are omitted.
 
     The first point must be (0, 0) (the series has constant term 1) and
     indices must be given in strictly increasing order.  Values are compared
-    by cross-multiplication, so int values stay ints.
+    by cross-multiplication, so int values stay ints; den-scaled int values
+    are divided by den at the vertices only.
     """
     if not points:
         raise ValueError("cannot take the hull of no points")
@@ -134,7 +163,7 @@ def lower_hull(points: Sequence[tuple[int, ExtendedRational]]) -> NewtonPolygon:
             else:
                 break
         hull.append((x, y))
-    return NewtonPolygon(tuple(hull))
+    return NewtonPolygon(tuple(hull), den)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +194,7 @@ def certified_slopes(
     n: int,
     cap: int | None,
     bound: tuple[int, Fraction, Fraction],
+    den: int = 1,
 ) -> tuple[SlopeList, NewtonPolygon]:
     """First n hull slopes with a truncation certificate, and the hull over 0..D.
 
@@ -172,8 +202,9 @@ def certified_slopes(
     until the hull over indices 0..D has n slopes and every coefficient past D
     provably clears the supporting line y0 + s(i - i0) at the n-th slope.
     Each round asks ``lam_upto`` for the degrees through 2D + 32 first, then
-    ``values(D)`` for the point values of indices 0..D (at least), so a
-    caller whose values are the degrees builds one degree array per round.
+    ``values(D)`` for the point values of indices 0..D (at least), times
+    ``den``, so a caller whose values are the degrees builds one degree array
+    per round.
 
     With (A, alpha, beta) = ``bound`` from ``GhostSeries.degree_bound``, the
     line condition c*lam(g_i) > y0 + s(i - i0) is checked exactly on (D, W],
@@ -194,17 +225,18 @@ def certified_slopes(
     while True:
         window_end = 2 * D + 32
         lam = lam_upto(window_end)
-        poly = lower_hull(list(enumerate(values(D)[: D + 1])))
-        flat = poly.slopes(n)
-        fault = f"the hull had {len(flat)} slopes, fewer than {n}"
-        if len(flat) >= n:
-            s, (i0, y0) = flat[-1], next(v for v in poly.vertices if v[0] >= n)  # the n-th slope's edge ends here
+        poly = lower_hull(list(enumerate(values(D)[: D + 1])), den)
+        nums, dens = poly.slope_ints(n)
+        fault = f"the hull had {len(nums)} slopes, fewer than {n}"
+        if len(nums) >= n:
+            s = Fraction(nums[-1], dens[-1])
+            i0, y0 = next(v for v in poly.vertices if v[0] >= n)  # the n-th slope's edge ends here
             W = max(window_end, A - 1, ceil((s / c + beta) / alpha) - 1)
             fault = _tail_fault(lam, D, window_end, c, s, i0, y0)
             if fault is None and W > window_end:  # the short window holds: read the degrees on to W
                 fault, window_end = _tail_fault(lam_upto(W), window_end, W, c, s, i0, y0), W
             if fault is None:
-                return SlopeList(flat), poly
+                return SlopeList(nums=nums, dens=dens), poly
         if D >= cap:
             raise CertificationError(
                 f"could not certify {n} slopes within the degree cap {cap}; "
@@ -234,7 +266,8 @@ def ghost_polygon(
         if kappa.m < series.floor_cap:
             raise
         c = series.floor_cap
-    return certified_slopes(lambda D: series.values(D, leg), series.lam_upto, c, n, cap, series.degree_bound())
+    values = partial(series.values, leg=leg, scaled=True)  # times leg.den: the hull compares ints
+    return certified_slopes(values, series.lam_upto, c, n, cap, series.degree_bound(), leg.den)
 
 
 def ghost_slopes(

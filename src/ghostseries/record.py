@@ -7,7 +7,8 @@ that agrees with it, the repr ``Annulus(center=0, v=Fraction(5, 2))``, an
 ``AttributeError`` on assignment, and ``_asdict`` (the fields in order).
 A type that checks or coerces its arguments writes its own ``__init__``
 and sets each slot through :data:`init`.  The fields are the ``__slots__``,
-in order: a record stores nothing but its fields.
+in order, but for a slot named with a leading underscore: a cache, which
+equality, hash, repr and pickling do not see.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self.__slots__
+        fields = self._fields
         if len(args) > len(fields) or set(kwargs) != set(fields[len(args):]):
             raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
         for name, value in (*zip(fields, args), *kwargs.items()):
@@ -46,14 +48,14 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def _asdict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self._fields}
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 def json_int(x) -> int:

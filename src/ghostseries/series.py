@@ -225,17 +225,18 @@ class GhostSeries:
             raise AssertionError("the degree increments must grow linearly")
         return A, Fraction(alpha, L), Fraction(beta, L)
 
-    def values(self, upto: int, leg: LegRule | None = None) -> list:
+    def values(self, upto: int, leg: LegRule | None = None, *, scaled: bool = False) -> list:
         """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
 
         With no ``leg``, the degrees lam(g_i).  With ``weightspace.leg_rule(kappa,
         ctx)``, the valuations v_p(g_i(w_kappa)): +Infinity wherever a zero of
         g_i has an infinite leg, and all ``Fraction`` values if a leg is not an
-        int.  A tent's multiplicity rises by one on [d + 1, d + ceil(ell/2)] and
-        falls by one on [d + floor(ell/2) + 2, d + ell + 1].  These second
-        differences, as weighted progressions (a, s, w), ``progressions`` or
-        ``_level_marks``, are each added as one extended slice, which stops at
-        upto, and two prefix sums read them out.
+        int; ``scaled``, these times ``leg.den``, all ints.  A tent's
+        multiplicity rises by one on [d + 1, d + ceil(ell/2)] and falls by one
+        on [d + floor(ell/2) + 2, d + ell + 1].  These second differences, as
+        weighted progressions (a, s, w), ``progressions`` or ``_level_marks``,
+        are each added as one extended slice, which stops at upto, and two
+        prefix sums read them out.
         """
         stop = upto + 1
         marks, den, infinite = (self.progressions, 1, ()) if leg is None else self._level_marks(upto, leg)
@@ -245,7 +246,7 @@ class GhostSeries:
                 part = slice(a, stop, s or stop)  # s = 0: the single mark at a
                 out[part] = map(add, out[part], repeat(w))
             out = list(accumulate(accumulate(out)))
-            if den > 1:
+            if den > 1 and not scaled:
                 out = [Fraction(v, den) for v in out]
             for d, ell in infinite:
                 out[d + 1 : d + ell + 1] = repeat(INFINITY, min(ell, upto - d))
@@ -265,8 +266,7 @@ class GhostSeries:
         is called on each level's least-k zero, so a ``PrecisionError`` names
         the least-k zero whose leg the weight does not determine.
         """
-        den = lcm(*(Fraction(x).denominator for x in (leg.top, leg.other) if x is not INFINITY))
-        marks, infinite = [], []
+        den, marks, infinite = leg.den, [], []
         for kind, families in self._families.items():
             top, below = (leg.top if kind is leg.own else leg.other), 0
             for i in count():

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ComponentMismatch, PrecisionError
 from .record import Record, init
@@ -295,6 +295,11 @@ class LegRule(Record):
         if m is not None and not v < m:
             raise PrecisionError(f"w-value known mod {p}^{m} only: v_{p}(w - w_z) >= {m} is not determined (zero at k = {k})")
         return v
+
+    @property
+    def den(self) -> int:
+        """The least common denominator of the legs."""
+        return lcm(*(Fraction(x).denominator for x in (self.top, self.other) if x is not INFINITY))
 
 
 def leg_rule(kappa: WeightPoint, ctx: PrimeContext) -> LegRule:

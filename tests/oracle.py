@@ -24,6 +24,10 @@ degree array, with no period and no shear, so it checks
 ``boundary_polygon`` apart from its period proof, and
 ``ap_report_reference`` runs both progression scans over every slope, so it
 checks the CLI's report apart from the positions the shear settles.
+``hull_slopes_reference`` and ``shear_reference`` are the slope lists in
+``Fraction`` arithmetic, one Fraction per edge of a hull and one per run
+and period of a shear, so they check the int numerators and denominators
+that ``SlopeList`` holds from the hull to the output.
 ``last_start_bound`` is the degree bound read from the last start of every
 mark, so the certificate can be checked against the longer window.  The
 one-line ``modified_boundary_slopes`` wraps the package's boundary polygon
@@ -42,14 +46,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, groupby, pairwise
 from math import comb, gcd, isqrt, lcm
 from typing import Dict, Iterator
 
 from ghostseries.boundary import ap_check, boundary_polygon, scan_burn_in
 from ghostseries.dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from ghostseries.modified import Weight2SeedSlopes, seed_multiplicities
-from ghostseries.polygon import DEFAULT_CAP, SlopeList, certified_slopes
+from ghostseries.polygon import DEFAULT_CAP, NewtonPolygon, SlopeList, certified_slopes
 from ghostseries.record import Record
 from ghostseries.series import GhostCoefficient, GhostSeries
 from ghostseries.weightspace import (
@@ -333,6 +337,31 @@ def boundary_slopes_reference(
     certificate over the whole degree array, with no period and no shear."""
     series = GhostSeries(ctx, eps, seed)
     return certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap, series.degree_bound())[0]
+
+
+def hull_slopes_reference(poly: NewtonPolygon, n: int) -> tuple[Fraction, ...]:
+    """The first n slopes of a hull flattened with multiplicity, one Fraction per edge."""
+    out: list[Fraction] = []
+    for (x1, y1), (x2, y2) in pairwise(poly.vertices):
+        out.extend([Fraction(y2 - y1, x2 - x1)] * min(x2 - x1, n - len(out)))
+        if len(out) >= n:
+            break
+    return tuple(out)
+
+
+def shear_reference(head: tuple[Fraction, ...], q: int, delta: int, n: int) -> tuple[Fraction, ...]:
+    """``head`` extended to n slopes by slope(j) = slope(j - q) + delta: the
+    last q slopes of ``head`` as runs, one Fraction per run and period."""
+    runs = [(s.numerator, s.denominator, len(list(run))) for s, run in groupby(head[len(head) - q :])]
+    out = list(head)
+    shift = 0
+    while len(out) < n:
+        shift += delta
+        for a, d, length in runs:
+            s = Fraction(a + shift) if d == 1 else Fraction(a + shift * d, d)
+            out += [s] * length
+    del out[n:]
+    return tuple(out)
 
 
 def last_start_bound(series: GhostSeries) -> tuple[int, Fraction, Fraction]:

@@ -902,12 +902,14 @@ def test_slopes_output_is_json_dumps_of_the_slopes(capsys, argv, slopes):
         (5, 1, 0, False, ["--ap"]),
         (3, 7, 0, False, ["--ap", "--burn-in-max", "0"]),
         (5, 3, 2, False, ["--ap", "--n-ap", "1", "--delta", "8"]),  # no burn-in verifies
+        (5, 1, 0, False, ["--count", "10000", "--ap"]),  # three 4,096-entry chunks of the slope writer
     ],
 )
 def test_boundary_output_is_json_dumps_of_the_polygon(capsys, p, N, component, modified, extra):
-    ctx, count = PrimeContext(p, N), 150
+    extra = extra if "--count" in extra else ["--count", "150", *extra]
+    ctx, count = PrimeContext(p, N), int(extra[extra.index("--count") + 1])
     seed = bundled_seed(N) if modified else None
-    argv = ["boundary", "--p", str(p), "--N", str(N), "--component", str(component), "--count", str(count)]
+    argv = ["boundary", "--p", str(p), "--N", str(N), "--component", str(component)]
     code, out = run(capsys, argv + (["--modified"] if modified else []) + extra)
     assert code == 0
     slopes = boundary_polygon(ctx, ComponentLabel(component, p), count, seed=seed).slopes

@@ -1,7 +1,9 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, settings
@@ -28,11 +30,18 @@ from ghostseries.weightspace import (
     CharClassical,
     Classical,
     ComponentLabel,
+    EtaEight,
     ExplicitW,
     PrimeContext,
     padic_valuation,
 )
-from oracle import coefficient_valuation, last_start_bound, true_classical_slopes
+from oracle import (
+    coefficient_valuation,
+    hull_slopes_reference,
+    last_start_bound,
+    shear_reference,
+    true_classical_slopes,
+)
 
 CTX21 = PrimeContext(2, 1)
 EPS2 = ComponentLabel(0, 2)
@@ -113,14 +122,18 @@ def test_hull_oracle_random_cases():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.integers(-60, 60), st.just(INFINITY)), max_size=29))
-def test_int_hull_matches_fraction_hull(tail):
+@given(st.lists(st.one_of(st.integers(-60, 60), st.just(INFINITY)), max_size=29), st.integers(2, 12))
+def test_int_hull_matches_fraction_hull(tail, den):
     ints = [(0, 0)] + list(enumerate(tail, start=1))
     fracs = [(i, v if v is INFINITY else Fraction(v)) for i, v in ints]
     poly, ref = lower_hull(ints), lower_hull(fracs)
     assert poly.vertices == ref.vertices
     assert poly.slope_pairs() == ref.slope_pairs()
     assert all(type(y) is int for _, y in poly.vertices)
+    # the values v/den, given to the hull as the ints v with den
+    scaled, ref = lower_hull(ints, den), lower_hull([(i, v if v is INFINITY else v / den) for i, v in fracs])
+    assert scaled.vertices == ref.vertices and scaled.slope_pairs() == ref.slope_pairs()
+    assert all(type(y) is Fraction for _, y in scaled.vertices)
 
 
 def test_newton_polygon_rejects_collinear_vertices():
@@ -206,6 +219,58 @@ def test_slope_list_order_check_on_ints():
     sheared = boundary_polygon(PrimeContext(5, 1), ComponentLabel(0, 5), 300_000, cap=10**7)
     assert sheared.shear is not None
     assert SlopeList(sheared.slopes.slopes) == sheared.slopes
+
+
+def _agrees_with(slopes: SlopeList, reference: tuple[Fraction, ...]) -> None:
+    """An engine's slope list against its Fraction reference: every read agrees,
+    and the Fractions are built only when ``slopes`` is read."""
+    copied, pickled = copy.copy(slopes), pickle.loads(pickle.dumps(slopes))
+    assert len(slopes) == slopes.certified_count == len(reference)
+    assert copied == slopes == pickled and hash(copied) == hash(slopes) == hash(pickled)
+    assert slopes.pairs() == tuple((s, len(list(run))) for s, run in groupby(reference))
+    assert slopes._slopes is copied._slopes is pickled._slopes is None
+    assert slopes.slopes == reference and all(type(s) is Fraction for s in slopes.slopes)
+    assert [slopes[j] for j in (0, len(reference) // 2, -1)] == [reference[j] for j in (0, len(reference) // 2, -1)]
+    assert slopes == SlopeList(reference) and hash(slopes) == hash(SlopeList(reference))
+
+
+def test_int_slope_lists_match_the_fraction_reference():
+    # the boundary slopes of every (p, N <= 12) and component with p <= 13, and the modified N = 3 series
+    cases = [
+        (PrimeContext(p, N), ComponentLabel(residue, p), None)
+        for p in (2, 3, 5, 7, 11, 13)
+        for N in range(1, 13)
+        if N % p
+        for residue in range(0, p - 1, 2)
+    ] + [(PrimeContext(2, 3), ComponentLabel(0, 2), bundled_seed(3))]
+    sheared = 0
+    for ctx, eps, seed in cases:
+        for n in (50, 300, 1500):
+            bp = boundary_polygon(ctx, eps, n, seed=seed)
+            if bp.shear is None:
+                reference = hull_slopes_reference(bp.polygon, n)
+                assert bp.polygon.slopes(n) == reference
+            else:
+                q, delta, _, end = bp.shear
+                reference = shear_reference(hull_slopes_reference(bp.polygon, end), q, delta, n)
+                sheared += 1
+            _agrees_with(bp.slopes, reference)
+    assert len(cases) == 195 and 0 < sheared < 3 * len(cases)
+    # every weight kind, at den = 1 and den > 1
+    seed, ctx23 = bundled_seed(3), PrimeContext(2, 3)
+    weights = [
+        (PrimeContext(3, 1), Classical(20), None),
+        (PrimeContext(5, 7), Classical(-2), None),
+        (PrimeContext(3, 1), Annulus(0, Fraction(5, 2)), None),
+        (ctx23, Annulus(0, Fraction(1, 2)), seed),
+        (PrimeContext(7, 5), CharClassical(4, 3), None),
+        (ctx23, EtaEight(3), seed),
+        (CTX21, ExplicitW(12345678, 40), None),
+    ]
+    for ctx, kappa, seed in weights:
+        slopes, poly = ghost_polygon(ctx, kappa, 200, seed=seed)
+        assert poly.slopes(200) == hull_slopes_reference(poly, 200)
+        _agrees_with(slopes, hull_slopes_reference(poly, 200))
 
 
 # ---------------------------------------------------------------------------
