@@ -103,24 +103,24 @@ def boundary_polygon(
                 xs = [x for x, _ in base.polygon.vertices]
                 end = next(x for x in xs if x >= m)  # the certified edge of slope m ends here
                 if any(b - 1 + q <= v <= end - q for v in xs):
-                    nums, dens = _shear(*base.polygon.slope_ints(end), q, delta, n)
-                    return BoundaryPolygon(eps, base.polygon, SlopeList(nums=nums, dens=dens), (q, delta, b, end))
+                    slopes = _shear(base.polygon.slopes(end), q, delta, n)
+                    return BoundaryPolygon(eps, base.polygon, slopes, (q, delta, b, end))
     return certify(n)
 
 
-def _shear(nums: tuple[int, ...], dens: tuple[int, ...], q: int, delta: int, n: int) -> tuple[tuple, tuple]:
-    """The slopes nums[j]/dens[j] extended to n by slope(j) = slope(j - q) + delta.
+def _shear(head: SlopeList, q: int, delta: int, n: int) -> SlopeList:
+    """The slopes of ``head`` extended to n by slope(j) = slope(j - q) + delta.
 
     a/d + delta = (a + delta*d)/d keeps d and stays reduced, so each slope
     a/d of the last period of the head starts a progression of numerators
     with step delta*d (delta > 0), written every q-th place: no gcd is taken.
     """
-    h = len(nums)
+    nums, dens, h = head.nums, head.dens, len(head)
     k = -((h - n) // q)  # the periods past the head, the last one cut at n
     tail = [0] * (k * q)
     for r, (a, d) in enumerate(zip(nums[h - q :], dens[h - q :])):
         tail[r::q] = range(a + delta * d, a + delta * d * (k + 1), delta * d)
-    return (nums + tuple(tail))[:n], (dens + dens[h - q :] * k)[:n]
+    return SlopeList((nums + tuple(tail))[:n], (dens + dens[h - q :] * k)[:n])
 
 
 # ---------------------------------------------------------------------------

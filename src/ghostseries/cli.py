@@ -245,7 +245,7 @@ def _cmd_boundary(args, ctx: PrimeContext, seed) -> int:
             raise GhostError(f"insufficient certified slopes: have {total}, need more than {n_ap}")
         if result.shear is not None and result.shear[:2] == (n_ap, delta):
             end = result.shear[3]  # the shear settles every position from start - q on
-        head = SlopeList(nums=result.slopes.nums[:end], dens=result.slopes.dens[:end])
+        head = SlopeList(result.slopes.nums[:end], result.slopes.dens[:end])
         burn = scan_burn_in(head, n_ap, delta, burn_in_max)
         verified = burn is not None and burn + n_ap < total  # and the burn-in leaves a step to check
         found = '    "burn_in": %d,\n    "verified_through": %d,\n' % (burn, total) if verified else ""

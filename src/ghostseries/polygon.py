@@ -65,9 +65,8 @@ class NewtonPolygon(Record):
         """(slope, multiplicity) per edge; multiplicities are index gaps."""
         return tuple((Fraction(y2 - y1, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in pairwise(self.vertices))
 
-    def slope_ints(self, n: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The first n slopes flattened with multiplicity, nondecreasing, as their
-        numerators and positive denominators in lowest terms: one gcd per edge."""
+    def slopes(self, n: int | None = None) -> SlopeList:
+        """The first n slopes flattened with multiplicity, nondecreasing: one gcd per edge."""
         nums, dens = [], []
         n = self.vertices[-1][0] if n is None else n  # all of them
         for (x1, y1), (x2, y2) in pairwise(self.vertices):
@@ -78,11 +77,7 @@ class NewtonPolygon(Record):
             dens += repeat(dy.denominator * dx // g, take)
             if len(nums) >= n:
                 break
-        return tuple(nums), tuple(dens)
-
-    def slopes(self, n: int | None = None) -> tuple[Fraction, ...]:
-        """Slopes flattened with multiplicity, nondecreasing; the first n of them."""
-        return tuple(map(Fraction, *self.slope_ints(n)))
+        return SlopeList(nums, dens)
 
 
 class SlopeList(Record):
@@ -94,26 +89,21 @@ class SlopeList(Record):
 
     __slots__ = ("nums", "dens", "_slopes")
 
-    def __init__(self, slopes: Sequence[Fraction] = (), *, nums: tuple = (), dens: tuple = ()) -> None:
-        if slopes := tuple(slopes):
-            nums, dens = tuple(s.numerator for s in slopes), tuple(s.denominator for s in slopes)
+    def __init__(self, nums: Sequence[int], dens: Sequence[int]) -> None:
+        nums, dens = tuple(nums), tuple(dens)
+        if len(nums) != len(dens) or dens and min(dens) < 1:
+            raise ValueError("a slope list needs one positive denominator per numerator")
         if any(map(lt, map(mul, nums[1:], dens), map(mul, nums, dens[1:]))):  # c/d < a/b for consecutive a/b, c/d
             raise AssertionError("slope lists are nondecreasing")
         init(self, "nums", nums)
         init(self, "dens", dens)
-        init(self, "_slopes", slopes or None)
+        init(self, "_slopes", None)
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:
         if self._slopes is None:
             init(self, "_slopes", tuple(map(Fraction, self.nums, self.dens)))
         return self._slopes
-
-    def __repr__(self) -> str:
-        return f"SlopeList(slopes={self.slopes!r})"
-
-    def __reduce__(self):
-        return partial(SlopeList, nums=self.nums, dens=self.dens), ()
 
     @property
     def certified_count(self) -> int:
@@ -226,17 +216,17 @@ def certified_slopes(
         window_end = 2 * D + 32
         lam = lam_upto(window_end)
         poly = lower_hull(list(enumerate(values(D)[: D + 1])), den)
-        nums, dens = poly.slope_ints(n)
-        fault = f"the hull had {len(nums)} slopes, fewer than {n}"
-        if len(nums) >= n:
-            s = Fraction(nums[-1], dens[-1])
+        slopes = poly.slopes(n)
+        fault = f"the hull had {len(slopes)} slopes, fewer than {n}"
+        if len(slopes) >= n:
+            s = Fraction(slopes.nums[-1], slopes.dens[-1])
             i0, y0 = next(v for v in poly.vertices if v[0] >= n)  # the n-th slope's edge ends here
             W = max(window_end, A - 1, ceil((s / c + beta) / alpha) - 1)
             fault = _tail_fault(lam, D, window_end, c, s, i0, y0)
             if fault is None and W > window_end:  # the short window holds: read the degrees on to W
                 fault, window_end = _tail_fault(lam_upto(W), window_end, W, c, s, i0, y0), W
             if fault is None:
-                return SlopeList(nums=nums, dens=dens), poly
+                return slopes, poly
         if D >= cap:
             raise CertificationError(
                 f"could not certify {n} slopes within the degree cap {cap}; "
@@ -266,7 +256,7 @@ def ghost_polygon(
         if kappa.m < series.floor_cap:
             raise
         c = series.floor_cap
-    values = partial(series.values, leg=leg, scaled=True)  # times leg.den: the hull compares ints
+    values = partial(series.values, leg=leg)  # times leg.den: the hull compares ints
     return certified_slopes(values, series.lam_upto, c, n, cap, series.degree_bound(), leg.den)
 
 
@@ -304,5 +294,5 @@ def classical_ghost_slopes(
     else:
         raise ValueError(f"unknown count mode {count_mode!r} (use 'tame' or 'full')")
     if n == 0:
-        return SlopeList(())
+        return SlopeList((), ())
     return ghost_slopes(ctx, Classical(k), n, seed=seed, cap=cap)

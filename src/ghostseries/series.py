@@ -225,37 +225,34 @@ class GhostSeries:
             raise AssertionError("the degree increments must grow linearly")
         return A, Fraction(alpha, L), Fraction(beta, L)
 
-    def values(self, upto: int, leg: LegRule | None = None, *, scaled: bool = False) -> list:
-        """[sum over the zeros z of g_i of m_i(z) * leg(z), for i = 0..upto].
+    def values(self, upto: int, leg: LegRule | None = None) -> list:
+        """[sum over the zeros z of g_i of m_i(z) * leg(z) * leg.den, for i = 0..upto].
 
         With no ``leg``, the degrees lam(g_i).  With ``weightspace.leg_rule(kappa,
-        ctx)``, the valuations v_p(g_i(w_kappa)): +Infinity wherever a zero of
-        g_i has an infinite leg, and all ``Fraction`` values if a leg is not an
-        int; ``scaled``, these times ``leg.den``, all ints.  A tent's
-        multiplicity rises by one on [d + 1, d + ceil(ell/2)] and falls by one
-        on [d + floor(ell/2) + 2, d + ell + 1].  These second differences, as
-        weighted progressions (a, s, w), ``progressions`` or ``_level_marks``,
-        are each added as one extended slice, which stops at upto, and two
-        prefix sums read them out.
+        ctx)``, the valuations v_p(g_i(w_kappa)) times the common denominator
+        ``leg.den`` of the legs, all ints: +Infinity wherever a zero of g_i has
+        an infinite leg.  A tent's multiplicity rises by one on [d + 1,
+        d + ceil(ell/2)] and falls by one on [d + floor(ell/2) + 2, d + ell + 1].
+        These second differences, as weighted progressions (a, s, w),
+        ``progressions`` or ``_level_marks``, are each added as one extended
+        slice, which stops at upto, and two prefix sums read them out.
         """
         stop = upto + 1
-        marks, den, infinite = (self.progressions, 1, ()) if leg is None else self._level_marks(upto, leg)
+        marks, infinite = (self.progressions, ()) if leg is None else self._level_marks(upto, leg)
         try:
             out = [0] * stop
             for a, s, w in marks:
                 part = slice(a, stop, s or stop)  # s = 0: the single mark at a
                 out[part] = map(add, out[part], repeat(w))
             out = list(accumulate(accumulate(out)))
-            if den > 1 and not scaled:
-                out = [Fraction(v, den) for v in out]
             for d, ell in infinite:
                 out[d + 1 : d + ell + 1] = repeat(INFINITY, min(ell, upto - d))
         except (MemoryError, OverflowError):
             raise CertificationError(f"the series arrays through index {upto} do not fit in memory") from None
         return out
 
-    def _level_marks(self, upto: int, leg: LegRule) -> tuple[list, int, list]:
-        """The marks (a, s, w) of the legs of g_1..g_upto scaled by den, den,
+    def _level_marks(self, upto: int, leg: LegRule) -> tuple[list, list]:
+        """The marks (a, s, w) of the legs of g_1..g_upto scaled by ``leg.den``,
         and the tents (d, ell) of infinite leg, by levels.
 
         An own zero at level j = v_p(k - a) has the leg min(top, e + j), the
@@ -280,7 +277,7 @@ class GhostSeries:
                     break
                 below += rise
                 marks += [(a, s, w * int(rise * den)) for f in live for a, s, w in _family_marks(*f)]
-        return marks, den, infinite
+        return marks, infinite
 
     def lam_upto(self, upto: int) -> list[int]:
         """[lam(g_i) for i = 0..] through at least upto; the longest one is cached."""

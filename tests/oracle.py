@@ -24,6 +24,8 @@ degree array, with no period and no shear, so it checks
 ``boundary_polygon`` apart from its period proof, and
 ``ap_report_reference`` runs both progression scans over every slope, so it
 checks the CLI's report apart from the positions the shear settles.
+``slope_list`` builds a ``SlopeList`` from Fractions, off their numerators
+and denominators, the one form its constructor takes.
 ``hull_slopes_reference`` and ``shear_reference`` are the slope lists in
 ``Fraction`` arithmetic, one Fraction per edge of a hull and one per run
 and period of a shear, so they check the int numerators and denominators
@@ -337,6 +339,12 @@ def boundary_slopes_reference(
     certificate over the whole degree array, with no period and no shear."""
     series = GhostSeries(ctx, eps, seed)
     return certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap, series.degree_bound())[0]
+
+
+def slope_list(fractions) -> SlopeList:
+    """The ``SlopeList`` of the given Fractions."""
+    fractions = tuple(fractions)
+    return SlopeList([s.numerator for s in fractions], [s.denominator for s in fractions])
 
 
 def hull_slopes_reference(poly: NewtonPolygon, n: int) -> tuple[Fraction, ...]:

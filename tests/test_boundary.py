@@ -15,10 +15,10 @@ from ghostseries.boundary import (
 )
 from ghostseries.errors import GhostError
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
-from ghostseries.polygon import SlopeList, ghost_slopes
+from ghostseries.polygon import ghost_slopes
 from ghostseries.series import GhostSeries
 from ghostseries.weightspace import Annulus, ComponentLabel, PrimeContext, is_prime
-from oracle import boundary_slopes_reference
+from oracle import boundary_slopes_reference, slope_list
 
 
 def test_boundary_p2_level1_is_1_2_3():
@@ -287,7 +287,7 @@ def test_halo_validation():
 
 def fake_halo_rows(ctx, kappa, n, *, seed=None, cap=None):
     """Rows whose one slope is 1, 2 and 4 at v = 1/4, 1/2 and 3/4: not affine in v."""
-    return SlopeList((Fraction({Fraction(1, 4): 1, Fraction(1, 2): 2, Fraction(3, 4): 4}[kappa.v]),))
+    return slope_list((Fraction({Fraction(1, 4): 1, Fraction(1, 2): 2, Fraction(3, 4): 4}[kappa.v]),))
 
 
 def test_halo_refuses_rows_not_affine_in_v(monkeypatch):

@@ -40,6 +40,7 @@ from oracle import (
     hull_slopes_reference,
     last_start_bound,
     shear_reference,
+    slope_list,
     true_classical_slopes,
 )
 
@@ -53,15 +54,15 @@ EPS2 = ComponentLabel(0, 2)
 def test_hull_spec_examples():
     poly = lower_hull([(0, 0), (1, 3), (2, 7)])
     assert poly.vertices == ((0, 0), (1, 3), (2, 7))
-    assert poly.slopes() == (3, 4)
+    assert poly.slopes().slopes == (3, 4)
 
     poly = lower_hull([(0, 0), (1, INFINITY), (2, 4)])
     assert poly.vertices == ((0, 0), (2, 4))
-    assert poly.slopes() == (2, 2)
+    assert poly.slopes().slopes == (2, 2)
 
     poly = lower_hull([(0, 0), (1, 1), (2, 2)])
     assert poly.vertices == ((0, 0), (2, 2))
-    assert poly.slopes() == (1, 1)
+    assert poly.slopes().slopes == (1, 1)
 
 
 def test_hull_input_validation():
@@ -163,7 +164,7 @@ def test_hull_reads_follow_the_vertices(edges, y0):
     assert all(type(s) is Fraction for s, _ in pairs)
     flat = tuple(s for s, dx in pairs for _ in range(dx))
     for n in (None, -1, *range(len(flat) + 3)):
-        assert poly.slopes(n) == (flat if n is None else flat[: max(n, 0)]), n
+        assert poly.slopes(n).slopes == (flat if n is None else flat[: max(n, 0)]), n
 
 
 def _tail_clears_reference(lam, D, window_end, c, s, i0, y0):
@@ -202,23 +203,39 @@ def test_tail_check_matches_fraction_reference():
 
 
 def test_slope_list_bookkeeping():
-    slopes = SlopeList((Fraction(1), Fraction(1), Fraction(2)))
+    slopes = slope_list((Fraction(1), Fraction(1), Fraction(2)))
     assert slopes.pairs() == ((Fraction(1), 2), (Fraction(2), 1))
     assert len(slopes) == 3 and slopes[2] == 2
     with pytest.raises(AssertionError):
-        SlopeList((Fraction(2), Fraction(1)))
+        slope_list((Fraction(2), Fraction(1)))
+
+
+def test_slope_list_refuses_a_denominator_below_one():
+    # (1, -1/2) read as 1/1, 1/-2 would pass the cross-multiplied order check
+    for dens in ((1, -2), (0, 1), (-1, -1)):
+        with pytest.raises(ValueError, match="positive denominator"):
+            SlopeList((1, 1), dens)
+    with pytest.raises(ValueError, match="one positive denominator per numerator"):
+        SlopeList((1, 2), (1,))
+
+
+def test_slope_list_stores_tuples():
+    # lists are stored as tuples, so the record hashes
+    slopes = SlopeList([1, 2], [1, 1])
+    assert type(slopes.nums) is tuple and type(slopes.dens) is tuple
+    assert slopes == SlopeList((1, 2), (1, 1)) and hash(slopes) == hash(SlopeList((1, 2), (1, 1)))
 
 
 def test_slope_list_order_check_on_ints():
     # the check cross-multiplies numerators by the positive denominators
     for drop in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(-1, 3), Fraction(-1, 2)), (Fraction(2), Fraction(3, 2))):
         with pytest.raises(AssertionError, match="^slope lists are nondecreasing$"):
-            SlopeList(drop)
+            slope_list(drop)
     for rising in ((Fraction(-1, 2), Fraction(0), Fraction(1, 3)), (Fraction(1, 3),) * 4 + (Fraction(2, 5),) * 3, ()):
-        assert SlopeList(rising).slopes == rising
+        assert slope_list(rising).slopes == rising
     sheared = boundary_polygon(PrimeContext(5, 1), ComponentLabel(0, 5), 300_000, cap=10**7)
     assert sheared.shear is not None
-    assert SlopeList(sheared.slopes.slopes) == sheared.slopes
+    assert slope_list(sheared.slopes.slopes) == sheared.slopes
 
 
 def _agrees_with(slopes: SlopeList, reference: tuple[Fraction, ...]) -> None:
@@ -231,7 +248,7 @@ def _agrees_with(slopes: SlopeList, reference: tuple[Fraction, ...]) -> None:
     assert slopes._slopes is copied._slopes is pickled._slopes is None
     assert slopes.slopes == reference and all(type(s) is Fraction for s in slopes.slopes)
     assert [slopes[j] for j in (0, len(reference) // 2, -1)] == [reference[j] for j in (0, len(reference) // 2, -1)]
-    assert slopes == SlopeList(reference) and hash(slopes) == hash(SlopeList(reference))
+    assert slopes == slope_list(reference) and hash(slopes) == hash(slope_list(reference))
 
 
 def test_int_slope_lists_match_the_fraction_reference():
@@ -249,7 +266,7 @@ def test_int_slope_lists_match_the_fraction_reference():
             bp = boundary_polygon(ctx, eps, n, seed=seed)
             if bp.shear is None:
                 reference = hull_slopes_reference(bp.polygon, n)
-                assert bp.polygon.slopes(n) == reference
+                assert bp.polygon.slopes(n).slopes == reference
             else:
                 q, delta, _, end = bp.shear
                 reference = shear_reference(hull_slopes_reference(bp.polygon, end), q, delta, n)
@@ -269,7 +286,7 @@ def test_int_slope_lists_match_the_fraction_reference():
     ]
     for ctx, kappa, seed in weights:
         slopes, poly = ghost_polygon(ctx, kappa, 200, seed=seed)
-        assert poly.slopes(200) == hull_slopes_reference(poly, 200)
+        assert poly.slopes(200).slopes == hull_slopes_reference(poly, 200)
         _agrees_with(slopes, hull_slopes_reference(poly, 200))
 
 
@@ -498,7 +515,7 @@ def test_explicit_w_matches_classical_polygon():
 
 def test_ghost_polygon_consistency():
     slopes, poly = ghost_polygon(CTX21, Classical(0), 5)
-    assert poly.slopes(5) == slopes.slopes
+    assert poly.slopes(5).slopes == slopes.slopes
     assert poly.vertices[0] == (0, 0)
 
 

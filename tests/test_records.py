@@ -22,6 +22,7 @@ from ghostseries.weightspace import (
     ExplicitW,
     PrimeContext,
 )
+from oracle import slope_list
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -47,10 +48,10 @@ VALUES = [
         "zeros",
     ),
     (
-        SlopeList((Fraction(1, 2), Fraction(1, 2), Fraction(3))),
-        SlopeList(slopes=(Fraction(1, 2), Fraction(2, 4), Fraction(3))),
-        "SlopeList(slopes=(Fraction(1, 2), Fraction(1, 2), Fraction(3, 1)))",
-        "slopes",
+        slope_list((Fraction(1, 2), Fraction(2, 4), Fraction(3))),
+        SlopeList(nums=[1, 1, 3], dens=[2, 2, 1]),
+        "SlopeList(nums=(1, 1, 3), dens=(2, 2, 1))",
+        "nums",
     ),
 ]
 
@@ -102,6 +103,19 @@ def test_polygon_edges_are_read_off_its_vertices():
     assert copy.deepcopy(poly).slope_pairs() == poly.slope_pairs()
     inv = gamma0_invariants(11)
     assert repr(inv) == "Gamma0Invariants(level=11, index=12, nu2=0, nu3=0, cusps=2, genus=1)"
+
+
+def test_slope_list_round_trips_through_its_fields():
+    # pickle and deepcopy rebuild the record from (nums, dens) by the checked
+    # constructor; the Fraction cache is not carried over
+    slopes = SlopeList((-1, 1, 1, 7), (2, 3, 3, 1))
+    assert slopes.__reduce__() == (SlopeList, ((-1, 1, 1, 7), (2, 3, 3, 1)))
+    assert slopes.slopes == (Fraction(-1, 2), Fraction(1, 3), Fraction(1, 3), Fraction(7))
+    for twin in (pickle.loads(pickle.dumps(slopes)), copy.deepcopy(slopes)):
+        assert type(twin) is SlopeList and twin == slopes and hash(twin) == hash(slopes)
+        assert (twin.nums, twin.dens) == ((-1, 1, 1, 7), (2, 3, 3, 1)) and twin._slopes is None
+        assert repr(twin) == "SlopeList(nums=(-1, 1, 1, 7), dens=(2, 3, 3, 1))"
+        assert twin.slopes == slopes.slopes
 
 
 def test_plain_records_take_fields_by_position_or_name():

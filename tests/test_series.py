@@ -259,9 +259,12 @@ def test_zero_table_matches_divisor_oracle(ctx, kappa, seed):
 
     want = [0] + [coefficient_valuation(coef, kappa) for coef in oracle]
     degrees = [0] + [coef.lam for coef in oracle]
+    rule = leg_rule(kappa, ctx)  # the values are ints: the valuations times rule.den
+    scaled = [v if v is INFINITY else v * rule.den for v in want]
     for upto in range(D + 1):  # every truncation, so the clipping at upto is covered
         assert values_reference(series, upto, leg) == want[: upto + 1]
-        assert series.values(upto, leg_rule(kappa, ctx)) == want[: upto + 1]
+        assert series.values(upto, rule) == scaled[: upto + 1]
+        assert all(type(v) is int for v in series.values(upto, rule) if v is not INFINITY)
         assert series.values(upto) == degrees[: upto + 1]
     if kappa in (Classical(14), EtaEight(3)):
         assert INFINITY in want
@@ -397,6 +400,8 @@ def test_degree_array_takes_no_tent_walk(monkeypatch, ctx, seed, kappas):
     monkeypatch.setattr(oracle, "tents", no_walk)
     big = series.values(100_000)
     assert len(big) == 100_001 and big[: D + 1] == small
-    assert [series.values(D, rule) for rule in rules] == want
+    assert [series.values(D, rule) for rule in rules] == [
+        [v if v is INFINITY else v * rule.den for v in values] for rule, values in zip(rules, want)
+    ]
     with pytest.raises(AssertionError, match="walked the tents"):
         values_reference(series, D, _one)
