@@ -38,7 +38,7 @@ from .weightspace import (
 # ap_check is tracer-pinned: cli does not call it, but perfbench/tracer.py wraps cli.ap_check
 _LAZY = {
     "boundary": ("ap_check", "ap_parameters", "boundary_polygon", "check_ap_counts", "halo_profile", "scan_burn_in"),
-    "modified": ("Weight2SeedSlopes", "bundled_seed", "load_seed", "modified_coefficient"),
+    "modified": ("bundled_seed", "load_seed", "modified_coefficient"),
 }
 
 
@@ -193,7 +193,7 @@ def _cmd_series(args, ctx: PrimeContext, seed) -> int:
     if args.up_to < 0:
         raise UsageError("--up-to must be at least 0")
     write, lam = sys.stdout.write, series.lam_upto(args.up_to)
-    for i, zeros in enumerate(series.divisors(args.up_to), start=1):
+    for i, zeros in enumerate(map(series.divisor, range(1, args.up_to + 1)), start=1):
         # the line json.dumps({"i", "lambda", "zeros": [{"type", "k", "mult"}, ...]}) prints
         items = ", ".join([f'{{"type": "{_ZERO_TYPES[kind]}", "k": {k}, "mult": {m}}}' for kind, k, m in zeros])
         write(f'{{"i": {i}, "lambda": {lam[i]}, "zeros": [{items}]}}\n')

@@ -83,11 +83,11 @@ class NewtonPolygon(Record):
 class SlopeList(Record):
     """Nondecreasing slopes, every one certified: a request that cannot
     certify its slopes raises instead of returning a list.  It holds them as
-    ``nums`` and positive ``dens`` in lowest terms; ``slopes``, the tuple of
-    Fractions, is built on first read and kept.
+    ``nums`` and positive ``dens`` in lowest terms; ``slopes``, an index and
+    a slice make their Fractions on each read.
     """
 
-    __slots__ = ("nums", "dens", "_slopes")
+    __slots__ = ("nums", "dens")
 
     def __init__(self, nums: Sequence[int], dens: Sequence[int]) -> None:
         nums, dens = tuple(nums), tuple(dens)
@@ -97,13 +97,10 @@ class SlopeList(Record):
             raise AssertionError("slope lists are nondecreasing")
         init(self, "nums", nums)
         init(self, "dens", dens)
-        init(self, "_slopes", None)
 
     @property
     def slopes(self) -> tuple[Fraction, ...]:
-        if self._slopes is None:
-            init(self, "_slopes", tuple(map(Fraction, self.nums, self.dens)))
-        return self._slopes
+        return tuple(self)
 
     @property
     def certified_count(self) -> int:
@@ -117,10 +114,12 @@ class SlopeList(Record):
         return len(self.nums)
 
     def __iter__(self):
-        return iter(self.slopes)
+        return map(Fraction, self.nums, self.dens)
 
-    def __getitem__(self, j: int) -> Fraction:
-        return self.slopes[j]
+    def __getitem__(self, j: int | slice) -> Fraction | tuple[Fraction, ...]:
+        if isinstance(j, slice):
+            return tuple(map(Fraction, self.nums[j], self.dens[j]))
+        return Fraction(self.nums[j], self.dens[j])
 
 
 def lower_hull(points: Sequence[tuple[int, ExtendedRational]], den: int = 1) -> NewtonPolygon:

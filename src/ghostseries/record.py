@@ -7,8 +7,7 @@ that agrees with it, the repr ``Annulus(center=0, v=Fraction(5, 2))``, an
 ``AttributeError`` on assignment, and ``_asdict`` (the fields in order).
 A type that checks or coerces its arguments writes its own ``__init__``
 and sets each slot through :data:`init`.  The fields are the ``__slots__``,
-in order, but for a slot named with a leading underscore: a cache, which
-equality, hash, repr and pickling do not see.
+in order: a record stores nothing but its fields.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = cls.__slots__
         cls._key = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:

@@ -23,7 +23,7 @@ at a time, and each divisor by arithmetic, with no walk over single tents.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
 from math import gcd, lcm
@@ -309,15 +309,6 @@ class GhostSeries:
                 zeros += zip(repeat(kind), range(k + lo * dk, k + hi * dk, dk), mults)
             out += sorted(zeros, key=itemgetter(1))
         return out
-
-    def divisors(self, upto: int) -> Iterator[list[tuple[type, int, int]]]:
-        """``divisor(i)`` for i = 1..upto."""
-        return map(self.divisor, range(1, upto + 1))
-
-    def rows(self, upto: int) -> Iterator[dict[WeightPoint, int]]:
-        """The divisors of g_1..g_upto in turn as {zero: multiplicity} dicts."""
-        for zeros in self.divisors(upto):
-            yield {kind(k): mult for kind, k, mult in zeros}
 
     def coefficient(self, i: int) -> GhostCoefficient:
         """g_i alone (i >= 1), from ``divisor(i)``."""

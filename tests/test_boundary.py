@@ -17,7 +17,17 @@ from ghostseries.errors import GhostError
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
 from ghostseries.polygon import ghost_slopes
 from ghostseries.series import GhostSeries
-from ghostseries.weightspace import Annulus, ComponentLabel, PrimeContext, is_prime
+from ghostseries.weightspace import (
+    Annulus,
+    CharClassical,
+    Classical,
+    ComponentLabel,
+    ExplicitW,
+    PrimeContext,
+    is_prime,
+    leg_rule,
+    weight_component,
+)
 from oracle import boundary_slopes_reference, slope_list
 
 
@@ -233,6 +243,22 @@ def test_ap_structure_odd_primes():
         assert ap_check(slopes, n_ap, delta, burn).verified
 
 
+def _sub_floor_weights():
+    """(ctx, weight, n) over the grid of weights whose centre leg is below the floor."""
+    for p in (3, 5, 7, 11):
+        for N in (1, 2, 4, 5, 7):
+            if N % p:
+                for kappa in (CharClassical(2, 2), CharClassical(4, 3), Annulus(0, "1/2"), Annulus(2, "2/3")):
+                    yield PrimeContext(p, N), kappa, 60
+    for N in (1, 3, 5, 7, 9, 11):
+        for kappa in (Annulus(0, "1/2"), Annulus(0, "5/2"), Annulus(4, "7/4")):
+            yield PrimeContext(2, N), kappa, 200
+    rng = random.Random(20160715)
+    for draw in range(28):
+        w0 = 2 ** rng.choice((1, 2)) * (2 * rng.randrange(2**36) + 1)  # v_2(w) = 1 or 2
+        yield PrimeContext(2, (1, 3, 5, 7)[draw % 4]), ExplicitW(w0, 40), 150
+
+
 def test_boundary_equals_scaled_annulus_slopes():
     # over 0 < v < 1 every leg collapses to v: slopes are the boundary times v
     for p in (3, 5, 7):
@@ -243,6 +269,24 @@ def test_boundary_equals_scaled_annulus_slopes():
             boundary = boundary_polygon(ctx, ComponentLabel(0, p), 50).slopes
             annulus = ghost_slopes(ctx, Annulus(0, Fraction(1, 2)), 50)
             assert [2 * s for s in annulus.slopes] == list(boundary.slopes), (p, N)
+    # below the floor, the least valuation of a zero, every leg is the centre leg c
+    # by the strict ultrametric inequality: the slopes are c times the boundary's
+    cases = 0
+    for ctx, kappa, n in _sub_floor_weights():
+        eps = weight_component(kappa, ctx)
+        c = leg_rule(kappa, ctx)(Classical, 0)
+        assert c < GhostSeries(ctx, eps).floor_cap, (ctx, kappa)
+        assert ghost_slopes(ctx, kappa, n).slopes == tuple(c * s for s in boundary_polygon(ctx, eps, n).slopes)
+        cases += 1
+    assert cases == 118
+    # the modified N = 3 series has eta_8 zeros at v_2(w) = 1, its floor: the rule
+    # holds at v = 1/2 and not at v = 5/2
+    ctx, eps, seed = PrimeContext(2, 3), ComponentLabel(0, 2), bundled_seed(3)
+    assert GhostSeries(ctx, eps, seed).floor_cap == 1
+    boundary = boundary_polygon(ctx, eps, 60, seed=seed).slopes
+    for v, agree in ((Fraction(1, 2), True), (Fraction(5, 2), False)):
+        slopes = ghost_slopes(ctx, Annulus(0, v), 60, seed=seed).slopes
+        assert (slopes == tuple(v * s for s in boundary)) is agree, v
 
 
 def test_halo_center_zero_slopes_linear_in_v():

@@ -1,17 +1,22 @@
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ghostseries.boundary import APReport
+import ghostseries
+from ghostseries.boundary import APReport, boundary_polygon
 from ghostseries.dims import Gamma0Invariants, gamma0_invariants
 from ghostseries.modified import Weight2SeedSlopes
 from ghostseries.polygon import NewtonPolygon, SlopeList
+from ghostseries.record import Record
 from ghostseries.series import GhostCoefficient
 from ghostseries.weightspace import (
     Annulus,
@@ -107,15 +112,54 @@ def test_polygon_edges_are_read_off_its_vertices():
 
 def test_slope_list_round_trips_through_its_fields():
     # pickle and deepcopy rebuild the record from (nums, dens) by the checked
-    # constructor; the Fraction cache is not carried over
+    # constructor, and a slope list holds nothing else
     slopes = SlopeList((-1, 1, 1, 7), (2, 3, 3, 1))
+    assert SlopeList.__slots__ == ("nums", "dens")
     assert slopes.__reduce__() == (SlopeList, ((-1, 1, 1, 7), (2, 3, 3, 1)))
     assert slopes.slopes == (Fraction(-1, 2), Fraction(1, 3), Fraction(1, 3), Fraction(7))
     for twin in (pickle.loads(pickle.dumps(slopes)), copy.deepcopy(slopes)):
         assert type(twin) is SlopeList and twin == slopes and hash(twin) == hash(slopes)
-        assert (twin.nums, twin.dens) == ((-1, 1, 1, 7), (2, 3, 3, 1)) and twin._slopes is None
+        assert (twin.nums, twin.dens) == ((-1, 1, 1, 7), (2, 3, 3, 1))
         assert repr(twin) == "SlopeList(nums=(-1, 1, 1, 7), dens=(2, 3, 3, 1))"
         assert twin.slopes == slopes.slopes
+
+
+def _record_types(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_types(sub)
+
+
+def test_every_slot_of_a_record_is_a_field():
+    for info in pkgutil.iter_modules(ghostseries.__path__):
+        if info.name != "__main__":  # running it is the command line
+            importlib.import_module(f"ghostseries.{info.name}")
+    types = [cls for cls in _record_types() if cls.__module__.startswith("ghostseries.")]
+    assert SlopeList in types and len(types) >= 10
+    for cls in types:
+        assert cls._fields == cls.__slots__, cls
+
+
+def test_slope_list_makes_its_fractions_on_each_read():
+    slopes = boundary_polygon(PrimeContext(5), ComponentLabel(0, 5), 100_000, cap=10**7).slopes
+    tracemalloc.start()
+    try:
+        reads = [slopes[j] for j in range(0, 100_000, 100)]
+        window = slopes[50_000:50_100]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak  # no tuple of 100,000 Fractions is built and kept
+    whole = slopes.slopes
+    assert reads == [whole[j] for j in range(0, 100_000, 100)] and window == whole[50_000:50_100]
+    assert type(window) is tuple and all(type(s) is Fraction for s in window + tuple(reads))
+    for j in (0, 1, 99_999, -1, -2, -100_000):
+        assert slopes[j] == whole[j]
+    for part in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -7), slice(10, 2)):
+        assert slopes[part] == whole[part]
+    assert tuple(slopes) == whole and len(whole) == len(slopes) == 100_000
+    with pytest.raises(IndexError):
+        slopes[100_000]
 
 
 def test_plain_records_take_fields_by_position_or_name():
