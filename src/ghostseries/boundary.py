@@ -16,7 +16,7 @@ from math import lcm
 from operator import sub
 
 from .dims import gamma0_invariants
-from .errors import CertificationError, GhostError
+from .errors import GhostError
 from .polygon import SlopeList, certified_slopes, ghost_slopes
 from .record import Record
 from .series import GhostSeries
@@ -80,32 +80,29 @@ def boundary_polygon(
     for every j > v + q.  So a certified base, the slopes through the end of
     the edge of slope m, that holds such a v with v + q inside it determines
     the rest by the shear; ``polygon`` then covers the base only.  One base
-    is tried, the first b + 2q + 1 slopes; unless it is such a base, shorter
-    than n and certified within the cap, the n slopes are certified directly.
+    is certified, the first m = b + 2q + 1 slopes, and its failure at the
+    cap ends the request, since the n > m slopes would fail there too: if
+    they certified at a round D <= cap, every point past D lies above the
+    n-th supporting line, so later rounds keep the first n hull edges; past
+    the end of the n-th edge that line lies on or above the m-th one, so the
+    m slopes certify at their first round at or past D.  The n slopes are
+    certified directly only when no base is shorter than n, or when the base
+    holds no such v.
     """
     series = GhostSeries(ctx, eps, seed)
     bound = series.degree_bound()
-
-    def certify(count: int) -> BoundaryPolygon:
-        slopes, poly = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), count, cap, bound)
-        return BoundaryPolygon(eps, poly, slopes, None)
-
     q, delta = ap_parameters(ctx)
+    m = n
     if n > 2 * q + 1:  # else no base is shorter than n
         q, delta, b = boundary_period(series, q, delta)
-        m = b + 2 * q + 1
-        if m < n:
-            try:
-                base = certify(m)
-            except CertificationError:
-                pass  # the n slopes are certified directly
-            else:
-                xs = [x for x, _ in base.polygon.vertices]
-                end = next(x for x in xs if x >= m)  # the certified edge of slope m ends here
-                if any(b - 1 + q <= v <= end - q for v in xs):
-                    slopes = _shear(base.polygon.slopes(end), q, delta, n)
-                    return BoundaryPolygon(eps, base.polygon, slopes, (q, delta, b, end))
-    return certify(n)
+        m = min(b + 2 * q + 1, n)
+    slopes, poly = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), m, cap, bound)
+    if m < n:
+        end = next(x for x, _ in poly.vertices if x >= m)  # the certified edge of slope m ends here
+        if any(b - 1 + q <= v <= end - q for v, _ in poly.vertices):
+            return BoundaryPolygon(eps, poly, _shear(poly.slopes(end), q, delta, n), (q, delta, b, end))
+        slopes, poly = certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap, bound)
+    return BoundaryPolygon(eps, poly, slopes, None)
 
 
 def _shear(head: SlopeList, q: int, delta: int, n: int) -> SlopeList:

@@ -91,8 +91,8 @@ class SlopeList(Record):
 
     def __init__(self, nums: Sequence[int], dens: Sequence[int]) -> None:
         nums, dens = tuple(nums), tuple(dens)
-        if len(nums) != len(dens) or dens and min(dens) < 1:
-            raise ValueError("a slope list needs one positive denominator per numerator")
+        if len(nums) != len(dens) or dens and min(dens) < 1 or max(map(gcd, nums, dens), default=1) > 1:
+            raise ValueError("a slope list needs one positive denominator per numerator, in lowest terms")
         if any(map(lt, map(mul, nums[1:], dens), map(mul, nums, dens[1:]))):  # c/d < a/b for consecutive a/b, c/d
             raise AssertionError("slope lists are nondecreasing")
         init(self, "nums", nums)

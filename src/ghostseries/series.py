@@ -180,7 +180,8 @@ class GhostSeries:
     weight-2 seed adds the eta_8 zeros of the modified p = 2 series as tents
     of the same kind; the table holds each kind as a few families.  Every
     consumer reads it: ``values`` for the degrees and the valuations at a
-    weight, ``divisor`` for the zeros of one g_i (``rows``, ``coefficient``).
+    weight, ``divisor`` for the zeros of one g_i (``coefficient`` and the
+    ``series`` command).
     """
 
     def __init__(self, ctx: PrimeContext, eps: ComponentLabel, seed=None):

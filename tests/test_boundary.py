@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import pairwise
 from math import lcm
 from operator import sub
 
@@ -13,9 +14,10 @@ from ghostseries.boundary import (
     scan_burn_in,
     ap_parameters,
 )
-from ghostseries.errors import GhostError
+from ghostseries import boundary
+from ghostseries.errors import CertificationError, GhostError
 from ghostseries.modified import Weight2SeedSlopes, bundled_seed
-from ghostseries.polygon import ghost_slopes
+from ghostseries.polygon import certified_slopes, ghost_slopes, lower_hull
 from ghostseries.series import GhostSeries
 from ghostseries.weightspace import (
     Annulus,
@@ -144,6 +146,71 @@ def test_boundary_polygon_records_its_shear():
         start, s = bp.shear[3], bp.slopes.slopes
         assert start < 2000 and all(s[j] == s[j - q] + delta for j in range(start, 2000))
         assert repr(bp).endswith(f"shear={bp.shear!r})")
+
+
+def _periods():
+    """(ctx, series, q, delta, b) for every component with p <= 13 and N <= 6, and the modified N = 3 series."""
+    cases = [(ctx, eps, None) for ctx, eps in _components((2, 3, 5, 7, 11, 13), range(1, 7))]
+    cases.append((PrimeContext(2, 3), ComponentLabel(0, 2), bundled_seed(3)))
+    for ctx, eps, seed in cases:
+        series = GhostSeries(ctx, eps, seed)
+        yield (ctx, series, *boundary_period(series, *ap_parameters(ctx)))
+
+
+def test_hull_edges_from_the_burn_in_on_are_at_most_one_period_long():
+    # F(x) = lam(g_{x+q}) - lam(g_x) rises by delta > 0 per step from x = b - 1.  An
+    # edge (u, w) of slope S with u >= b - 1 and w - u > q has u + q and w - q on or
+    # above its chord, so F(u) >= qS >= F(w - q) > F(u): no such edge exists
+    hulls, longest = 0, []
+    for ctx, series, q, _, b in _periods():
+        end = b + 4 * q + 40
+        poly = lower_hull(list(enumerate(series.lam_upto(end)[: end + 1])))
+        lengths = [w - u for (u, _), (w, _) in pairwise(poly.vertices) if u >= b - 1]
+        assert max(lengths) <= q, (series.component, q, b)
+        hulls += 1
+        longest += [(ctx.p, ctx.N, q)] if max(lengths) == q else []
+    assert hulls == 102
+    assert longest == [(2, 1, 1), (2, 3, 4), (3, 1, 1)]  # the plain series at p = 2, N = 3
+
+
+def _certifies(series, n: int, cap: int) -> bool:
+    try:
+        certified_slopes(series.lam_upto, series.lam_upto, Fraction(1), n, cap, series.degree_bound())
+    except CertificationError:
+        return False
+    return True
+
+
+def test_a_base_that_fails_the_cap_leaves_no_longer_request_to_certify():
+    # the premise of boundary_polygon's single base: if n slopes certified at a round
+    # D <= cap, the m < n slopes would certify at the base's first round at or past D
+    pairs, failing = 0, 0
+    for _, series, q, _, b in _periods():
+        m = b + 2 * q + 1
+        for cap in range(1, 250, 12):
+            if _certifies(series, m, cap):
+                continue
+            failing += 1
+            for n in (m + 1, 2 * m, 4 * m):
+                assert not _certifies(series, n, cap), (series.component, m, n, cap)
+                pairs += 1
+    assert (failing, pairs) == (1578, 4734)
+
+
+def test_a_failing_base_ends_the_request_after_one_certification(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return certified_slopes(*args)
+
+    monkeypatch.setattr(boundary, "certified_slopes", counted)
+    with pytest.raises(CertificationError, match="^could not certify 12 slopes within the degree cap 10; "):
+        boundary_polygon(PrimeContext(5), ComponentLabel(0, 5), 1000, cap=10)
+    assert calls == [12]
+    calls.clear()
+    assert boundary_polygon(PrimeContext(5), ComponentLabel(0, 5), 1000).shear is not None
+    assert calls == [12]
 
 
 def test_ap_parameters():

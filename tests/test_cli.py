@@ -516,8 +516,8 @@ def test_exit_codes(capsys, tmp_path):
     assert main(["slopes", "--p", "2", "--weight", "k=0", "--count", "40", "--cap", "12"]) == 3
     capsys.readouterr()
     # at a huge prime the degrees vanish far past the cap: the request fails there,
-    # before any long degree array is read; at p = 5 with cap 10 no boundary base
-    # certifies, so the 1000 slopes are tried directly, and fail
+    # before any long degree array is read; at p = 5 with cap 10 the boundary base
+    # of 12 slopes does not certify, which ends the request: the 1000 would fail too
     for argv in (
         ["slopes", "--p", "1000000000039", "--weight", "k=0", "--count", "3"],
         ["boundary", "--p", "1000000000039", "--count", "300"],
@@ -527,7 +527,7 @@ def test_exit_codes(capsys, tmp_path):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: could not certify "), argv
-    assert captured.err.startswith("error: could not certify 1000 slopes within the degree cap 10; ")
+    assert captured.err.startswith("error: could not certify 12 slopes within the degree cap 10; ")
     # an array past an index-sized int is a certification failure too
     assert main(["series", "--p", "2", "--up-to", "10000000000000"]) == 3
     captured = capsys.readouterr()
