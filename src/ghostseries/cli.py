@@ -37,7 +37,7 @@ from .weightspace import (
 # on first use, or on a read from outside, and keeps one already bound (a wrapper);
 # ap_check is tracer-pinned: cli does not call it, but perfbench/tracer.py wraps cli.ap_check
 _LAZY = {
-    "boundary": ("ap_check", "ap_parameters", "boundary_polygon", "check_ap_counts", "halo_profile", "scan_burn_in"),
+    "boundary": ("ap_check", "ap_parameters", "boundary_polygon", "halo_profile", "scan_burn_in"),
     "modified": ("bundled_seed", "load_seed", "modified_coefficient"),
 }
 
@@ -65,7 +65,9 @@ def _rat(x) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
-_BURN_IN_MAX = 100  # the largest burn-in a `boundary --ap` report scans when --burn-in-max names none
+# the largest burn-in a `boundary --ap` report accepts; at ap_parameters the least burn-in is 0
+# on every polygon tests/test_boundary.py tries, so the bound decides no report there
+_BURN_IN_MAX = 100
 _ZERO_TYPES = {Classical: "classical", EtaEight: "eta8"}  # the "type" of a zero in `series` output
 
 # one slope entry, {"index", "slope": {"num", "den"}, "certified": true}, laid out as by json.dumps(indent=2);
@@ -226,27 +228,18 @@ def _cmd_boundary(args, ctx: PrimeContext, seed) -> int:
     _need("boundary")
     eps = ComponentLabel(args.component, ctx.p)
     cap = _cap(args)
-    if args.ap:  # the progression arguments are checked before any slope is computed
-        if (args.n_ap is None) != (args.delta is None):
-            raise UsageError("--n-ap and --delta must be supplied together")
-        if args.n_ap is not None:
-            n_ap, delta = args.n_ap, args.delta
-        else:
-            n_ap, delta = ap_parameters(ctx)
-        burn_in_max = _BURN_IN_MAX if args.burn_in_max is None else args.burn_in_max
-        check_ap_counts(n_ap, burn_in_max)
-    elif (args.n_ap, args.delta, args.burn_in_max) != (None, None, None):
-        raise UsageError("--n-ap, --delta and --burn-in-max need --ap")
+    if args.ap:  # the conjectured progression, settled before any slope is computed
+        n_ap, delta = ap_parameters(ctx)
+        if 0 < args.count <= n_ap:  # a count below 1 is refused by boundary_polygon
+            raise GhostError(f"insufficient certified slopes: have {args.count}, need more than {n_ap}")
     result = boundary_polygon(ctx, eps, args.count, seed=seed, cap=cap)
     ap_report = ""
     if args.ap:
         total = end = len(result.slopes)
-        if total <= n_ap:
-            raise GhostError(f"insufficient certified slopes: have {total}, need more than {n_ap}")
         if result.shear is not None and result.shear[:2] == (n_ap, delta):
             end = result.shear[3]  # the shear settles every position from start - q on
         head = SlopeList(result.slopes.nums[:end], result.slopes.dens[:end])
-        burn = scan_burn_in(head, n_ap, delta, burn_in_max)
+        burn = scan_burn_in(head, n_ap, delta, _BURN_IN_MAX)
         verified = burn is not None and burn + n_ap < total  # and the burn-in leaves a step to check
         found = '    "burn_in": %d,\n    "verified_through": %d,\n' % (burn, total) if verified else ""
         ap_report = _AP_REPORT % (n_ap, delta, found, "true" if verified else "false")
@@ -364,10 +357,8 @@ _COMMANDS = {
     "boundary": ("w-adic slopes of the boundary polygon", _cmd_boundary, _CAPPED + (
         ("--count", dict(type=int, default=50)),
         ("--component", dict(type=int, default=0)),
-        ("--ap", dict(action="store_true", help="attach an arithmetic-progression report")),
-        ("--burn-in-max", dict(type=int, help=f"with --ap: largest burn-in scanned (default {_BURN_IN_MAX})")),
-        ("--n-ap", dict(type=int, default=None, help="override the progression count")),
-        ("--delta", dict(type=int, default=None, help="override the common difference")),
+        ("--ap", dict(action="store_true", help="attach a report on the conjectured arithmetic progressions "
+                      f"(ap_parameters), verified from a burn-in of at most {_BURN_IN_MAX}")),
     )),
     "halo": ("slope rows over annuli r < v < r+1 as CSV", _cmd_halo, _CAPPED + (
         ("--center", dict(type=int, default=0, help="even integer center k0")),

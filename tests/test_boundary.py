@@ -310,6 +310,19 @@ def test_ap_structure_odd_primes():
         assert ap_check(slopes, n_ap, delta, burn).verified
 
 
+def test_the_conjectured_progressions_start_at_the_first_slope():
+    # at ap_parameters the period proof finds the conjectured (n_ap, delta), and the least
+    # burn-in is 0 over the whole list: no bound on the burn-in decides a `boundary --ap` report
+    cases = [(ctx, eps, None) for ctx, eps in _components((2, 3, 5, 7, 11, 13), range(1, 13))]
+    cases.append((PrimeContext(2, 3), ComponentLabel(0, 2), bundled_seed(3)))
+    for ctx, eps, seed in cases:
+        n_ap, delta = ap_parameters(ctx)
+        bp = boundary_polygon(ctx, eps, 2 * n_ap + 40, seed=seed, cap=10**6)
+        assert bp.shear[:2] == (n_ap, delta), (ctx, eps, seed)
+        assert scan_burn_in(bp.slopes, n_ap, delta, 0) == 0, (ctx, eps, seed)
+    assert len(cases) == 195
+
+
 def _sub_floor_weights():
     """(ctx, weight, n) over the grid of weights whose centre leg is below the floor."""
     for p in (3, 5, 7, 11):

@@ -134,25 +134,11 @@ def test_boundary_command_with_ap(capsys):
     assert doc["ap_report"]["delta"] == {"num": 2, "den": 1}
 
 
-def test_boundary_command_user_supplied_ap(capsys):
-    # the identity also holds with doubled parameters (unions of unions)
-    code, out = run(
-        capsys,
-        [
-            "boundary", "--p", "3", "--N", "1", "--count", "120", "--ap",
-            "--n-ap", "2", "--delta", "4",
-        ],
-    )
-    assert code == 0
-    assert json.loads(out)["ap_report"]["verified"] is True
-    assert main(["boundary", "--p", "3", "--count", "20", "--ap", "--n-ap", "2"]) == 2
-
-
 def test_ap_report_matches_the_full_scan(capsys, monkeypatch):
     # the report reads only the positions the shear did not settle; the reference reads every one
     polygons = {}
 
-    def polygon(ctx, eps, n, seed=None, **kwargs):  # each polygon once, for all the report options
+    def polygon(ctx, eps, n, seed=None, **kwargs):  # each polygon once, for the reference and the request
         if (ctx, eps, n, seed) not in polygons:
             polygons[ctx, eps, n, seed] = boundary_polygon(ctx, eps, n, seed=seed, **kwargs)
         return polygons[ctx, eps, n, seed]
@@ -173,40 +159,37 @@ def test_ap_report_matches_the_full_scan(capsys, monkeypatch):
     cases += [(PrimeContext(2, 3), ComponentLabel(0, 2), n, bundled_seed(3)) for n in (50, 300, 1500)]
     settled = refused = 0
     for ctx, eps, n, seed in cases:
-        q, delta = ap_parameters(ctx)
+        n_ap, delta = ap_parameters(ctx)
         argv = ["boundary", "--p", str(ctx.p), "--N", str(ctx.N), "--component", str(eps.residue), "--count", str(n)]
-        argv += ["--modified"] if seed else []
-        options = [(q, delta, m, []) for m in (0, 5, 100)]
-        overrides = ((1, 8), (2 * q, 2 * delta), (q, delta), (1, 0), (q, delta + 1))
-        options += [(a, d, 100, ["--n-ap", str(a), "--delta", str(d)]) for a, d in overrides]
-        for n_ap, d, max_burn_in, extra in options:
-            args = parser.parse_args(argv + ["--ap", "--burn-in-max", str(max_burn_in)] + extra)
-            bp = polygon(ctx, eps, n, seed)
-            proved = bp.shear is not None and bp.shear[:2] == (n_ap, d)
-            try:
-                expected = ap_report_reference(bp.slopes, n_ap, d, max_burn_in)
-            except GhostError as exc:  # at most n_ap slopes: not one progression step
-                with pytest.raises(GhostError) as raised:
-                    ghostseries.cli._cmd_boundary(args, ctx, seed)
-                assert str(raised.value) == str(exc) and not scanned
-                refused += 1
-            else:
-                assert ghostseries.cli._cmd_boundary(args, ctx, seed) == 0
-                out = capsys.readouterr().out
-                report = json.loads("{" + out[out.rindex('\n  "ap_report": ') :])["ap_report"]
-                assert report == expected, (ctx, eps, n, seed, extra)
-                assert scanned.pop() == (bp.shear[3] if proved else len(bp.slopes))
-            settled += proved
-    assert len(cases) == 586 and 600 < settled < 8 * len(cases) and 0 < refused < 8 * len(cases)
+        args = parser.parse_args(argv + ["--modified", "--ap"] if seed else argv + ["--ap"])
+        bp = polygon(ctx, eps, n, seed)
+        proved = bp.shear is not None and bp.shear[:2] == (n_ap, delta)
+        try:
+            expected = ap_report_reference(bp.slopes, n_ap, delta, 100)
+        except GhostError as exc:  # at most n_ap slopes: not one progression step
+            with pytest.raises(GhostError) as raised:
+                ghostseries.cli._cmd_boundary(args, ctx, seed)
+            assert str(raised.value) == str(exc) and not scanned
+            refused += 1
+        else:
+            assert ghostseries.cli._cmd_boundary(args, ctx, seed) == 0
+            out = capsys.readouterr().out
+            report = json.loads("{" + out[out.rindex('\n  "ap_report": ') :])["ap_report"]
+            assert report == expected, (ctx, eps, n, seed)
+            assert scanned.pop() == (bp.shear[3] if proved else len(bp.slopes))
+        settled += proved
+    assert len(cases) == 586 and 200 < settled < len(cases) and 0 < refused < len(cases)
     # too few slopes for one progression step: still refused, with exit 2
     assert main(["boundary", "--p", "5", "--count", "3", "--ap"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: insufficient certified slopes: have 3, need more than 5\n"
-    # the last violation is at position 48 of 50: the least burn-in, 49, leaves no step to check
-    code, out = run(capsys, ["boundary", "--p", "3", "--count", "50", "--ap", "--n-ap", "1", "--delta", "8"])
+    # at a progression other than the conjectured one (here patched in), the report scans every
+    # slope: the last violation is at position 48 of 50, and the least burn-in, 49, leaves no step to check
+    monkeypatch.setattr(ghostseries.cli, "ap_parameters", lambda ctx: (1, 8))
+    code, out = run(capsys, ["boundary", "--p", "3", "--count", "50", "--ap"])
     assert code == 0 and json.loads(out)["ap_report"] == {"n_ap": 1, "delta": {"num": 8, "den": 1}, "verified": False}
-    assert scan_burn_in(polygon(PrimeContext(3, 1), ComponentLabel(0, 3), 50).slopes, 1, 8, 100) == 49
+    assert scanned.pop() == 50 and scan_burn_in(polygon(PrimeContext(3, 1), ComponentLabel(0, 3), 50).slopes, 1, 8, 100) == 49
 
 
 def test_halo_command_stdout(capsys):
@@ -593,21 +576,6 @@ def test_exit_codes(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {zero_den}: malformed fixture: Fraction(1, 0)\n"
-    # progression arguments out of range are usage errors, checked before the burn-in scan
-    for extra in (["--n-ap", "-2", "--delta", "2"], ["--n-ap", "0", "--delta", "2"], ["--burn-in-max", "-1"]):
-        assert main(["boundary", "--p", "3", "--count", "5", "--ap", *extra]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "usage error: need n_ap >= 1 and burn_in >= 0\n"
-    # ... and before the polygon, which here could not certify (exit 3)
-    for argv, err in (
-        (["--p", "5", "--n-ap", "3"], "--n-ap and --delta must be supplied together"),
-        (["--p", "5", "--n-ap", "0", "--delta", "8"], "need n_ap >= 1 and burn_in >= 0"),
-    ):
-        assert main(["boundary", *argv, "--count", "10000", "--cap", "10", "--ap"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"usage error: {err}\n"
     # a conductor base other than p is refused before any power of it is taken
     started = time.perf_counter()
     assert main(["slopes", "--p", "7", "--weight", "char:4:3^10000000", "--count", "1"]) == 2
@@ -650,18 +618,41 @@ def test_exit_codes(capsys, tmp_path):
              "--mode", "tame", "--count", "99"],
             "mode 'tame' takes no --count: it counts the classical slopes",
         ),
-        (["boundary", "--p", "5", "--burn-in-max", "5"], "--n-ap, --delta and --burn-in-max need --ap"),
-        (["boundary", "--p", "5", "--delta", "2"], "--n-ap, --delta and --burn-in-max need --ap"),
-        (
-            ["boundary", "--p", "5", "--count", "10000", "--cap", "10", "--n-ap", "3", "--delta", "2"],
-            "--n-ap, --delta and --burn-in-max need --ap",
-        ),
     ],
 )
 def test_usage_errors(capsys, argv, text):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"usage error: {text}\n")
+
+
+@pytest.mark.parametrize("option", [["--n-ap", "3"], ["--delta", "2"], ["--burn-in-max", "5"]])
+def test_boundary_takes_no_progression_option(capsys, option):
+    # the report is always on ap_parameters' progression, so these are unknown options of boundary
+    assert main(["boundary", "--p", "5", "--count", "40", "--ap", *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("usage: ghostseries boundary ")
+    assert captured.err.endswith(f"ghostseries boundary: error: unrecognized arguments: {' '.join(option)}\n")
+
+
+def test_too_few_slopes_for_the_progression_are_refused_before_any_slope(capsys, monkeypatch):
+    # a count below 1 is still refused as such, by the polygon
+    assert main(["boundary", "--p", "7", "--count", "0", "--ap"]) == 2
+    assert capsys.readouterr().err == "usage error: at least one slope must be requested\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a slope was computed")
+
+    monkeypatch.setattr(ghostseries.cli, "boundary_polygon", refuse)
+    # n_ap = 42,801,780 at p = 1009: the 200,000 slopes would certify within the cap, then be refused
+    assert main(["boundary", "--p", "1009", "--count", "200000", "--ap", "--cap", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "usage error: insufficient certified slopes: have 200000, need more than 42801780\n")
+    # the refusal comes before the cap, which 14 slopes at p = 7 would also fail (exit 3)
+    assert main(["boundary", "--p", "7", "--count", "14", "--ap", "--cap", "10"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "usage error: insufficient certified slopes: have 14, need more than 14\n")
 
 
 def test_unknown_format_is_an_argparse_error(capsys):
@@ -894,18 +885,24 @@ def test_slopes_output_is_json_dumps_of_the_slopes(capsys, argv, slopes):
     assert out == json.dumps(_slopes_doc(slopes()), indent=2) + "\n"
 
 
+_BOUNDARY_DOCS = [  # (p, N, component, modified, extra argv, the ap_parameters patched in or None)
+    (5, 1, 2, False, [], None),
+    (2, 3, 0, True, [], None),
+    (5, 1, 0, False, ["--ap"], None),
+    (3, 7, 0, False, ["--ap"], None),
+    (5, 3, 2, False, ["--ap"], (1, 8)),  # no burn-in verifies
+    (5, 1, 0, False, ["--count", "10000", "--ap"], None),  # three 4,096-entry chunks of the slope writer
+]
+
+
 @pytest.mark.parametrize(
-    "p, N, component, modified, extra",
-    [
-        (5, 1, 2, False, []),
-        (2, 3, 0, True, []),
-        (5, 1, 0, False, ["--ap"]),
-        (3, 7, 0, False, ["--ap", "--burn-in-max", "0"]),
-        (5, 3, 2, False, ["--ap", "--n-ap", "1", "--delta", "8"]),  # no burn-in verifies
-        (5, 1, 0, False, ["--count", "10000", "--ap"]),  # three 4,096-entry chunks of the slope writer
-    ],
+    "p, N, component, modified, extra, progression",
+    _BOUNDARY_DOCS,
+    ids=[f"{p}-{N}-{c}-{m}-extra{i}" for i, (p, N, c, m, *_) in enumerate(_BOUNDARY_DOCS)],
 )
-def test_boundary_output_is_json_dumps_of_the_polygon(capsys, p, N, component, modified, extra):
+def test_boundary_output_is_json_dumps_of_the_polygon(capsys, monkeypatch, p, N, component, modified, extra, progression):
+    if progression:
+        monkeypatch.setattr(ghostseries.cli, "ap_parameters", lambda ctx: progression)
     extra = extra if "--count" in extra else ["--count", "150", *extra]
     ctx, count = PrimeContext(p, N), int(extra[extra.index("--count") + 1])
     seed = bundled_seed(N) if modified else None
@@ -922,8 +919,8 @@ def test_boundary_output_is_json_dumps_of_the_polygon(capsys, p, N, component, m
         "slopes": _slopes_doc(slopes),
     }
     if "--ap" in extra:
-        n_ap, delta = (1, 8) if "--n-ap" in extra else ap_parameters(ctx)
-        burn = scan_burn_in(slopes, n_ap, delta, 0 if "--burn-in-max" in extra else 100)
+        n_ap, delta = progression or ap_parameters(ctx)
+        burn = scan_burn_in(slopes, n_ap, delta, 100)
         if burn is None:
             doc["ap_report"] = {"n_ap": n_ap, "delta": _rat(delta), "verified": False}
         else:
@@ -935,7 +932,7 @@ def test_boundary_output_is_json_dumps_of_the_polygon(capsys, p, N, component, m
                 "verified_through": report.verified_through,
                 "verified": report.verified,
             }
-        assert doc["ap_report"]["verified"] is ("--n-ap" not in extra)
+        assert doc["ap_report"]["verified"] is (progression is None)
     assert out == json.dumps(doc, indent=2) + "\n"
 
 

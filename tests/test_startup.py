@@ -74,7 +74,7 @@ _UNLOADED = {"argparse", "gettext", "typing"}  # modules a well-formed request n
             {"ghostseries.boundary", "ghostseries.modified", "json", "pathlib"} | _UNLOADED,
         ),
         (
-            ["boundary", "--p", "5", "--count", "40", "--ap", "--burn-in-max", "5"],
+            ["boundary", "--p", "5", "--count", "40", "--ap"],
             0,
             {"ghostseries.boundary"},
             {"ghostseries.modified", "json"} | _UNLOADED,
