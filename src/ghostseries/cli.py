@@ -11,41 +11,31 @@ import atexit
 import os
 import re
 import sys
-from fractions import Fraction
 from importlib import import_module
 from types import SimpleNamespace
 
-from .dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from .errors import CertificationError, ExternalDataError, GhostError, PrecisionError
-from .polygon import DEFAULT_CAP, SlopeList, classical_ghost_slopes, ghost_slopes
-from .record import json_int
-from .series import GhostSeries
-from .series import coefficient_divisor  # noqa: F401  kept importable: perfbench/tracer.py wraps this name
-from .weightspace import (
-    Annulus,
-    CharClassical,
-    Classical,
-    ComponentLabel,
-    EtaEight,
-    ExplicitW,
-    PrimeContext,
-    WeightPoint,
-    padic_valuation,
-)
 
-# the names cli reads from the modules only some subcommands run; _need binds each
-# on first use, or on a read from outside, and keeps one already bound (a wrapper);
-# ap_check is tracer-pinned: cli does not call it, but perfbench/tracer.py wraps cli.ap_check
+# the names cli reads from each engine module; _need binds those of the modules a request runs, or
+# of one read from outside, and keeps a name already bound (a wrapper); coefficient_divisor and
+# ap_check are tracer-pinned: cli calls neither, but perfbench/tracer.py wraps both cli names
 _LAZY = {
+    "weightspace": ("Annulus", "CharClassical", "Classical", "ComponentLabel", "EtaEight", "ExplicitW",
+                    "PrimeContext", "padic_valuation"),
+    "dims": ("dim_cusp_eta8", "dim_cusp_gamma0", "dim_pnew", "gamma0_invariants"),
+    "record": ("json_int",),
+    "series": ("GhostSeries", "coefficient_divisor"),
+    "polygon": ("DEFAULT_CAP", "SlopeList", "classical_ghost_slopes", "ghost_slopes"),
     "boundary": ("ap_check", "ap_parameters", "boundary_polygon", "halo_profile", "scan_burn_in"),
     "modified": ("bundled_seed", "load_seed", "modified_coefficient"),
 }
 
 
-def _need(module: str) -> None:
-    mod = import_module(f".{module}", __package__)
-    for name in _LAZY[module]:
-        globals().setdefault(name, getattr(mod, name))
+def _need(*modules: str) -> None:
+    for module in modules:
+        mod = import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str):
@@ -60,15 +50,13 @@ class UsageError(ValueError):
     pass
 
 
-def _rat(x) -> dict:
-    f = Fraction(x)
+def _rat(f) -> dict:
     return {"num": f.numerator, "den": f.denominator}
 
 
 # the largest burn-in a `boundary --ap` report accepts; at ap_parameters the least burn-in is 0
 # on every polygon tests/test_boundary.py tries, so the bound decides no report there
 _BURN_IN_MAX = 100
-_ZERO_TYPES = {Classical: "classical", EtaEight: "eta8"}  # the "type" of a zero in `series` output
 
 # one slope entry, {"index", "slope": {"num", "den"}, "certified": true}, laid out as by json.dumps(indent=2);
 # every slope is certified, since a request that cannot certify fails
@@ -104,6 +92,8 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
     k=<int> | annulus:<k0>:<num>/<den> | char:<k>:<p^t> | eta8:<k>
     | w:<int>:prec=<m>[:eps=<r>]
     """
+    from fractions import Fraction
+    _need("weightspace")
     m = re.fullmatch(r"k=(-?\d+)", spec)
     if m:
         return Classical(int(m.group(1)))
@@ -167,6 +157,7 @@ def _seed(args, ctx: PrimeContext) -> Weight2SeedSlopes | None:
 
 def _mode_slopes(args, ctx: PrimeContext, seed, weight: WeightPoint) -> SlopeList:
     """The slopes a ``slopes`` or ``compare`` request asks for in its --mode."""
+    _need("polygon")
     if args.mode == "overconvergent":
         if args.count is None:
             raise UsageError("--count is required in overconvergent mode")
@@ -191,19 +182,22 @@ def _cmd_slopes(args, ctx: PrimeContext, seed) -> int:
 
 
 def _cmd_series(args, ctx: PrimeContext, seed) -> int:
+    _need("weightspace", "series")
+    zero_types = {Classical: "classical", EtaEight: "eta8"}  # the "type" of a zero in the output
     series = GhostSeries(ctx, ComponentLabel(args.component, ctx.p), seed)
     if args.up_to < 0:
         raise UsageError("--up-to must be at least 0")
     write, lam = sys.stdout.write, series.lam_upto(args.up_to)
     for i, zeros in enumerate(map(series.divisor, range(1, args.up_to + 1)), start=1):
         # the line json.dumps({"i", "lambda", "zeros": [{"type", "k", "mult"}, ...]}) prints
-        items = ", ".join([f'{{"type": "{_ZERO_TYPES[kind]}", "k": {k}, "mult": {m}}}' for kind, k, m in zeros])
+        items = ", ".join([f'{{"type": "{zero_types[kind]}", "k": {k}, "mult": {m}}}' for kind, k, m in zeros])
         write(f'{{"i": {i}, "lambda": {lam[i]}, "zeros": [{items}]}}\n')
     return 0
 
 
 def _cmd_dims(args, ctx: PrimeContext, seed) -> int:
     import json
+    _need("dims")
     N, M = ctx.N, ctx.N * ctx.p
     doc = {
         "command": "dims",
@@ -225,7 +219,7 @@ def _cmd_dims(args, ctx: PrimeContext, seed) -> int:
 
 
 def _cmd_boundary(args, ctx: PrimeContext, seed) -> int:
-    _need("boundary")
+    _need("weightspace", "polygon", "boundary")
     eps = ComponentLabel(args.component, ctx.p)
     cap = _cap(args)
     if args.ap:  # the conjectured progression, settled before any slope is computed
@@ -287,6 +281,8 @@ def _cmd_halo(args, ctx: PrimeContext, seed) -> int:
 
 def _cmd_compare(args, ctx: PrimeContext, seed) -> int:
     import json
+    from fractions import Fraction
+    _need("record")
     weight = parse_weight(args.weight, ctx)
     with open(args.fixture, "r", encoding="utf-8") as handle:
         try:
@@ -334,8 +330,8 @@ _SEED = (  # and of every subcommand but dims
     ("--modified", dict(action="store_true", help="use the modified p=2 series")),
     ("--seed", dict(type=str, default=None, help="weight-2 slope seed file (JSON)")),
 )
-_CAPPED = _PRIME + (  # and the cap, of the subcommands that certify slopes
-    ("--cap", dict(type=int, default=None, help=f"truncation degree cap (default {DEFAULT_CAP})")),
+_CAPPED = _PRIME + (  # and the cap, of the subcommands that certify slopes; build_parser fills in its default
+    ("--cap", dict(type=int, default=None, help="truncation degree cap (default {})")),
 ) + _SEED
 _MODE = ("--mode", dict(choices=["tame", "full", "overconvergent"], default="overconvergent"))
 
@@ -380,6 +376,7 @@ def build_parser():
     """The argparse parser of every subcommand; ``main`` builds it only for
     help and usage errors."""
     import argparse
+    _need("polygon")  # the --cap help names polygon's DEFAULT_CAP
     parser = argparse.ArgumentParser(
         prog="ghostseries",
         description="Exact slope predictions from the ghost series: Newton polygons, "
@@ -391,6 +388,8 @@ def build_parser():
         sp = subs.add_parser(name, help=help_text)
         sp.set_defaults(func=handler)
         for flag, kwargs in options:
+            if flag == "--cap":
+                kwargs = dict(kwargs, help=kwargs["help"].format(DEFAULT_CAP))
             sp.add_argument(flag, **kwargs)
     return parser
 
@@ -446,6 +445,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code) if exc.code else 0
     try:
+        _need("weightspace")
         ctx = PrimeContext(args.p, args.N)
         code = args.func(args, ctx, _seed(args, ctx))
         sys.stdout.flush()  # so that buffered output meets a closed pipe here too

@@ -20,7 +20,7 @@ from ghostseries.cli import _COMMANDS, UsageError, _plain_args, build_parser, ma
 from ghostseries.dims import dim_cusp_eta8, dim_cusp_gamma0, dim_pnew, gamma0_invariants
 from ghostseries.errors import GhostError
 from ghostseries.modified import bundled_seed
-from ghostseries.polygon import classical_ghost_slopes, ghost_slopes
+from ghostseries.polygon import DEFAULT_CAP, classical_ghost_slopes, ghost_slopes
 from ghostseries.series import GhostSeries
 from ghostseries.weightspace import (
     Annulus,
@@ -767,6 +767,17 @@ def test_parser_help_lists_subcommands():
     text = parser.format_help()
     for name in ("slopes", "series", "dims", "boundary", "halo", "compare"):
         assert name in text
+
+
+@pytest.mark.parametrize("command", ["slopes", "boundary", "halo", "compare"])
+def test_cap_help_names_the_polygon_default(capsys, monkeypatch, command):
+    # the help reads the cap that cli binds from polygon when the parser is built
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    assert f"  truncation degree cap (default {DEFAULT_CAP})\n" in capsys.readouterr().out
+    monkeypatch.setattr(ghostseries.cli, "DEFAULT_CAP", 123)
+    assert main([command, "--help"]) == 0
+    assert "  truncation degree cap (default 123)\n" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

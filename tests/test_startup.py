@@ -29,7 +29,7 @@ def _fresh(code: str) -> str:
 
 def _loaded_after(code: str) -> set[str]:
     """The package submodules and the standard modules a request should not
-    need unless it runs them (json, pathlib, argparse, gettext, typing) in
+    need unless it runs them (json, pathlib, argparse, gettext, typing, fractions) in
     sys.modules after ``code`` runs."""
     probe = (
         "import sys, io\n"
@@ -37,7 +37,7 @@ def _loaded_after(code: str) -> set[str]:
         f"{code}\n"
         "sys.stdout = out\n"
         "print(sorted(m for m in sys.modules if m.startswith('ghostseries.')"
-        " or m in ('json', 'pathlib', 'argparse', 'gettext', 'typing')))"
+        " or m in ('json', 'pathlib', 'argparse', 'gettext', 'typing', 'fractions')))"
     )
     return set(ast.literal_eval(_fresh(probe)))
 
@@ -59,6 +59,11 @@ def test_tracer_wrapped_names_resolve_after_a_plain_import():
 
 def test_importing_the_package_loads_no_submodule():
     assert _loaded_after("import ghostseries") == set()
+
+
+def test_importing_the_cli_loads_no_engine_module():
+    # the benchmark's setup probe: each subcommand binds the engine modules it runs
+    assert _loaded_after("import ghostseries.cli") == {"ghostseries.cli", "ghostseries.errors"}
 
 
 _UNLOADED = {"argparse", "gettext", "typing"}  # modules a well-formed request never loads
@@ -86,6 +91,25 @@ _UNLOADED = {"argparse", "gettext", "typing"}  # modules a well-formed request n
             {"ghostseries.boundary", "json"} | _UNLOADED,
         ),
         (
+            ["dims", "--p", "3"],
+            0,
+            {"ghostseries.dims", "json"},
+            {"ghostseries.polygon", "ghostseries.series", "ghostseries.boundary", "ghostseries.modified"} | _UNLOADED,
+        ),
+        (
+            ["series", "--p", "2", "--up-to", "5"],
+            0,
+            {"ghostseries.series"},
+            {"ghostseries.polygon", "ghostseries.boundary", "ghostseries.modified", "json"} | _UNLOADED,
+        ),
+        # a weight the grammar reads but weightspace refuses: no slope is computed
+        (
+            ["slopes", "--p", "2", "--weight", "k=3", "--count", "5"],
+            2,
+            {"ghostseries.weightspace"},
+            {"ghostseries.polygon", "ghostseries.series", "ghostseries.dims", "ghostseries.boundary"} | _UNLOADED,
+        ),
+        (
             ["compare", "--p", "2", "--fixture", str(ROOT / "fixtures" / "annulus_half_2adic.json"),
              "--weight", "annulus:0:1/2", "--count", "10"],
             0,
@@ -96,7 +120,7 @@ _UNLOADED = {"argparse", "gettext", "typing"}  # modules a well-formed request n
         (["slopes", "--help"], 0, {"argparse"}, {"ghostseries.boundary", "ghostseries.modified"}),
         (["slopes", "--p", "2"], 2, {"argparse"}, {"ghostseries.boundary", "ghostseries.modified"}),
     ],
-    ids=["slopes", "boundary", "modified", "compare", "help", "usage-error"],
+    ids=["slopes", "boundary", "modified", "dims", "series", "refused-weight", "compare", "help", "usage-error"],
 )
 def test_a_request_imports_only_the_modules_it_runs(argv, code, present, absent):
     loaded = _loaded_after(f"from ghostseries import cli; assert cli.main({argv!r}) == {code}")
