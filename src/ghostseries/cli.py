@@ -14,36 +14,25 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
+from . import _EXPORTS
 from .errors import CertificationError, ExternalDataError, GhostError, PrecisionError
-
-# the names cli reads from each engine module; _need binds those of the modules a request runs, or
-# of one read from outside, and keeps a name already bound (a wrapper); coefficient_divisor and
-# ap_check are tracer-pinned: cli calls neither, but perfbench/tracer.py wraps both cli names
-_LAZY = {
-    "weightspace": ("Annulus", "CharClassical", "Classical", "ComponentLabel", "EtaEight", "ExplicitW",
-                    "PrimeContext", "padic_valuation"),
-    "dims": ("dim_cusp_eta8", "dim_cusp_gamma0", "dim_pnew", "gamma0_invariants"),
-    "record": ("json_int",),
-    "series": ("GhostSeries", "coefficient_divisor"),
-    "polygon": ("DEFAULT_CAP", "SlopeList", "classical_ghost_slopes", "ghost_slopes"),
-    "boundary": ("ap_check", "ap_parameters", "boundary_polygon", "halo_profile", "scan_burn_in"),
-    "modified": ("bundled_seed", "load_seed", "modified_coefficient"),
-}
 
 
 def _need(*modules: str) -> None:
+    """Bind the package's public names from each engine module given; a name
+    already bound (a wrapper) is kept."""
     for module in modules:
         mod = import_module(f".{module}", __package__)
-        for name in _LAZY[module]:
-            globals().setdefault(name, getattr(mod, name))
+        for name, home in _EXPORTS.items():
+            if home == module:
+                globals().setdefault(name, getattr(mod, name))
 
 
 def __getattr__(name: str):
-    for module, names in _LAZY.items():
-        if name in names:
-            _need(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _need(_EXPORTS[name])
+    return globals()[name]
 
 
 class UsageError(ValueError):
@@ -106,6 +95,7 @@ def parse_weight(spec: str, ctx: PrimeContext) -> WeightPoint:
         if m.group(3) is not None:
             base, t = int(m.group(2)), int(m.group(3))
         else:
+            from .weightspace import padic_valuation
             cond = int(m.group(2))
             base, t = ctx.p, padic_valuation(cond or 1, ctx.p)  # 0 is refused below: 0 != p^0
             if cond != base ** t:
@@ -282,7 +272,7 @@ def _cmd_halo(args, ctx: PrimeContext, seed) -> int:
 def _cmd_compare(args, ctx: PrimeContext, seed) -> int:
     import json
     from fractions import Fraction
-    _need("record")
+    from .record import json_int
     weight = parse_weight(args.weight, ctx)
     with open(args.fixture, "r", encoding="utf-8") as handle:
         try:

@@ -532,6 +532,40 @@ def test_precision_error_onset(w0, m, last_good, k):
         ghost_slopes(CTX21, kappa, last_good + 1)
 
 
+_LADDER = (1, 2, 3, 5, 8, 12, 20, 30, 50, 80, 120, 200)
+# the slope counts an explicit w known mod p^m answers today, by (p, w0) and m: every ladder
+# value up to the bound given, or the values listed; no count answers at an m not listed
+_ANSWERING = {
+    (2, 8): {12: (1, 2, 3, 5, 12)},
+    (2, 24): {10: 8, 12: 30},
+    (3, 3): {6: 5, 8: 30, 10: 200, 12: 200},
+    (3, 9): {6: 5, 8: 50, 10: 200, 12: 200},
+    (5, 5): {4: 12, 5: 50, 6: 200, 8: 200, 10: 200, 12: 200},
+    (7, 14): {3: 8, 4: 8, 5: 8, 6: 200, 8: 200, 10: 200, 12: 200},
+}
+
+
+def test_no_precision_error_earlier_than_today():
+    # a request that answers today still answers, with the first n slopes of the same w0 known
+    # mod p^200; any other request answers so too or raises PrecisionError, never another error
+    answered = 0
+    for (p, w0), row in _ANSWERING.items():
+        ctx, residue = PrimeContext(p), None if p == 2 else 0
+        exact = ghost_slopes(ctx, ExplicitW(w0, 200, residue), 200).slopes
+        for m in (3, 4, 5, 6, 8, 10, 12):
+            bound = row.get(m, ())
+            today = bound if isinstance(bound, tuple) else [n for n in _LADDER if n <= bound]
+            for n in _LADDER:
+                try:
+                    slopes = ghost_slopes(ctx, ExplicitW(w0, m, residue), n).slopes
+                except PrecisionError:
+                    assert n not in today, (p, w0, m, n)
+                    continue
+                assert slopes == exact[:n], (p, w0, m, n)
+                answered += n in today
+    assert answered == 217
+
+
 def test_slopes_at_a_zero_weight():
     # at kappa = 14 the first coefficient vanishes: a doubled slope appears
     sl = ghost_slopes(CTX21, Classical(14), 2)

@@ -102,6 +102,13 @@ _UNLOADED = {"argparse", "gettext", "typing"}  # modules a well-formed request n
             {"ghostseries.series"},
             {"ghostseries.polygon", "ghostseries.boundary", "ghostseries.modified", "json"} | _UNLOADED,
         ),
+        # a conductor given as an integer reads weightspace's padic_valuation
+        (
+            ["slopes", "--p", "7", "--N", "5", "--weight", "char:4:343", "--count", "3"],
+            0,
+            {"ghostseries.weightspace", "ghostseries.polygon"},
+            {"ghostseries.boundary", "ghostseries.modified", "json"} | _UNLOADED,
+        ),
         # a weight the grammar reads but weightspace refuses: no slope is computed
         (
             ["slopes", "--p", "2", "--weight", "k=3", "--count", "5"],
@@ -120,7 +127,8 @@ _UNLOADED = {"argparse", "gettext", "typing"}  # modules a well-formed request n
         (["slopes", "--help"], 0, {"argparse"}, {"ghostseries.boundary", "ghostseries.modified"}),
         (["slopes", "--p", "2"], 2, {"argparse"}, {"ghostseries.boundary", "ghostseries.modified"}),
     ],
-    ids=["slopes", "boundary", "modified", "dims", "series", "refused-weight", "compare", "help", "usage-error"],
+    ids=["slopes", "boundary", "modified", "dims", "series", "char-conductor", "refused-weight", "compare", "help",
+         "usage-error"],
 )
 def test_a_request_imports_only_the_modules_it_runs(argv, code, present, absent):
     loaded = _loaded_after(f"from ghostseries import cli; assert cli.main({argv!r}) == {code}")
@@ -153,21 +161,17 @@ def test_unknown_names_raise_attribute_error():
         ghostseries.no_such_name
     with pytest.raises(AttributeError, match="^module 'ghostseries.cli' has no attribute 'no_such_name'$"):
         ghostseries.cli.no_such_name
+    for name in ("padic_valuation", "json_int"):  # engine names cli reads but does not export
+        with pytest.raises(AttributeError, match=f"^module 'ghostseries.cli' has no attribute '{name}'$"):
+            getattr(ghostseries.cli, name)
     with pytest.raises(ImportError):
         from ghostseries import no_such_name  # noqa: F401
 
 
 def test_cli_still_exports_the_names_it_reads_lazily():
-    from ghostseries.boundary import ap_check as boundary_ap_check
-    from ghostseries.cli import ap_check, bundled_seed, load_seed, scan_burn_in
-    from ghostseries.modified import bundled_seed as modified_bundled_seed
-
-    assert ap_check is boundary_ap_check and bundled_seed is modified_bundled_seed
-    assert callable(scan_burn_in) and callable(load_seed)
-    for module, names in ghostseries.cli._LAZY.items():
-        source = importlib.import_module(f"ghostseries.{module}")
-        for name in names:
-            assert getattr(ghostseries.cli, name) is getattr(source, name), name
+    # cli binds the package's own export table; the tracer wraps cli's names among these
+    for name in ghostseries.__all__:
+        assert getattr(ghostseries.cli, name) is getattr(ghostseries, name), name
 
 
 def test_a_wrapper_set_on_cli_outlives_the_request(monkeypatch, capsys):
